@@ -12,7 +12,6 @@ across threads.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,16 +193,18 @@ def _conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
     return (padded - k) // stride + 1
 
 
-def _im2col_bits(bits: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
-    """[C, H, W] 0/1 bits -> patch matrix [H'*W', C*k*k]; pad bits are 0 (-1)."""
-    c, h, w = bits.shape
+def _im2col(x: np.ndarray, k: int, stride: int, padding: int, pad_value):
+    """[B, C, H, W] -> patch matrix [B*H'*W', C*k*k] plus output dims."""
+    b, c, h, w = x.shape
     ho = _conv_out_size(h, k, stride, padding)
     wo = _conv_out_size(w, k, stride, padding)
     if padding:
-        bits = np.pad(bits, ((0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(bits, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]  # [C, H', W', k, k]
-    return win.transpose(1, 2, 0, 3, 4).reshape(ho * wo, c * k * k)
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                   constant_values=pad_value)
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # [B, C, H', W', k, k]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * k * k)
+    return np.ascontiguousarray(cols), ho, wo
 
 
 def im2col_binary_conv(
@@ -226,11 +227,9 @@ def im2col_binary_conv(
             f"channel mismatch: input {inp.shape[0]}, kernels {kernels.shape[1]}"
         )
     f, c, k, _ = kernels.shape
-    ho = _conv_out_size(inp.shape[1], k, stride, padding)
-    wo = _conv_out_size(inp.shape[2], k, stride, padding)
-
-    in_bits = _words_to_bits(inp.words, inp.bit_len).reshape(inp.shape)
-    patches = _pack_rows(_im2col_bits(in_bits, k, stride, padding))
+    in_bits = _words_to_bits(inp.words, inp.bit_len).reshape((1,) + inp.shape)
+    cols, ho, wo = _im2col(in_bits, k, stride, padding, pad_value=0)
+    patches = _pack_rows(cols)
     kern = _pack_rows(_words_to_bits(kernels.words, kernels.bit_len).reshape(f, c * k * k))
     out = _xnor_gemm_words(patches, kern, c * k * k)  # [H'*W', F]
     return out.T.reshape(f, ho, wo)
@@ -274,30 +273,3 @@ def from_bytes(data: bytes) -> PackedBitTensor:
         raise DataError(str(e)) from e
     return t
 
-
-def benchmark_speedup(out_dim: int = 256, in_dim: int = 4096, batch: int = 256, repeats: int = 3):
-    """Measure packed-GEMM wall time against a dense float32 matmul.
-
-    Returns (packed_seconds, dense_seconds, ratio). The ratio is
-    hardware-dependent and reported only; nothing asserts it.
-    """
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal((out_dim, in_dim)).astype(np.float32)
-    x = rng.standard_normal((batch, in_dim)).astype(np.float32)
-    wp = pack(np.sign(w))
-    xp = pack(np.sign(x))
-    ww = _pack_rows(_words_to_bits(wp.words, wp.bit_len).reshape(wp.shape))
-    xw = _pack_rows(_words_to_bits(xp.words, xp.bit_len).reshape(xp.shape))
-    ws = np.sign(w) + (w == 0)
-    xs = np.sign(x) + (x == 0)
-
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        _xnor_gemm_words(xw, ww, in_dim)
-    packed_s = (time.perf_counter() - t0) / repeats
-
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        xs @ ws.T
-    dense_s = (time.perf_counter() - t0) / repeats
-    return packed_s, dense_s, dense_s / packed_s

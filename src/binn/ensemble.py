@@ -216,6 +216,7 @@ def train_bagging(
     spec = spec or MemberTrainSpec()
     u = SampleWeights.uniform(len(labels))
     members = []
+    seeds_used = []
     histories = []
     ensemble_acc = []
     prev = None
@@ -230,12 +231,15 @@ def train_bagging(
             init_from=prev if mode == "warm_restart" else None,
             epoch_callback=cb,
         )
+        seed_used = [int(seed), ki]
         try:
             net, hist = train_member(**kw)
         except NumericalError:
-            kw["seed_seq"] = np.random.SeedSequence([int(seed), ki, 0xEE7])
+            seed_used.append(0xEE7)
+            kw["seed_seq"] = np.random.SeedSequence(seed_used)
             net, hist = train_member(**kw)
         members.append(net)
+        seeds_used.append(seed_used)
         histories.append(hist)
         prev = net
     model = EnsembleModel(
@@ -246,7 +250,7 @@ def train_bagging(
         training_mode=mode,
         config=config,
         seed=seed,
-        member_seeds=[[int(seed), ki] for ki in range(k)],
+        member_seeds=seeds_used,
     )
     return model, {"histories": histories, "ensemble_accuracy": ensemble_acc}
 
@@ -292,10 +296,12 @@ def train_boosting(
             reweight_gradient=reweight_gradient,
             epoch_callback=cb,
         )
+        seed_used = [int(seed), ki]
         try:
             net, hist = train_member(**kw)
         except NumericalError:
-            kw["seed_seq"] = np.random.SeedSequence([int(seed), ki, 0xEE7])
+            seed_used.append(0xEE7)
+            kw["seed_seq"] = np.random.SeedSequence(seed_used)
             net, hist = train_member(**kw)
         prev = net
         pred = net.predict(images)
@@ -306,7 +312,7 @@ def train_boosting(
             continue
         members.append(net)
         alphas.append(alpha)
-        seeds_used.append([int(seed), ki])
+        seeds_used.append(seed_used)
     if not members:
         raise EnsembleError(
             f"all {k} boosting members rejected (errors >= chance); rounds: {rounds}"

@@ -1,15 +1,17 @@
 """Layers for training weak binary networks.
 
-Binary conv/fc layers keep real-valued shadow weights, refresh per-filter
-scales and packed sign bits from them on every step, and run their forward
-through the bit-packed XNOR kernels so training and inference share one
-code path. Gradients reach the shadow weights straight through; activation
+Binary conv/fc layers keep real-valued shadow weights and refresh their
+per-filter scales from them after every step. Every precision runs one
+forward product in float BLAS; for +/-1 inputs and weights it is the exact
+integer product times the scale, equal bit for bit to the packed XNOR
+kernels, which serve export, packed reload and ``scaled_binary_forward``.
+Gradients reach the shadow weights straight through; activation
 binarization backpropagates with the |x| <= 1 straight-through mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,8 +130,6 @@ class _WeightedLayer(Layer):
         self.dtype = dtype
         self.scale = None
         self.scale_frozen = False
-        self._packed_rows = None
-        self.packed_weights = None
         self._version = 0
         self._refreshed = -1
 
@@ -146,15 +146,16 @@ class _WeightedLayer(Layer):
         return self.weight_bits == 1 and self._refreshed != self._version
 
     def refresh(self) -> None:
-        """Recompute per-filter scales and packed sign bits from shadows."""
-        if self.weight_bits == 1:
+        """Recompute per-filter scales from the shadow weights."""
+        if self.weight_bits == 1 and not self.scale_frozen:
             w2 = self.w.value.reshape(self.w.value.shape[0], -1)
-            if not self.scale_frozen:
-                self.scale = np.abs(w2).mean(axis=1, dtype=np.float64).astype(self.dtype)
-            bits = (w2 >= 0).astype(np.uint8)
-            self._packed_rows = bitcore._pack_rows(bits)
-            self.packed_weights = bitcore.pack(sign_binarize(self.w.value))
+            self.scale = np.abs(w2).mean(axis=1, dtype=np.float64).astype(self.dtype)
         self._refreshed = self._version
+
+    @property
+    def packed_weights(self) -> bitcore.PackedBitTensor:
+        """Sign bits of the shadow weights, packed for export and the XNOR kernels."""
+        return bitcore.pack(self.w.value)
 
     def effective_weight(self) -> np.ndarray:
         if self.weight_bits == 32:
@@ -180,8 +181,20 @@ class _WeightedLayer(Layer):
             return dxq
         return dxq * (np.abs(xin) <= 1.0)
 
-    def _use_packed(self, ctx) -> bool:
-        return self.weight_bits == 1 and self.act_bits == 1 and not ctx.surrogate
+    def _product(self, cols, ctx):
+        """Input rows [N, fan_in] times the effective weights, plus bias: [N, out]."""
+        if self.is_stale():
+            self.refresh()
+        w2 = self.w.value.reshape(self.w.value.shape[0], -1)
+        if self.weight_bits == 1 and self.act_bits == 1 and not ctx.surrogate:
+            # sums of +/-1 are exact integers in float32 while fan_in < 2**24,
+            # so this equals the packed XNOR product times the scale
+            y = (cols @ sign_binarize(w2).T) * self.scale
+        else:
+            y = cols @ self.effective_weight().reshape(w2.shape).T
+        if self.b is not None:
+            y = y + self.b.value
+        return y
 
     @property
     def pad_value(self) -> float:
@@ -223,31 +236,12 @@ class Linear(_WeightedLayer):
     def out_shape(self, in_shape):
         return (self.out_features,)
 
-    def binary_matmul(self, xq: np.ndarray) -> np.ndarray:
-        """Packed XNOR product for exactly-binary xq; scale applied in float."""
-        bits = (xq >= 0).astype(np.uint8)
-        ints = bitcore._xnor_gemm_words(
-            bitcore._pack_rows(bits), self._packed_rows, self.in_features
-        )
-        y = ints.astype(self.dtype) * self.scale
-        if self.b is not None:
-            y = y + self.b.value
-        return y
-
     def forward(self, x, ctx):
         self._orig_shape = x.shape
         xin = x.reshape(x.shape[0], -1)
         xq = self._transform_input(xin, ctx)
         self._xin, self._xq = xin, xq
-        if self._use_packed(ctx):
-            if self.is_stale():
-                self.refresh()
-            return self.binary_matmul(xq)
-        w_eff = self.effective_weight()
-        y = xq @ w_eff.T
-        if self.b is not None:
-            y = y + self.b.value
-        return y
+        return self._product(xq, ctx)
 
     def backward(self, dy):
         w_eff = self.effective_weight()
@@ -256,20 +250,6 @@ class Linear(_WeightedLayer):
             self.b.add_grad(dy.sum(axis=0))
         dxq = dy @ w_eff
         return self._transform_grad(dxq, self._xin).reshape(self._orig_shape)
-
-
-def _im2col(x: np.ndarray, k: int, stride: int, padding: int, pad_value: float):
-    """[B, C, H, W] -> patch matrix [B*H'*W', C*k*k] plus output dims."""
-    b, c, h, w = x.shape
-    ho = bitcore._conv_out_size(h, k, stride, padding)
-    wo = bitcore._conv_out_size(w, k, stride, padding)
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                   constant_values=pad_value)
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # [B, C, H', W', k, k]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * k * k)
-    return np.ascontiguousarray(cols), ho, wo
 
 
 def _col2im(dcols, b, c, h, w, k, stride, padding, ho, wo, dtype):
@@ -331,41 +311,22 @@ class Conv2d(_WeightedLayer):
         wo = bitcore._conv_out_size(w, self.kernel, self.stride, self.padding)
         return (self.out_channels, ho, wo)
 
-    def binary_conv(self, xq: np.ndarray) -> np.ndarray:
-        """Packed XNOR convolution over exactly-binary xq [B, C, H, W]."""
-        b = xq.shape[0]
-        k, fan_in = self.kernel, self.fan_in
-        bits = (xq >= 0).astype(np.uint8)
-        cols, ho, wo = _im2col(bits, k, self.stride, self.padding, pad_value=0)
-        ints = bitcore._xnor_gemm_words(bitcore._pack_rows(cols), self._packed_rows, fan_in)
-        y = ints.astype(self.dtype).reshape(b, ho, wo, self.out_channels)
-        y = y.transpose(0, 3, 1, 2) * self.scale[None, :, None, None]
-        if self.b is not None:
-            y = y + self.b.value[None, :, None, None]
-        return y
-
     def forward(self, x, ctx):
         xq = self._transform_input(x, ctx)
         self._xin, self._xq = x, xq
         self._bhw = x.shape
-        if self._use_packed(ctx):
-            if self.is_stale():
-                self.refresh()
-            return self.binary_conv(xq)
-        w_eff = self.effective_weight().reshape(self.out_channels, -1)
-        cols, ho, wo = _im2col(xq, self.kernel, self.stride, self.padding, self.pad_value)
-        y = (cols @ w_eff.T).reshape(x.shape[0], ho, wo, self.out_channels)
-        y = np.ascontiguousarray(y.transpose(0, 3, 1, 2))
-        if self.b is not None:
-            y = y + self.b.value[None, :, None, None]
-        return y
+        cols, ho, wo = bitcore._im2col(xq, self.kernel, self.stride, self.padding, self.pad_value)
+        # the [B, F, H', W'] view of the product, not a contiguous copy: batchnorm
+        # reduces in memory order, so the layout fixes its rounding
+        y = self._product(cols, ctx).reshape(x.shape[0], ho, wo, self.out_channels)
+        return y.transpose(0, 3, 1, 2)
 
     def backward(self, dy):
         b, c, h, w = self._bhw
         _, f, ho, wo = dy.shape
         k = self.kernel
         dy_cols = dy.transpose(0, 2, 3, 1).reshape(b * ho * wo, f)
-        cols, _, _ = _im2col(self._xq, k, self.stride, self.padding, self.pad_value)
+        cols, _, _ = bitcore._im2col(self._xq, k, self.stride, self.padding, self.pad_value)
         w_eff = self.effective_weight().reshape(f, -1)
         self.w.add_grad((dy_cols.T @ cols).reshape(self.w.value.shape))
         if self.b is not None:
@@ -593,18 +554,25 @@ def scaled_binary_forward(layer: _WeightedLayer, x_binary: bitcore.PackedBitTens
         raise ValueError("scaled_binary_forward requires a weight-binarized layer")
     if layer.is_stale():
         raise StaleWeightsError(
-            f"layer weights updated at version {layer._version} but packed form "
-            f"is from version {layer._refreshed}; call refresh()"
+            f"layer weights updated at version {layer._version} but scales "
+            f"are from version {layer._refreshed}; call refresh()"
         )
-    xb = bitcore.unpack(x_binary, layer.dtype)
+    wbits = layer.packed_weights
     if isinstance(layer, Linear):
-        squeeze = xb.ndim == 1
-        xb = xb.reshape(1, -1) if squeeze else xb.reshape(xb.shape[0], -1)
-        y = layer.binary_matmul(xb)
-        return y[0] if squeeze else y
-    if isinstance(layer, Conv2d):
-        squeeze = xb.ndim == 3
-        xb = xb[None] if squeeze else xb
-        y = layer.binary_conv(xb)
-        return y[0] if squeeze else y
-    raise TypeError(f"unsupported layer type {type(layer).__name__}")
+        squeeze = len(x_binary.shape) == 1
+        rows = (1 if squeeze else x_binary.shape[0], layer.in_features)
+        ints = bitcore.binary_gemm(wbits, replace(x_binary, shape=rows))
+    elif isinstance(layer, Conv2d):
+        squeeze = len(x_binary.shape) == 3
+        xb = bitcore.unpack(x_binary)
+        ints = np.stack([
+            bitcore.im2col_binary_conv(bitcore.pack(img), wbits, layer.stride, layer.padding)
+            for img in (xb[None] if squeeze else xb)
+        ])
+    else:
+        raise TypeError(f"unsupported layer type {type(layer).__name__}")
+    per_out = (-1,) + (1,) * (ints.ndim - 2)
+    y = ints.astype(layer.dtype) * layer.scale.reshape(per_out)
+    if layer.b is not None:
+        y = y + layer.b.value.reshape(per_out)
+    return y[0] if squeeze else y

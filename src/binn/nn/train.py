@@ -20,8 +20,10 @@ def backward_and_step(net: Network, batch, labels, optimizer, *, sample_weights=
                       rng=None, clip_weights=True, debug=False) -> float:
     """One training step: forward, weighted CE, backward, update shadows.
 
-    Updates land on the real-valued shadow weights only; binary layers are
-    re-packed lazily on the next forward. Raises NumericalError on a
+    Updates land on the real-valued shadow weights only; layers with 1-bit
+    weights recompute their scales on the next forward, which uses the
+    exact dense +/-1 product. The packed kernels serve export, packed
+    reload and ``scaled_binary_forward``. Raises NumericalError on a
     non-finite loss.
     """
     logits = net.forward(batch, train=True, rng=rng, debug=debug)

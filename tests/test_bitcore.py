@@ -261,16 +261,6 @@ def test_serialization_roundtrip_shapes():
         assert bitcore.from_bytes(bitcore.to_bytes(t)) == t
 
 
-def test_benchmark_speedup_reports_ratio():
-    # hardware-dependent; reported, never asserted to a specific value
-    packed_s, dense_s, ratio = bitcore.benchmark_speedup(
-        out_dim=64, in_dim=1024, batch=64, repeats=2
-    )
-    assert packed_s > 0 and dense_s > 0
-    print(f"\npacked GEMM vs dense float32 matmul: {ratio:.2f}x "
-          f"({dense_s * 1e3:.2f} ms vs {packed_s * 1e3:.2f} ms)")
-
-
 def test_serialization_rejects_garbage():
     t = bitcore.pack(np.ones(10))
     blob = bitcore.to_bytes(t)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -312,6 +313,27 @@ def test_member_divergence_retries_once_then_fails(monkeypatch):
             cfg, tr.images, tr.labels, k=1, seed=12,
             spec=ensemble.MemberTrainSpec(epochs=1, batch_size=32),
         )
+
+
+@pytest.mark.parametrize("train", [ensemble.train_bagging, ensemble.train_boosting])
+def test_retried_member_records_fallback_seed(monkeypatch, tmp_path, train):
+    (tr, te) = blob_task(seed=12)
+    real = ensemble.train_member
+    calls = {"n": 0}
+
+    def flaky(*a, **kw):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise NumericalError("synthetic divergence")
+        return real(*a, **kw)
+
+    monkeypatch.setattr(ensemble, "train_member", flaky)
+    model, _ = train(small_cfg(), tr.images, tr.labels, k=2, seed=12, spec=SPEC_FAST)
+    want = [[12, 0], [12, 1, 0xEE7]]
+    assert model.member_seeds == want
+    ensemble.save_ensemble(model, tmp_path)
+    with open(tmp_path / "manifest.json") as fh:
+        assert json.load(fh)["member_seeds"] == want
 
 
 def test_all_members_rejected_fails_with_report(monkeypatch):

@@ -134,6 +134,32 @@ def test_scaled_binary_conv_matches_dense_oracle():
     assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
 
 
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("fan_in", [1, 63, 65, 200])
+def test_linear_dense_product_equals_packed_kernel(fan_in, bias):
+    rng = np.random.default_rng(fan_in)
+    lay = nn.Linear(fan_in, 7, weight_bits=1, act_bits=1, bias=bias, rng=rng)
+    if bias:
+        lay.b.value = rng.standard_normal(7).astype(np.float32)
+    x = nn.sign_binarize(rng.standard_normal((5, fan_in)).astype(np.float32))
+    got = lay.forward(x, CTX)
+    assert np.array_equal(got, nn.scaled_binary_forward(lay, bitcore.pack(x)))
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+@pytest.mark.parametrize("channels", [3, 8])  # fan-in 27 and 72, not multiples of 64
+def test_conv_dense_product_equals_packed_kernel(channels, stride, padding, bias):
+    rng = np.random.default_rng(channels + 10 * stride + 100 * padding)
+    lay = nn.Conv2d(channels, 5, 3, stride=stride, padding=padding, weight_bits=1,
+                    act_bits=1, bias=bias, rng=rng)
+    if bias:
+        lay.b.value = rng.standard_normal(5).astype(np.float32)
+    x = nn.sign_binarize(rng.standard_normal((2, channels, 7, 7)).astype(np.float32))
+    got = lay.forward(x, CTX)
+    assert np.array_equal(got, nn.scaled_binary_forward(lay, bitcore.pack(x)))
+
+
 def test_stale_refresh_detected():
     rng = np.random.default_rng(6)
     lay = nn.Linear(8, 2, weight_bits=1, act_bits=1, rng=rng)

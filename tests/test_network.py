@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from binn import nn
+from binn import datio, nn
 from binn.errors import NumericalError, ShapeError
 from binn.nn import mlp_config, parse_config, config_to_text
+from binn.nn.config import VARIANTS
 
 
 def toy_blobs_2class(n=400, seed=0, noise=0.25):
@@ -233,6 +234,20 @@ def test_train_network_history_and_patience():
                             rng=3, eval_images=xb, eval_labels=y, patience=3)
     assert len(hist.train_loss) == len(hist.test_accuracy)
     assert len(hist.train_loss) <= 30
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_trained_net_checkpoint_reload_gives_identical_logits(variant):
+    # layers with 1-bit weights refresh their scale after every step, whatever
+    # their input precision, so a reload (which recomputes it) changes nothing
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1, 1, (64, 1, 1, 8)).astype(np.float32)
+    y = rng.integers(0, 3, 64)
+    net = nn.Network.from_config(mlp_config((1, 1, 8), [16, 16], 3, variant=variant), seed=4)
+    opt = nn.Adam(net.parameters(), lr=1e-2)
+    nn.train_network(net, x, y, epochs=3, batch_size=16, optimizer=opt, rng=4)
+    again = datio.load_checkpoint_bytes(datio.checkpoint_bytes(net))
+    assert np.array_equal(net.forward(x), again.forward(x))
 
 
 # ------------------------------------------------------------------ config
