@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import integrate
@@ -377,12 +377,31 @@ def verify_theorem2(
 # --------------------------------------------------------------- robustness
 
 
-def _model_probs(nets, images, output="softmax", bn_batch_stats=True):
-    outs = [net.forward(images, bn_batch_stats=bn_batch_stats) for net in nets]
-    if output == "logits":
-        stacked = np.stack([o.astype(np.float64) for o in outs])
-        return stacked.mean(axis=0)
-    return np.stack([softmax(o) for o in outs]).mean(axis=0)
+def _mean_probs(model, images, **forward_kw) -> np.ndarray:
+    """Unweighted mean of the members' softmax outputs; a Network is one member."""
+    members = model.members if hasattr(model, "members") else [model]
+    return np.stack([softmax(m.forward(images, **forward_kw)) for m in members]).mean(axis=0)
+
+
+def _estimate(values, trials) -> MonteCarloEstimate:
+    """Mean of float64 per-trial values with the standard error of that mean."""
+    x = np.asarray(values, dtype=np.float64)
+    se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+    return MonteCarloEstimate(mean=float(x.mean()), stderr=se, trials=trials)
+
+
+def _perturbed(model, images, spec: PerturbationSpec, rng, noise_shape):
+    """Yield one (model, images) pair per trial of ``spec``: the images plus one
+    N(0, sigma2) draw of ``noise_shape``, or the model with every member's weights noised."""
+    sigma = math.sqrt(spec.sigma2)
+    for _ in range(spec.trials):
+        if spec.target == "input":
+            yield model, images + rng.normal(0.0, sigma, noise_shape).astype(np.float32)
+        elif hasattr(model, "members"):
+            noisy = [_with_weight_noise(m, rng, sigma) for m in model.members]
+            yield replace(model, members=noisy), images
+        else:
+            yield _with_weight_noise(model, rng, sigma), images
 
 
 def robustness_random(
@@ -392,48 +411,32 @@ def robustness_random(
     inputs,
     *,
     output: str = "softmax",
-    ensemble_k: int = 1,
 ) -> MonteCarloEstimate:
     """Expected squared output-distribution change under input noise,
     averaged over random-normal weight draws (the random-network protocol).
 
     Inputs are expected normalized to [-1, 1]. Batchnorm layers run on
-    batch statistics. ``ensemble_k > 1`` averages the distributions of k
-    independently drawn-and-binarized networks before measuring the change.
-    The standard error is computed across weight-sample means.
+    batch statistics. Input noise is one draw per trial shared across the
+    batch: same expectation, and the estimate is exactly batch-order
+    invariant. The standard error is computed across weight-sample means.
     """
     spec.validate()
     if weight_samples < 1:
         raise ValueError("weight_samples must be >= 1")
-    sigma = math.sqrt(spec.sigma2)
+
+    def out(net, x):
+        if output == "logits":
+            return net.forward(x, bn_batch_stats=True).astype(np.float64)
+        return _mean_probs(net, x, bn_batch_stats=True)
+
     per_sample = []
     for s in range(weight_samples):
-        nets = [
-            Network.from_config(netcfg, seed=_rng(spec.seed, 0xE1, s, k), init="normal")
-            for k in range(ensemble_k)
-        ]
-        noise_rng = _rng(spec.seed, 0xE2, s)
-        if spec.target == "input":
-            p0 = _model_probs(nets, inputs, output)
-            diffs = []
-            for _ in range(spec.trials):
-                # one noise draw per trial, shared across the batch: same
-                # expectation, and the aggregate is exactly batch-order invariant
-                dx = noise_rng.normal(0.0, sigma, inputs.shape[1:]).astype(np.float32)
-                p1 = _model_probs(nets, inputs + dx[None], output)
-                diffs.append(((p1 - p0) ** 2).sum(axis=1).mean())
-            per_sample.append(float(np.mean(diffs)))
-        else:
-            p0 = _model_probs(nets, inputs, output)
-            diffs = []
-            for _ in range(spec.trials):
-                perturbed = [_with_weight_noise(n, noise_rng, sigma) for n in nets]
-                p1 = _model_probs(perturbed, inputs, output)
-                diffs.append(((p1 - p0) ** 2).sum(axis=1).mean())
-            per_sample.append(float(np.mean(diffs)))
-    mean = float(np.mean(per_sample))
-    se = float(np.std(per_sample, ddof=1) / math.sqrt(len(per_sample))) if len(per_sample) > 1 else 0.0
-    return MonteCarloEstimate(mean=mean, stderr=se, trials=weight_samples * spec.trials)
+        net = Network.from_config(netcfg, seed=_rng(spec.seed, 0xE1, s, 0), init="normal")
+        p0 = out(net, inputs)
+        trials = _perturbed(net, inputs, spec, _rng(spec.seed, 0xE2, s), inputs.shape[1:])
+        diffs = [((out(n, x) - p0) ** 2).sum(axis=1).mean() for n, x in trials]
+        per_sample.append(float(np.mean(diffs)))
+    return _estimate(per_sample, weight_samples * spec.trials)
 
 
 def _with_weight_noise(net: Network, rng, sigma) -> Network:
@@ -452,74 +455,34 @@ def _error_rate(model, images, labels) -> float:
     return float((model.predict(images) != np.asarray(labels)).mean())
 
 
-def _trained_probs(model, images) -> np.ndarray:
-    if hasattr(model, "members"):
-        return np.stack([softmax(m.forward(images)) for m in model.members]).mean(axis=0)
-    return softmax(model.forward(images))
-
-
 def output_change_trained(model, images, spec: PerturbationSpec) -> MonteCarloEstimate:
-    """Squared output-distribution change of a trained model under noise
-    (the random-network metric evaluated at fixed trained weights)."""
+    """Squared change of a trained model's member-mean softmax under noise
+    (the random-network metric at fixed trained weights); input noise is one
+    draw per trial shared across the batch."""
     spec.validate()
     if len(images) == 0:
         raise ValueError("empty dataset")
-    sigma = math.sqrt(spec.sigma2)
-    rng = _rng(spec.seed, 0xE4)
-    p0 = _trained_probs(model, images)
-    diffs = np.zeros(spec.trials)
-    for t in range(spec.trials):
-        if spec.target == "input":
-            dx = rng.normal(0.0, sigma, images.shape[1:]).astype(np.float32)
-            p1 = _trained_probs(model, images + dx[None])
-        else:
-            members = model.members if hasattr(model, "members") else [model]
-            noisy = [_with_weight_noise(m, rng, sigma) for m in members]
-            if hasattr(model, "members"):
-                import copy
-
-                clone = copy.copy(model)
-                clone.members = noisy
-                p1 = _trained_probs(clone, images)
-            else:
-                p1 = _trained_probs(noisy[0], images)
-        diffs[t] = ((p1 - p0) ** 2).sum(axis=1).mean()
-    se = float(diffs.std(ddof=1) / math.sqrt(spec.trials)) if spec.trials > 1 else 0.0
-    return MonteCarloEstimate(mean=float(diffs.mean()), stderr=se, trials=spec.trials)
+    p0 = _mean_probs(model, images)
+    trials = _perturbed(model, images, spec, _rng(spec.seed, 0xE4), images.shape[1:])
+    diffs = [((_mean_probs(m, x) - p0) ** 2).sum(axis=1).mean() for m, x in trials]
+    return _estimate(diffs, spec.trials)
 
 
 def robustness_trained(model, images, labels, spec: PerturbationSpec) -> MonteCarloEstimate:
     """Expected squared change of the classification error rate under noise.
 
-    ``model`` is a trained Network or EnsembleModel. The error rate is the
-    0/1 error over the evaluation batch; the squared clean-vs-perturbed
-    difference is averaged over noise draws.
+    ``model`` is a trained Network or EnsembleModel voting with its own rule
+    and alphas. The error rate is the 0/1 error over the evaluation batch
+    under per-example input noise; the squared clean-vs-perturbed difference
+    is averaged over noise draws.
     """
     spec.validate()
     if len(labels) == 0:
         raise ValueError("empty dataset")
-    sigma = math.sqrt(spec.sigma2)
     err0 = _error_rate(model, images, labels)
-    diffs = np.zeros(spec.trials)
-    rng = _rng(spec.seed, 0xE3)
-    for t in range(spec.trials):
-        if spec.target == "input":
-            dx = rng.normal(0.0, sigma, images.shape).astype(np.float32)
-            err_t = _error_rate(model, images + dx, labels)
-        else:
-            members = model.members if hasattr(model, "members") else [model]
-            noisy = [_with_weight_noise(m, rng, sigma) for m in members]
-            if hasattr(model, "members"):
-                import copy
-
-                clone = copy.copy(model)
-                clone.members = noisy
-                err_t = _error_rate(clone, images, labels)
-            else:
-                err_t = _error_rate(noisy[0], images, labels)
-        diffs[t] = (err_t - err0) ** 2
-    se = float(diffs.std(ddof=1) / math.sqrt(spec.trials)) if spec.trials > 1 else 0.0
-    return MonteCarloEstimate(mean=float(diffs.mean()), stderr=se, trials=spec.trials)
+    trials = _perturbed(model, images, spec, _rng(spec.seed, 0xE3), images.shape)
+    diffs = [(_error_rate(m, x, labels) - err0) ** 2 for m, x in trials]
+    return _estimate(diffs, spec.trials)
 
 
 # ---------------------------------------------------------------- stability

@@ -29,26 +29,50 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _checked(parse, ok, what):
+    """argparse type: the value ``parse`` makes of the text, if ``ok`` accepts it."""
+
+    def checked(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return checked
+
+
+_POSITIVE_INT = _checked(int, lambda k: k >= 1, "an integer >= 1")
+_FLOAT_LIST = _checked(lambda t: [float(v) for v in t.split(",")], lambda v: True,
+                       "comma-separated numbers")
+_POSITIVE_INT_LIST = _checked(lambda t: [int(v) for v in t.split(",")], lambda v: min(v) >= 1,
+                              "comma-separated integers >= 1")
+
+
 def _git_describe():
+    """Version of the source tree this package was imported from."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True, text=True, timeout=5,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
         )
         return out.stdout.strip() or "unknown"
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         return "unknown"
 
 
-def _write_manifest(out_dir, args, seeds, outputs, started, extra=None):
+def _write_manifest(out_dir, args, seeds, outputs, extra=None):
     manifest = {
         "command": " ".join(map(str, sys.argv)),
         "argv": [str(a) for a in vars(args).get("_argv", [])],
         "package_version": __version__,
         "git_describe": _git_describe(),
         "seeds": seeds,
-        "started_unix": started,
-        "duration_s": time.time() - started,
+        "started_unix": args._started,
+        "duration_s": time.time() - args._started,
         "outputs": sorted(str(o) for o in outputs),
     }
     if extra:
@@ -60,11 +84,15 @@ def _write_manifest(out_dir, args, seeds, outputs, started, extra=None):
     return path
 
 
-def _write_csv(path, header, rows):
+def _write_csv(out_dir, name, header, rows):
+    """Write ``name`` in ``out_dir``, creating the directory; returns the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+    return path
 
 
 def _print_table(header, rows):
@@ -127,7 +155,12 @@ def _load_dataset(args) -> tuple[datio.Dataset, datio.Dataset]:
     return datio.split_dataset(ds, n_train)
 
 
-def _add_data_flags(p):
+def _add_data_flags(p, trains=True):
+    # the test split is never empty, nor the training split of a command that trains
+    if trains:
+        frac = _checked(float, lambda f: 0.0 < f < 1.0, "a fraction in (0, 1)")
+    else:
+        frac = _checked(float, lambda f: 0.0 <= f < 1.0, "a fraction in [0, 1)")
     p.add_argument("--data", default="blobs-img",
                    help="blobs | blobs-img | rings | idx | cifar10")
     p.add_argument("--data-path", default=None, help="file path(s) for idx/cifar10")
@@ -136,7 +169,7 @@ def _add_data_flags(p):
     p.add_argument("--data-noise", type=float, default=0.1)
     p.add_argument("--data-seed", type=int, default=0)
     p.add_argument("--image-size", type=int, default=8)
-    p.add_argument("--train-frac", type=float, default=0.75)
+    p.add_argument("--train-frac", type=frac, default=0.75)
 
 
 def _add_train_flags(p):
@@ -171,7 +204,6 @@ def _load_model(path):
 
 
 def cmd_train(args):
-    started = time.time()
     cfg = _load_config(args.config)
     train, test = _load_dataset(args)
     net, hist = ensemble.train_member(
@@ -184,14 +216,13 @@ def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "checkpoint.ckpt")
     datio.save_checkpoint(net, ckpt)
-    metrics = os.path.join(args.out, "metrics.csv")
     rows = [
         (e, _fmt(hist.train_loss[e]), _fmt(hist.test_accuracy[e]))
         for e in range(len(hist.train_loss))
     ]
-    _write_csv(metrics, ["epoch", "train_loss", "test_accuracy"], rows)
+    metrics = _write_csv(args.out, "metrics.csv", ["epoch", "train_loss", "test_accuracy"], rows)
     _write_manifest(args.out, args, {"seed": args.seed, "data_seed": args.data_seed},
-                    [ckpt, metrics], started, {"config_hash": config_hash(cfg)})
+                    [ckpt, metrics], {"config_hash": config_hash(cfg)})
     final = hist.test_accuracy[-1] if hist.test_accuracy else float("nan")
     print(f"trained {cfg.name}: epochs={len(hist.train_loss)} test_accuracy={final:.4f}")
     print(f"checkpoint: {ckpt}")
@@ -199,7 +230,6 @@ def cmd_train(args):
 
 
 def cmd_ensemble_train(args):
-    started = time.time()
     cfg = _load_config(args.config)
     train, test = _load_dataset(args)
     spec = _member_spec(args)
@@ -209,16 +239,12 @@ def cmd_ensemble_train(args):
         eval_images=test.images, eval_labels=test.labels,
         track_ensemble_accuracy=True,
     )
-    if args.strategy == "bag":
-        model, info = ensemble.train_bagging(cfg, train.images, train.labels, **kw)
-    else:
-        model, info = ensemble.train_boosting(cfg, train.images, train.labels, **kw)
+    fit = ensemble.train_bagging if args.strategy == "bag" else ensemble.train_boosting
+    model, info = fit(cfg, train.images, train.labels, **kw)
     model.rule = args.rule
-    os.makedirs(args.out, exist_ok=True)
     ensemble.save_ensemble(model, args.out)
-    metrics = os.path.join(args.out, "metrics.csv")
     rows = []
-    ens_acc = info.get("ensemble_accuracy", [])
+    ens_acc = info["ensemble_accuracy"]
     i = 0
     for mi, hist in enumerate(info["histories"]):
         for e in range(len(hist.train_loss)):
@@ -226,14 +252,14 @@ def cmd_ensemble_train(args):
             rows.append((mi, e, _fmt(hist.train_loss[e]),
                          _fmt(hist.test_accuracy[e]) if hist.test_accuracy else "", ens_col))
             i += 1
-    _write_csv(
-        metrics,
+    metrics = _write_csv(
+        args.out, "metrics.csv",
         ["member", "epoch", "train_loss", "test_accuracy", "ensemble_test_accuracy"],
         rows,
     )
-    ens_test = accuracy_like(model, test.images, test.labels, args.rule)
+    ens_test = float((model.predict(test.images, rule=args.rule) == test.labels).mean())
     _write_manifest(args.out, args, {"seed": args.seed, "data_seed": args.data_seed},
-                    [metrics, os.path.join(args.out, "manifest.json")], started,
+                    [metrics, os.path.join(args.out, "manifest.json")],
                     {"config_hash": config_hash(cfg), "alphas": [float(a) for a in model.alphas]})
     print(f"{args.strategy} ensemble k={len(model.members)} rule={args.rule} "
           f"test_accuracy={ens_test:.4f}")
@@ -241,42 +267,31 @@ def cmd_ensemble_train(args):
     return 0
 
 
-def accuracy_like(model, images, labels, rule=None) -> float:
-    pred = ensemble.aggregate(model, images, rule=rule).labels
-    return float((pred == labels).mean())
-
-
 def cmd_eval(args):
-    started = time.time()
     model = _load_model(args.checkpoint)
     _, test = _load_dataset(args)
     if hasattr(model, "members"):
-        pred = ensemble.aggregate(model, test.images, rule=args.rule).labels
-        classes = model.config.classes
+        pred = model.predict(test.images, rule=args.rule)
     else:
         pred = model.predict(test.images)
-        classes = model.classes
+    classes = model.config.classes
     acc = float((pred == test.labels).mean())
-    os.makedirs(args.out, exist_ok=True)
-    epath = os.path.join(args.out, "eval.csv")
-    _write_csv(epath, ["metric", "value"], [("accuracy", _fmt(acc)), ("n", len(test))])
-    cpath = os.path.join(args.out, "confusion.csv")
+    epath = _write_csv(args.out, "eval.csv", ["metric", "value"],
+                       [("accuracy", _fmt(acc)), ("n", len(test))])
     conf = np.zeros((classes, classes), dtype=np.int64)
     np.add.at(conf, (test.labels, pred), 1)
     rows = [(t, p, int(conf[t, p])) for t in range(classes) for p in range(classes)]
-    _write_csv(cpath, ["true_class", "pred_class", "count"], rows)
-    _write_manifest(args.out, args, {"data_seed": args.data_seed}, [epath, cpath], started)
+    cpath = _write_csv(args.out, "confusion.csv", ["true_class", "pred_class", "count"], rows)
+    _write_manifest(args.out, args, {"data_seed": args.data_seed}, [epath, cpath])
     print(f"accuracy: {acc:.4f} on {len(test)} examples")
     return 0
 
 
 def cmd_perturb(args):
-    started = time.time()
     model = _load_model(args.checkpoint)
     _, test = _load_dataset(args)
-    sigmas = [float(s) for s in args.sigma2.split(",")]
     rows = []
-    for s2 in sigmas:
+    for s2 in args.sigma2:
         spec = analysis.PerturbationSpec(
             target=args.target, sigma2=s2, trials=args.trials, seed=args.seed
         )
@@ -286,32 +301,25 @@ def cmd_perturb(args):
                      _fmt(oc.mean), _fmt(oc.stderr), oc.trials))
         rows.append((_fmt(s2), args.target, "error_change",
                      _fmt(ec.mean), _fmt(ec.stderr), ec.trials))
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "perturb.csv")
-    _write_csv(path, ["sigma2", "target", "metric", "value", "stderr", "trials"], rows)
-    _write_manifest(args.out, args, {"seed": args.seed}, [path], started)
-    _print_table(["sigma2", "target", "metric", "value", "stderr", "trials"], rows)
+    header = ["sigma2", "target", "metric", "value", "stderr", "trials"]
+    path = _write_csv(args.out, "perturb.csv", header, rows)
+    _write_manifest(args.out, args, {"seed": args.seed}, [path])
+    _print_table(header, rows)
     return 0
 
 
 def cmd_analyze_b_table(args):
-    started = time.time()
-    sigmas = [float(s) for s in args.sigmas.split(",")]
-    rows = [( _fmt(r["sigma"]), _fmt(r["b"]), _fmt(r["r"])) for r in analysis.b_r_table(sigmas)]
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "b_table.csv")
-    _write_csv(path, ["sigma", "b", "r"], rows)
-    _write_manifest(args.out, args, {"seed": args.seed}, [path], started)
+    rows = [(_fmt(r["sigma"]), _fmt(r["b"]), _fmt(r["r"])) for r in analysis.b_r_table(args.sigmas)]
+    path = _write_csv(args.out, "b_table.csv", ["sigma", "b", "r"], rows)
+    _write_manifest(args.out, args, {"seed": args.seed}, [path])
     _print_table(["sigma", "b", "r"], rows)
     return 0
 
 
 def cmd_analyze_theorem1(args):
-    started = time.time()
-    ks = tuple(int(k) for k in args.k_values.split(","))
     rep = analysis.verify_theorem1(
         args.fan_in, args.sigma_w, args.sigma,
-        k_values=ks, trials=args.trials, seed=args.seed,
+        k_values=tuple(args.k_values), trials=args.trials, seed=args.seed,
     )
     rows = []
     for name, st in rep.regimes.items():
@@ -325,18 +333,16 @@ def cmd_analyze_theorem1(args):
     for c in rep.threshold_checks:
         rows.append((f"check_k{c['k']}", c["predicate"], int(c["measured"]), "",
                      int(c["predicted"]), "", int(c["agree"])))
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "theorem1.csv")
-    _write_csv(path, ["kind", "name", "measured", "stderr", "predicted", "rel_err", "ok"], rows)
-    _write_manifest(args.out, args, {"seed": args.seed}, [path], started)
+    path = _write_csv(args.out, "theorem1.csv",
+                      ["kind", "name", "measured", "stderr", "predicted", "rel_err", "ok"], rows)
+    _write_manifest(args.out, args, {"seed": args.seed}, [path])
     bad = [r for r in rows if r[6] == 0]
     print(f"theorem1: {len(rows)} rows, {len(bad)} outside tolerance -> {path}")
     return 0
 
 
 def cmd_analyze_theorem2(args):
-    started = time.time()
-    widths = tuple(int(w) for w in args.widths.split(","))
+    widths = tuple(args.widths)
     rep = analysis.verify_theorem2(
         widths, args.sigma_w, args.sigma,
         trials=args.trials, inner=args.inner, seed=args.seed,
@@ -347,18 +353,15 @@ def cmd_analyze_theorem2(args):
          int(res["satisfied_fraction"] >= 0.99))
         for name, res in rep.regimes.items()
     ]
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "theorem2.csv")
-    _write_csv(path, ["regime", "layers", "bound", "mean_measured",
-                      "satisfied_fraction", "satisfied_se", "ok"], rows)
-    _write_manifest(args.out, args, {"seed": args.seed}, [path], started)
-    _print_table(["regime", "layers", "bound", "mean_measured",
-                  "satisfied_fraction", "satisfied_se", "ok"], rows)
+    header = ["regime", "layers", "bound", "mean_measured",
+              "satisfied_fraction", "satisfied_se", "ok"]
+    path = _write_csv(args.out, "theorem2.csv", header, rows)
+    _write_manifest(args.out, args, {"seed": args.seed}, [path])
+    _print_table(header, rows)
     return 0
 
 
 def cmd_export(args):
-    started = time.time()
     model = _load_model(args.checkpoint)
     if hasattr(model, "members"):
         raise DataError("export works on single-network checkpoints")
@@ -374,14 +377,13 @@ def cmd_export(args):
     probe = np.random.default_rng(0).uniform(-1, 1, (64,) + tuple(model.config.input_shape)).astype(np.float32)
     match = bool(np.array_equal(model.predict(probe), reloaded.predict(probe)))
     ratio = len(float_blob) / len(packed_blob)
-    rpath = os.path.join(args.out, "export.csv")
-    _write_csv(rpath, ["metric", "value"], [
+    rpath = _write_csv(args.out, "export.csv", ["metric", "value"], [
         ("float_bytes", len(float_blob)),
         ("packed_bytes", len(packed_blob)),
         ("ratio", _fmt(ratio)),
         ("argmax_match", int(match)),
     ])
-    _write_manifest(args.out, args, {}, [ppath, rpath], started)
+    _write_manifest(args.out, args, {}, [ppath, rpath])
     print(f"packed export: {len(packed_blob)} bytes, {ratio:.1f}x smaller, "
           f"argmax match: {match}")
     return 0
@@ -407,7 +409,7 @@ def build_parser() -> _Parser:
     p = esub.add_parser("train", help="train a bagged or boosted ensemble")
     p.add_argument("--config", required=True)
     p.add_argument("--strategy", required=True, choices=["bag", "boost"])
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_POSITIVE_INT, required=True)
     p.add_argument("--mode", default="indep", choices=["indep", "warm"])
     p.add_argument("--rule", default="soft", choices=["hard", "soft"])
     p.add_argument("--seed", type=int, required=True)
@@ -420,23 +422,23 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--rule", default=None, choices=["hard", "soft"])
     p.add_argument("--out", required=True)
-    _add_data_flags(p)
+    _add_data_flags(p, trains=False)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("perturb", help="robustness metrics under Gaussian noise")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--sigma2", default="0.001,0.01,0.1")
+    p.add_argument("--sigma2", type=_FLOAT_LIST, default="0.001,0.01,0.1")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--target", default="input", choices=["input", "weights"])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    _add_data_flags(p)
+    _add_data_flags(p, trains=False)
     p.set_defaults(func=cmd_perturb)
 
     pa = sub.add_parser("analyze", help="variance-theory reports")
     asub = pa.add_subparsers(dest="analyze_command", required=True, parser_class=_Parser)
     p = asub.add_parser("b-table", help="sign-flip variance factor table")
-    p.add_argument("--sigmas", default="1.5,1.0,0.5,0.1,0.01,0.001")
+    p.add_argument("--sigmas", type=_FLOAT_LIST, default="1.5,1.0,0.5,0.1,0.01,0.001")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_b_table)
@@ -444,13 +446,13 @@ def build_parser() -> _Parser:
     p.add_argument("--fan-in", type=int, default=256)
     p.add_argument("--sigma-w", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--k-values", default="2,4,8,16")
+    p.add_argument("--k-values", type=_POSITIVE_INT_LIST, default="2,4,8,16")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_theorem1)
     p = asub.add_parser("theorem2", help="multi-layer bound satisfaction")
-    p.add_argument("--widths", default="64,64,1")
+    p.add_argument("--widths", type=_POSITIVE_INT_LIST, default="64,64,1")
     p.add_argument("--sigma-w", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=10_000)
@@ -470,6 +472,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args._argv = argv if argv is not None else sys.argv[1:]
+    args._started = time.time()
     try:
         return args.func(args)
     except (DataError, ShapeError) as e:

@@ -277,6 +277,7 @@ def _parse_container(blob: bytes, magic: bytes):
 
 def checkpoint_bytes(net: Network) -> bytes:
     """Float checkpoint: canonical config text + all shadow state as f32."""
+    net.refresh()  # store the scales the weights give, not ones an optimizer step left stale
     return _container_bytes(CHECKPOINT_MAGIC, config_to_text(net.config), net.state_items())
 
 

@@ -109,38 +109,28 @@ def train_member(
     eval_images=None,
     eval_labels=None,
     init_from: Network | None = None,
-    reweight_gradient: bool = False,
     epoch_callback=None,
 ) -> tuple[Network, TrainHistory]:
     """Train one weak network under the sampling distribution u.
 
-    Default reweighting is on sampling probabilities: a fresh bootstrap
-    multiset of M examples is drawn from u. With ``reweight_gradient`` the
-    member instead sees the whole set with u as multiplicative loss weights
-    (kept behind a flag; it trains worse).
+    Reweighting is on sampling probabilities: a fresh bootstrap multiset of
+    M examples is drawn from u.
     """
     init_ss, boot_ss, train_ss = seed_seq.spawn(3)
     if init_from is not None:
         net = init_from.clone()
     else:
         net = Network.from_config(config, seed=np.random.default_rng(init_ss))
-    if reweight_gradient:
-        train_x, train_y = images, labels
-        weights = u.u * len(labels)  # mean weight 1 keeps the loss scale
-    else:
-        idx = bagging_sample(len(labels), u, np.random.default_rng(boot_ss))
-        train_x, train_y = images[idx], labels[idx]
-        weights = None
+    idx = bagging_sample(len(labels), u, np.random.default_rng(boot_ss))
     opt = make_optimizer(spec.optimizer, net.parameters(), spec.lr)
     hist = train_network(
         net,
-        train_x,
-        train_y,
+        images[idx],
+        labels[idx],
         epochs=spec.epochs,
         batch_size=spec.batch_size,
         optimizer=opt,
         rng=np.random.default_rng(train_ss),
-        sample_weights=weights,
         eval_images=eval_images,
         eval_labels=eval_labels,
         clip_weights=spec.clip_weights,
@@ -195,87 +185,22 @@ def _ensemble_epoch_tracker(trained, images, labels, record):
     return cb
 
 
-def train_bagging(
-    config: NetworkConfig,
-    images,
-    labels,
-    *,
-    k: int,
-    mode: str = "independent",
-    seed: int = 0,
-    spec: MemberTrainSpec | None = None,
-    eval_images=None,
-    eval_labels=None,
-    track_ensemble_accuracy: bool = False,
-) -> tuple[EnsembleModel, dict]:
-    """K members on independent bootstrap resamples; alpha_k = 1 for all."""
+def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
+                  mode: str = "independent", seed: int = 0, spec: MemberTrainSpec | None = None,
+                  eval_images=None, eval_labels=None, track_ensemble_accuracy: bool = False,
+                  ) -> tuple[EnsembleModel, dict]:
+    """The member loop shared by bagging and boosting.
+
+    Each round trains one member on a bootstrap drawn from u, retrying once
+    from the fallback stream [seed, k, 0xEE7] on NumericalError. Bagging
+    then keeps u and gives the member alpha 1; boosting applies
+    ``adaboost_round`` and skips a rejected member.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if mode not in ("independent", "warm_restart"):
         raise ValueError(f"mode must be independent or warm_restart, got {mode!r}")
     spec = spec or MemberTrainSpec()
-    u = SampleWeights.uniform(len(labels))
-    members = []
-    seeds_used = []
-    histories = []
-    ensemble_acc = []
-    prev = None
-    for ki in range(k):
-        cb = None
-        if track_ensemble_accuracy and eval_images is not None:
-            cb = _ensemble_epoch_tracker(members, eval_images, eval_labels, ensemble_acc)
-        kw = dict(
-            config=config, images=images, labels=labels, u=u,
-            seed_seq=member_seed(seed, ki), spec=spec,
-            eval_images=eval_images, eval_labels=eval_labels,
-            init_from=prev if mode == "warm_restart" else None,
-            epoch_callback=cb,
-        )
-        seed_used = [int(seed), ki]
-        try:
-            net, hist = train_member(**kw)
-        except NumericalError:
-            seed_used.append(0xEE7)
-            kw["seed_seq"] = np.random.SeedSequence(seed_used)
-            net, hist = train_member(**kw)
-        members.append(net)
-        seeds_used.append(seed_used)
-        histories.append(hist)
-        prev = net
-    model = EnsembleModel(
-        members=members,
-        alphas=np.ones(k),
-        rule="soft",
-        strategy="bagging",
-        training_mode=mode,
-        config=config,
-        seed=seed,
-        member_seeds=seeds_used,
-    )
-    return model, {"histories": histories, "ensemble_accuracy": ensemble_acc}
-
-
-def train_boosting(
-    config: NetworkConfig,
-    images,
-    labels,
-    *,
-    k: int,
-    mode: str = "independent",
-    seed: int = 0,
-    spec: MemberTrainSpec | None = None,
-    eval_images=None,
-    eval_labels=None,
-    reweight_gradient: bool = False,
-    track_ensemble_accuracy: bool = False,
-) -> tuple[EnsembleModel, dict]:
-    """Sequential boosting rounds; rejected members are skipped, weights kept."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if mode not in ("independent", "warm_restart"):
-        raise ValueError(f"mode must be independent or warm_restart, got {mode!r}")
-    spec = spec or MemberTrainSpec()
-    classes = config.classes
     u = SampleWeights.uniform(len(labels))
     members = []
     alphas = []
@@ -293,7 +218,6 @@ def train_boosting(
             seed_seq=member_seed(seed, ki), spec=spec,
             eval_images=eval_images, eval_labels=eval_labels,
             init_from=prev if mode == "warm_restart" else None,
-            reweight_gradient=reweight_gradient,
             epoch_callback=cb,
         )
         seed_used = [int(seed), ki]
@@ -304,12 +228,13 @@ def train_boosting(
             kw["seed_seq"] = np.random.SeedSequence(seed_used)
             net, hist = train_member(**kw)
         prev = net
-        pred = net.predict(images)
-        alpha, u, err, rejected = adaboost_round(u, pred, labels, classes)
-        rounds.append({"round": ki, "err": err, "alpha": alpha, "rejected": rejected})
         histories.append(hist)
-        if rejected:
-            continue
+        alpha = 1.0
+        if strategy == "boosting":
+            alpha, u, err, rejected = adaboost_round(u, net.predict(images), labels, config.classes)
+            rounds.append({"round": ki, "err": err, "alpha": alpha, "rejected": rejected})
+            if rejected:
+                continue
         members.append(net)
         alphas.append(alpha)
         seeds_used.append(seed_used)
@@ -321,13 +246,31 @@ def train_boosting(
         members=members,
         alphas=np.asarray(alphas),
         rule="soft",
-        strategy="boosting",
+        strategy=strategy,
         training_mode=mode,
         config=config,
         seed=seed,
         member_seeds=seeds_used,
     )
     return model, {"histories": histories, "rounds": rounds, "ensemble_accuracy": ensemble_acc}
+
+
+def train_bagging(config: NetworkConfig, images, labels, **kw) -> tuple[EnsembleModel, dict]:
+    """K members on independent bootstrap resamples; alpha_k = 1 for all.
+
+    Keywords as ``_train_rounds``: k, mode, seed, spec, eval_images,
+    eval_labels, track_ensemble_accuracy.
+    """
+    return _train_rounds("bagging", config, images, labels, **kw)
+
+
+def train_boosting(config: NetworkConfig, images, labels, **kw) -> tuple[EnsembleModel, dict]:
+    """Sequential SAMME rounds; rejected members are skipped, weights kept.
+
+    Keywords as ``train_bagging``. ``info["rounds"]`` holds each round's
+    err, alpha and rejection.
+    """
+    return _train_rounds("boosting", config, images, labels, **kw)
 
 
 def aggregate(model: EnsembleModel, images, rule=None, weighted=True) -> AggregateResult:
@@ -394,13 +337,22 @@ def load_ensemble(out_dir) -> EnsembleModel:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"cannot read ensemble manifest: {e}") from None
+    if not isinstance(manifest, dict):
+        raise DataError("ensemble manifest is not a JSON object")
     if manifest.get("format_version") != datio.FORMAT_VERSION:
         raise DataError(f"unsupported ensemble format {manifest.get('format_version')}")
+    keys = {"members", "config", "alphas", "rule", "strategy", "mode", "seed", "member_seeds"}
+    missing = sorted(keys - set(manifest))
+    if missing:
+        raise DataError(f"ensemble manifest lacks {missing}")
     members = []
     for h in manifest["members"]:
         fpath = os.path.join(out_dir, f"member-{h[:16]}.ckpt")
-        with open(fpath, "rb") as fh:
-            blob = fh.read()
+        try:
+            with open(fpath, "rb") as fh:
+                blob = fh.read()
+        except OSError as e:
+            raise DataError(f"cannot read ensemble member: {e}") from None
         if hashlib.sha256(blob).hexdigest() != h:
             raise DataError(f"member checkpoint {fpath} fails its content hash")
         members.append(datio.load_checkpoint_bytes(blob))

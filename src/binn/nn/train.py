@@ -53,7 +53,6 @@ def train_network(
     batch_size,
     optimizer,
     rng,
-    sample_weights=None,
     eval_images=None,
     eval_labels=None,
     clip_weights=True,
@@ -77,10 +76,8 @@ def train_network(
         batches = 0
         for lo in range(0, n, batch_size):
             idx = perm[lo : lo + batch_size]
-            wb = None if sample_weights is None else sample_weights[idx]
             total += backward_and_step(
-                net, images[idx], labels[idx], optimizer,
-                sample_weights=wb, rng=rng, clip_weights=clip_weights,
+                net, images[idx], labels[idx], optimizer, rng=rng, clip_weights=clip_weights,
             )
             batches += 1
         epoch_loss = total / max(1, batches)

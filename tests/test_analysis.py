@@ -218,6 +218,21 @@ def test_robustness_trained_bnn_noisier_than_dnn():
     assert diff / se >= 3.0
 
 
+@pytest.mark.parametrize("target", ["input", "weights"])
+def test_output_change_one_member_bag_equals_its_member(target):
+    from binn import datio, ensemble
+
+    tr, te = datio.split_dataset(datio.make_blob_images(200, 3, noise=0.1, seed=4), 150)
+    cfg = nn.mlp_config((1, 8, 8), [16], 3, variant="AB")
+    bag, _ = ensemble.train_bagging(cfg, tr.images, tr.labels, k=1, seed=4,
+                                    spec=ensemble.MemberTrainSpec(epochs=2, batch_size=32))
+    spec = PerturbationSpec(target=target, sigma2=0.01, trials=6, seed=5)
+    a = analysis.output_change_trained(bag, te.images, spec)
+    b = analysis.output_change_trained(bag.members[0], te.images, spec)
+    assert a.mean > 0
+    assert (a.mean, a.stderr, a.trials) == (b.mean, b.stderr, b.trials)
+
+
 def test_robustness_trained_zero_sigma_and_errors():
     cfg = tiny_cfg("SB")
     net = nn.Network.from_config(cfg, seed=0)

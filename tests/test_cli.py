@@ -1,12 +1,15 @@
 import csv
 import json
+import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from binn import datio, nn
+import binn
+from binn import cli, datio, nn
 from binn.cli import main
 
 
@@ -279,3 +282,55 @@ def test_console_entrypoint_smoke(tmp_path):
     )
     assert out.returncode == 0
     assert "1.0" in out.stdout
+
+
+def _run_cli(args):
+    src = os.path.dirname(os.path.dirname(binn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "binn.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    """A config, a trained ensemble dir, and two broken copies of it."""
+    root = tmp_path_factory.mktemp("paths")
+    cfg = root / "net.cfg"
+    cfg.write_text(CFG_TEXT)
+    ens = root / "ens"
+    assert main(["ensemble", "train", "--config", str(cfg), "--strategy", "bag", "--k", "2",
+                 "--seed", "0", "--epochs", "1", "--out", str(ens)] + data_flags()) == 0
+    manifest = json.loads((ens / "manifest.json").read_text())
+    no_member = shutil.copytree(ens, root / "no-member")
+    (no_member / f"member-{manifest['members'][1][:16]}.ckpt").unlink()
+    no_alphas = shutil.copytree(ens, root / "no-alphas")
+    del manifest["alphas"]
+    (no_alphas / "manifest.json").write_text(json.dumps(manifest))
+    paths = {"cfg": cfg, "ens": ens, "no-member": no_member, "no-alphas": no_alphas}
+    return {f"{{{k}}}": str(v) for k, v in paths.items()}
+
+
+@pytest.mark.parametrize("argv, code, flag", [
+    (["perturb", "--sigma2", "abc", "--checkpoint", "{ens}", "--seed", "0"], 1, "--sigma2"),
+    (["analyze", "theorem1", "--k-values", "2,x", "--seed", "0"], 1, "--k-values"),
+    (["analyze", "theorem2", "--widths", "64,,1", "--seed", "0"], 1, "--widths"),
+    (["analyze", "b-table", "--sigmas", "0.5;1", "--seed", "0"], 1, "--sigmas"),
+    (["ensemble", "train", "--config", "{cfg}", "--strategy", "bag", "--k", "0",
+      "--seed", "0"], 1, "--k"),
+    (["eval", "--checkpoint", "{ens}", "--train-frac", "1.0"], 1, "--train-frac"),
+    (["train", "--config", "{cfg}", "--seed", "0", "--train-frac", "0"], 1, "--train-frac"),
+    (["eval", "--checkpoint", "{no-member}"], 2, "member"),
+    (["eval", "--checkpoint", "{no-alphas}"], 2, "alphas"),
+], ids=["sigma2-text", "k-values-text", "widths-empty", "sigmas-semicolon", "k-zero",
+        "eval-train-frac-1", "train-train-frac-0", "missing-member", "manifest-no-alphas"])
+def test_malformed_invocations_exit_cleanly(tmp_path, cli_paths, argv, code, flag):
+    out = _run_cli([cli_paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")])
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
+    assert flag in out.stderr
+
+
+def test_git_describe_ignores_process_cwd(tmp_path, monkeypatch):
+    here = cli._git_describe()
+    monkeypatch.chdir(tmp_path)
+    assert cli._git_describe() == here

@@ -170,6 +170,15 @@ def test_checkpoint_roundtrip_byte_identical():
     assert np.array_equal(net.forward(x), again.forward(x))
 
 
+def test_checkpoint_bytes_unchanged_by_eval_forward():
+    # the last optimizer step leaves the 1-bit scales stale; the checkpoint
+    # must hold the scales the next forward computes
+    net, x = small_trained_net(variant="AB")
+    blob = datio.checkpoint_bytes(net)
+    net.forward(x)
+    assert datio.checkpoint_bytes(net) == blob
+
+
 def test_checkpoint_corruption_detected(tmp_path):
     net, _ = small_trained_net()
     blob = bytearray(datio.checkpoint_bytes(net))

@@ -359,17 +359,6 @@ def test_all_members_rejected_fails_with_report(monkeypatch):
         )
 
 
-def test_gradient_reweighting_mode_runs():
-    (tr, te) = blob_task(seed=7)
-    cfg = small_cfg()
-    model, info = ensemble.train_boosting(
-        cfg, tr.images, tr.labels, k=2, seed=7,
-        spec=ensemble.MemberTrainSpec(epochs=3, batch_size=32),
-        reweight_gradient=True,
-    )
-    assert len(model.members) >= 1
-
-
 def test_warm_restart_byte_identical_across_reruns(tmp_path):
     (tr, te) = blob_task(seed=10)
     cfg = small_cfg()
