@@ -45,10 +45,16 @@ def _checked(parse, ok, what):
 
 
 _POSITIVE_INT = _checked(int, lambda k: k >= 1, "an integer >= 1")
-_FLOAT_LIST = _checked(lambda t: [float(v) for v in t.split(",")], lambda v: True,
-                       "comma-separated numbers")
+_POSITIVE_FLOAT = _checked(float, lambda v: v > 0, "a number > 0")
+_SIGMA2_LIST = _checked(lambda t: [float(v) for v in t.split(",")],
+                        lambda v: all(s == 0 or 1e-6 <= s <= 10 for s in v),
+                        "comma-separated variances, each 0 or in [1e-6, 10]")
+_POSITIVE_FLOAT_LIST = _checked(lambda t: [float(v) for v in t.split(",")], lambda v: min(v) > 0,
+                                "comma-separated numbers > 0")
 _POSITIVE_INT_LIST = _checked(lambda t: [int(v) for v in t.split(",")], lambda v: min(v) >= 1,
                               "comma-separated integers >= 1")
+_WIDTHS = _checked(lambda t: [int(v) for v in t.split(",")], lambda v: len(v) >= 3 and min(v) >= 1,
+                   "at least 3 comma-separated integers >= 1")
 
 
 def _git_describe():
@@ -151,7 +157,11 @@ def _load_dataset(args) -> tuple[datio.Dataset, datio.Dataset]:
             raise DataError(str(e)) from None
     else:
         raise DataError(f"unknown dataset kind {kind!r}")
+    # a positive --train-frac asks for training examples; every command tests on the rest
     n_train = int(len(ds) * args.train_frac)
+    if n_train == 0 < args.train_frac or n_train == len(ds):
+        raise DataError(f"--train-frac {args.train_frac} splits {len(ds)} examples into "
+                        f"{n_train} training and {len(ds) - n_train} test examples")
     return datio.split_dataset(ds, n_train)
 
 
@@ -165,8 +175,9 @@ def _add_data_flags(p, trains=True):
                    help="blobs | blobs-img | rings | idx | cifar10")
     p.add_argument("--data-path", default=None, help="file path(s) for idx/cifar10")
     p.add_argument("--data-n", type=int, default=2000)
-    p.add_argument("--data-classes", type=int, default=4)
-    p.add_argument("--data-noise", type=float, default=0.1)
+    p.add_argument("--data-classes", type=_POSITIVE_INT, default=4)
+    p.add_argument("--data-noise", type=_checked(float, lambda v: v >= 0, "a number >= 0"),
+                   default=0.1)
     p.add_argument("--data-seed", type=int, default=0)
     p.add_argument("--image-size", type=int, default=8)
     p.add_argument("--train-frac", type=frac, default=0.75)
@@ -174,7 +185,7 @@ def _add_data_flags(p, trains=True):
 
 def _add_train_flags(p):
     p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=_POSITIVE_INT, default=64)
     p.add_argument("--optimizer", default="adam", choices=["adam", "sgd"])
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--no-clip", action="store_true", help="disable shadow-weight clipping")
@@ -190,14 +201,7 @@ def _member_spec(args):
 def _load_model(path):
     if os.path.isdir(path):
         return ensemble.load_ensemble(path)
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as e:
-        raise DataError(f"cannot read checkpoint {path}: {e}") from None
-    if blob[:4] == datio.PACKED_MAGIC:
-        return datio.load_packed_bytes(blob)
-    return datio.load_checkpoint_bytes(blob)
+    return datio.load_network(path)
 
 
 # ----------------------------------------------------------------- commands
@@ -427,8 +431,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("perturb", help="robustness metrics under Gaussian noise")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--sigma2", type=_FLOAT_LIST, default="0.001,0.01,0.1")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--sigma2", type=_SIGMA2_LIST, default="0.001,0.01,0.1")
+    p.add_argument("--trials", type=_POSITIVE_INT, default=100)
     p.add_argument("--target", default="input", choices=["input", "weights"])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -438,25 +442,25 @@ def build_parser() -> _Parser:
     pa = sub.add_parser("analyze", help="variance-theory reports")
     asub = pa.add_subparsers(dest="analyze_command", required=True, parser_class=_Parser)
     p = asub.add_parser("b-table", help="sign-flip variance factor table")
-    p.add_argument("--sigmas", type=_FLOAT_LIST, default="1.5,1.0,0.5,0.1,0.01,0.001")
+    p.add_argument("--sigmas", type=_POSITIVE_FLOAT_LIST, default="1.5,1.0,0.5,0.1,0.01,0.001")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_b_table)
     p = asub.add_parser("theorem1", help="one-layer variance Monte Carlo")
-    p.add_argument("--fan-in", type=int, default=256)
-    p.add_argument("--sigma-w", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=0.1)
+    p.add_argument("--fan-in", type=_POSITIVE_INT, default=256)
+    p.add_argument("--sigma-w", type=_POSITIVE_FLOAT, default=1.0)
+    p.add_argument("--sigma", type=_POSITIVE_FLOAT, default=0.1)
     p.add_argument("--k-values", type=_POSITIVE_INT_LIST, default="2,4,8,16")
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=_POSITIVE_INT, default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_theorem1)
     p = asub.add_parser("theorem2", help="multi-layer bound satisfaction")
-    p.add_argument("--widths", type=_POSITIVE_INT_LIST, default="64,64,1")
-    p.add_argument("--sigma-w", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--inner", type=int, default=128)
+    p.add_argument("--widths", type=_WIDTHS, default="64,64,1")
+    p.add_argument("--sigma-w", type=_POSITIVE_FLOAT, default=1.0)
+    p.add_argument("--sigma", type=_POSITIVE_FLOAT, default=1.0)
+    p.add_argument("--trials", type=_POSITIVE_INT, default=10_000)
+    p.add_argument("--inner", type=_POSITIVE_INT, default=128)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_theorem2)

@@ -7,13 +7,14 @@ linearly from [0, 255] onto [-1, 1]; both endpoints are exact.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bitcore
-from .errors import DataError
+from .errors import DataError, ShapeError
 from .nn.config import config_to_text, parse_config
 from .nn.network import Network
 
@@ -237,42 +238,62 @@ def _parse_container(blob: bytes, magic: bytes):
     body, digest = blob[:-32], blob[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise DataError("checkpoint corrupt: hash mismatch")
-    version, cfg_len = struct.unpack("<II", blob[4:12])
+    off = 4
+
+    def take(n):
+        nonlocal off
+        if n > len(body) - off:
+            raise DataError(f"truncated checkpoint: {n} bytes wanted at offset {off}, "
+                            f"{len(body) - off} left")
+        off += n
+        return body[off - n : off]
+
+    def text(n):
+        try:
+            return take(n).decode()
+        except UnicodeDecodeError as e:
+            raise DataError(f"checkpoint text is not UTF-8: {e}") from None
+
+    version, cfg_len = struct.unpack("<II", take(8))
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
-    off = 12
-    config_text = blob[off : off + cfg_len].decode()
-    off += cfg_len
-    (nsec,) = struct.unpack("<I", blob[off : off + 4])
-    off += 4
+    config_text = text(cfg_len)
+    (nsec,) = struct.unpack("<I", take(4))
     sections = {}
-    try:
-        for _ in range(nsec):
-            (nlen,) = struct.unpack("<I", blob[off : off + 4])
-            off += 4
-            name = blob[off : off + nlen].decode()
-            off += nlen
-            kind = blob[off]
-            off += 1
-            if kind == 1:
-                (plen,) = struct.unpack("<Q", blob[off : off + 8])
-                off += 8
-                sections[name] = bitcore.from_bytes(blob[off : off + plen])
-                off += plen
-            elif kind == 0:
-                (rank,) = struct.unpack("<I", blob[off : off + 4])
-                off += 4
-                dims = np.frombuffer(blob, dtype="<u4", count=rank, offset=off)
-                off += 4 * rank
-                count = int(np.prod(dims)) if rank else 1
-                arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-                off += 4 * count
+    for _ in range(nsec):
+        (nlen,) = struct.unpack("<I", take(4))
+        name = text(nlen)
+        if name in sections:
+            raise DataError(f"duplicate section {name!r}")
+        kind = take(1)[0]
+        if kind == 1:
+            (plen,) = struct.unpack("<Q", take(8))
+            sections[name] = bitcore.from_bytes(take(plen))
+        elif kind == 0:
+            (rank,) = struct.unpack("<I", take(4))
+            dims = struct.unpack(f"<{rank}I", take(4 * rank))
+            arr = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4")
+            try:
                 sections[name] = arr.reshape(dims).astype(np.float32)
-            else:
-                raise DataError(f"unknown section kind {kind}")
-    except struct.error as e:
-        raise DataError(f"truncated checkpoint: {e}") from None
+            except ValueError as e:  # more dimensions than numpy allows
+                raise DataError(f"section {name!r}: {e}") from None
+        else:
+            raise DataError(f"unknown section kind {kind}")
+    if off != len(body):
+        raise DataError(f"{len(body) - off} bytes after the last section")
     return config_text, sections
+
+
+def _load_container(blob: bytes, magic: bytes, state=lambda sections: sections) -> Network:
+    """Parse a container, build its config's network and load ``state(sections)``."""
+    config_text, sections = _parse_container(blob, magic)
+    cfg = parse_config(config_text)
+    try:
+        net = Network.from_config(cfg, seed=0, init="zeros")
+        net.load_state_items(state(sections))
+    except (ShapeError, ValueError) as e:  # ValueError: bits of more dims than numpy allows
+        raise DataError(f"checkpoint does not fit its config: {e}") from None
+    return net
 
 
 def checkpoint_bytes(net: Network) -> bytes:
@@ -287,16 +308,7 @@ def save_checkpoint(net: Network, path) -> None:
 
 
 def load_checkpoint_bytes(blob: bytes) -> Network:
-    config_text, sections = _parse_container(blob, CHECKPOINT_MAGIC)
-    cfg = parse_config(config_text)
-    net = Network.from_config(cfg, seed=0, init="zeros")
-    net.load_state_items(sections)
-    return net
-
-
-def load_checkpoint(path) -> Network:
-    with open(path, "rb") as fh:
-        return load_checkpoint_bytes(fh.read())
+    return _load_container(blob, CHECKPOINT_MAGIC)
 
 
 def packed_export_bytes(net: Network) -> bytes:
@@ -320,34 +332,39 @@ def packed_export_bytes(net: Network) -> bytes:
     return _container_bytes(PACKED_MAGIC, config_to_text(net.config), sections)
 
 
-def save_packed(net: Network, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(packed_export_bytes(net))
+def _shadow_state(sections) -> dict:
+    """Packed sections as network state: a 1-bit layer's weights are its
+    sign bits times its per-row scale, from which refresh() recomputes
+    that scale exactly."""
+    state = {}
+    for name, value in sections.items():
+        prefix, _, key = name.rpartition(".")
+        if key != "wbits":
+            state[name] = value
+            continue
+        scale = sections.get(f"{prefix}.scale")
+        if not (isinstance(value, bitcore.PackedBitTensor) and isinstance(scale, np.ndarray)
+                and scale.shape == value.shape[:1]):
+            raise DataError(f"{name} needs packed sign bits and one {prefix}.scale per row")
+        if f"{prefix}.w" in sections:
+            raise DataError(f"{name} and {prefix}.w both present")
+        w = bitcore.unpack(value)
+        state[f"{prefix}.w"] = w * scale.reshape((-1,) + (1,) * (w.ndim - 1))
+    return state
 
 
 def load_packed_bytes(blob: bytes) -> Network:
-    config_text, sections = _parse_container(blob, PACKED_MAGIC)
-    cfg = parse_config(config_text)
-    net = Network.from_config(cfg, seed=0, init="zeros")
-    for lay in net.layers:
-        prefix = f"layer{lay.index:03d}"
-        if getattr(lay, "weight_bits", 32) == 1:
-            bits = sections[f"{prefix}.wbits"]
-            lay.w.value = bitcore.unpack(bits, net.dtype).reshape(lay.w.value.shape)
-            lay.scale = sections[f"{prefix}.scale"].astype(net.dtype)
-            lay.scale_frozen = True
-            if lay.b is not None:
-                lay.b.value = sections[f"{prefix}.b"].astype(net.dtype)
-            lay.mark_updated()
-            lay.refresh()
-        else:
-            for key, p in lay.params().items():
-                p.value = sections[f"{prefix}.{key}"].astype(net.dtype).copy()
-            for key in lay.buffers():
-                setattr(lay, key, sections[f"{prefix}.{key}"].astype(net.dtype).copy())
-    return net
+    """Reload a packed export as the float network whose 1-bit weights are +/-scale."""
+    return _load_container(blob, PACKED_MAGIC, _shadow_state)
 
 
-def load_packed(path) -> Network:
-    with open(path, "rb") as fh:
-        return load_packed_bytes(fh.read())
+def load_network(path) -> Network:
+    """Read a float checkpoint or a packed export, whichever the file holds."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as e:
+        raise DataError(f"cannot read checkpoint {path}: {e}") from None
+    if blob[:4] == PACKED_MAGIC:
+        return load_packed_bytes(blob)
+    return load_checkpoint_bytes(blob)

@@ -16,7 +16,6 @@ from .layers import (  # noqa: F401
     ForwardContext,
     Linear,
     QuantAct,
-    binarize_forward,
     quantize_k_bit,
     scaled_binary_forward,
     sign_binarize,

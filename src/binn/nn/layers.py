@@ -82,6 +82,18 @@ def quantize_k_bit(x: np.ndarray, k: int) -> np.ndarray:
     return (q / levels * 2.0 - 1.0).astype(dtype)
 
 
+def quantize_activation(x: np.ndarray, bits: int, surrogate: bool) -> np.ndarray:
+    """Forward activation precision: 32 bits pass through, the surrogate
+    clips to [-1, 1], 1 bit takes the sign, 2..8 bits quantize uniformly."""
+    if bits == 32:
+        return x
+    if surrogate:
+        return np.clip(x, -1.0, 1.0)
+    if bits == 1:
+        return sign_binarize(x)
+    return quantize_k_bit(x, bits)
+
+
 def _init_weights(shape, fan_in, rng, dtype, scheme):
     if scheme == "kaiming":
         bound = float(np.sqrt(6.0 / fan_in))
@@ -129,7 +141,6 @@ class _WeightedLayer(Layer):
         self.act_bits = int(act_bits)
         self.dtype = dtype
         self.scale = None
-        self.scale_frozen = False
         self._version = 0
         self._refreshed = -1
 
@@ -147,7 +158,7 @@ class _WeightedLayer(Layer):
 
     def refresh(self) -> None:
         """Recompute per-filter scales from the shadow weights."""
-        if self.weight_bits == 1 and not self.scale_frozen:
+        if self.weight_bits == 1:
             w2 = self.w.value.reshape(self.w.value.shape[0], -1)
             self.scale = np.abs(w2).mean(axis=1, dtype=np.float64).astype(self.dtype)
         self._refreshed = self._version
@@ -164,22 +175,6 @@ class _WeightedLayer(Layer):
             shape = (-1,) + (1,) * (self.w.value.ndim - 1)
             return sign_binarize(self.w.value) * self.scale.reshape(shape)
         return quantize_k_bit(self.w.value, self.weight_bits)
-
-    # -- input precision transform ---------------------------------------
-
-    def _transform_input(self, x, ctx):
-        if self.act_bits == 32:
-            return x
-        if ctx.surrogate:
-            return np.clip(x, -1.0, 1.0)
-        if self.act_bits == 1:
-            return sign_binarize(x)
-        return quantize_k_bit(x, self.act_bits)
-
-    def _transform_grad(self, dxq, xin):
-        if self.act_bits == 32:
-            return dxq
-        return dxq * (np.abs(xin) <= 1.0)
 
     def _product(self, cols, ctx):
         """Input rows [N, fan_in] times the effective weights, plus bias: [N, out]."""
@@ -239,7 +234,7 @@ class Linear(_WeightedLayer):
     def forward(self, x, ctx):
         self._orig_shape = x.shape
         xin = x.reshape(x.shape[0], -1)
-        xq = self._transform_input(xin, ctx)
+        xq = quantize_activation(xin, self.act_bits, ctx.surrogate)
         self._xin, self._xq = xin, xq
         return self._product(xq, ctx)
 
@@ -249,7 +244,8 @@ class Linear(_WeightedLayer):
         if self.b is not None:
             self.b.add_grad(dy.sum(axis=0))
         dxq = dy @ w_eff
-        return self._transform_grad(dxq, self._xin).reshape(self._orig_shape)
+        dx = dxq if self.act_bits == 32 else ste_backward(dxq, self._xin)
+        return dx.reshape(self._orig_shape)
 
 
 def _col2im(dcols, b, c, h, w, k, stride, padding, ho, wo, dtype):
@@ -312,7 +308,7 @@ class Conv2d(_WeightedLayer):
         return (self.out_channels, ho, wo)
 
     def forward(self, x, ctx):
-        xq = self._transform_input(x, ctx)
+        xq = quantize_activation(x, self.act_bits, ctx.surrogate)
         self._xin, self._xq = x, xq
         self._bhw = x.shape
         cols, ho, wo = bitcore._im2col(xq, self.kernel, self.stride, self.padding, self.pad_value)
@@ -333,7 +329,7 @@ class Conv2d(_WeightedLayer):
             self.b.add_grad(dy.sum(axis=(0, 2, 3)))
         dcols = dy_cols @ w_eff
         dxq = _col2im(dcols, b, c, h, w, k, self.stride, self.padding, ho, wo, dy.dtype)
-        return self._transform_grad(dxq, self._xin)
+        return dxq if self.act_bits == 32 else ste_backward(dxq, self._xin)
 
 
 class BatchNorm(Layer):
@@ -405,22 +401,9 @@ class ReLU(Layer):
         return dy * self._mask
 
 
-class BinaryAct(Layer):
-    """Standalone activation binarization with the straight-through gradient."""
-
-    kind = "binact"
-
-    def forward(self, x, ctx):
-        self._xin = x
-        if ctx.surrogate:
-            return np.clip(x, -1.0, 1.0)
-        return sign_binarize(x)
-
-    def backward(self, dy):
-        return dy * (np.abs(self._xin) <= 1.0)
-
-
 class QuantAct(Layer):
+    """Standalone k-bit activation quantization with the straight-through gradient."""
+
     kind = "quantact"
 
     def __init__(self, bits):
@@ -430,12 +413,19 @@ class QuantAct(Layer):
 
     def forward(self, x, ctx):
         self._xin = x
-        if ctx.surrogate:
-            return np.clip(x, -1.0, 1.0)
-        return quantize_k_bit(x, self.bits)
+        return quantize_activation(x, self.bits, ctx.surrogate)
 
     def backward(self, dy):
-        return dy * (np.abs(self._xin) <= 1.0)
+        return ste_backward(dy, self._xin)
+
+
+class BinaryAct(QuantAct):
+    """Standalone activation binarization with the straight-through gradient."""
+
+    kind = "binact"
+
+    def __init__(self):
+        self.bits = 1
 
 
 class _Pool(Layer):
@@ -537,11 +527,6 @@ class Dropout(Layer):
         if self._scaled_mask is None:
             return dy
         return dy * self._scaled_mask
-
-
-def binarize_forward(x: np.ndarray) -> np.ndarray:
-    """Public alias of the deterministic binarization used everywhere."""
-    return sign_binarize(x)
 
 
 def scaled_binary_forward(layer: _WeightedLayer, x_binary: bitcore.PackedBitTensor) -> np.ndarray:

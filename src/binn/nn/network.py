@@ -85,7 +85,7 @@ class Network:
                 lay.index = i
                 lay.in_shape = shape
                 shape = lay.out_shape(shape)
-            except (ShapeError, ValueError) as e:
+            except (ShapeError, ValueError, ZeroDivisionError) as e:  # zero stride
                 raise ShapeError(f"layer {i} ({spec.kind}): {e}") from None
             net_layers.append(lay)
         if shape != (config.classes,):
@@ -185,29 +185,22 @@ class Network:
             missing = sorted(set(expected) - set(items))
             extra = sorted(set(items) - set(expected))
             raise ShapeError(f"state mismatch; missing={missing} extra={extra}")
+        for name, want in expected.items():
+            got = items[name]
+            if not isinstance(got, np.ndarray) or got.shape != want.shape:
+                raise ShapeError(f"{name}: expected an array of shape {want.shape}, got "
+                                 f"{type(got).__name__} of shape {np.shape(got)}")
         for lay in self.layers:
             for key, p in lay.params().items():
-                arr = items[f"layer{lay.index:03d}.{key}"]
-                if arr.shape != p.value.shape:
-                    raise ShapeError(f"layer {lay.index} {key}: shape {arr.shape} != {p.value.shape}")
-                p.value = arr.astype(self.dtype).copy()
+                p.value = items[f"layer{lay.index:03d}.{key}"].astype(self.dtype)
             for key in lay.buffers():
-                arr = items[f"layer{lay.index:03d}.{key}"]
-                if key == "scale":
-                    lay.scale = arr.astype(self.dtype).copy()
-                else:
-                    setattr(lay, key, arr.astype(self.dtype).copy())
+                setattr(lay, key, items[f"layer{lay.index:03d}.{key}"].astype(self.dtype))
         self.mark_updated()
         self.refresh()
 
     def clone(self) -> "Network":
         dup = Network.from_config(self.config, seed=0, dtype=self.dtype, init="zeros")
         dup.load_state_items(dict(self.state_items()))
-        for src, dst in zip(self.layers, dup.layers):
-            if getattr(src, "scale_frozen", False):
-                dst.scale_frozen = True
-                dst.scale = src.scale.copy()
-                dst.refresh()
         return dup
 
 

@@ -40,7 +40,7 @@ def test_train_zero_epochs_emits_untrained_checkpoint(tmp_path, cfg_file):
     rc = main(["train", "--config", cfg_file, "--seed", "3", "--epochs", "0",
                "--out", str(out)] + data_flags())
     assert rc == 0
-    net = datio.load_checkpoint(out / "checkpoint.ckpt")
+    net = datio.load_network(out / "checkpoint.ckpt")
     fresh = nn.Network.from_config(net.config, seed=0)
     assert net.config == fresh.config
     rows = read_csv(out / "metrics.csv")
@@ -69,7 +69,7 @@ def test_eval_perfect_on_self_labeled_data(tmp_path, cfg_file):
                "--out", str(run)] + data_flags())
     assert rc == 0
     # label a dataset with the net's own predictions: accuracy must be 1.0
-    net = datio.load_checkpoint(run / "checkpoint.ckpt")
+    net = datio.load_network(run / "checkpoint.ckpt")
     ds = datio.make_blob_images(120, 4, noise=0.08, seed=9)
     labels = net.predict(ds.images)
     img_dir = tmp_path / "self"
@@ -243,7 +243,7 @@ def test_export_roundtrip_and_report(tmp_path):
     rows = dict(read_csv(out / "export.csv")[1:])
     assert int(rows["argmax_match"]) == 1
     assert float(rows["ratio"]) > 10
-    reloaded = datio.load_packed(out / "model.pbin")
+    reloaded = datio.load_network(out / "model.pbin")
     assert reloaded.config == cfg
 
 
@@ -293,7 +293,8 @@ def _run_cli(args):
 
 @pytest.fixture(scope="module")
 def cli_paths(tmp_path_factory):
-    """A config, a trained ensemble dir, and two broken copies of it."""
+    """A config, a trained ensemble dir, two broken copies of it, and a
+    packed export missing its output layer's scale."""
     root = tmp_path_factory.mktemp("paths")
     cfg = root / "net.cfg"
     cfg.write_text(CFG_TEXT)
@@ -306,7 +307,13 @@ def cli_paths(tmp_path_factory):
     no_alphas = shutil.copytree(ens, root / "no-alphas")
     del manifest["alphas"]
     (no_alphas / "manifest.json").write_text(json.dumps(manifest))
-    paths = {"cfg": cfg, "ens": ens, "no-member": no_member, "no-alphas": no_alphas}
+    net = nn.Network.from_config(nn.mlp_config((1, 8, 8), [32], 4, variant="AB"), seed=0)
+    text, sections = datio._parse_container(datio.packed_export_bytes(net), datio.PACKED_MAGIC)
+    del sections["layer003.scale"]
+    no_scale = root / "no-scale.pbin"
+    no_scale.write_bytes(datio._container_bytes(datio.PACKED_MAGIC, text, list(sections.items())))
+    paths = {"cfg": cfg, "ens": ens, "no-member": no_member, "no-alphas": no_alphas,
+             "no-scale": no_scale}
     return {f"{{{k}}}": str(v) for k, v in paths.items()}
 
 
@@ -321,8 +328,19 @@ def cli_paths(tmp_path_factory):
     (["train", "--config", "{cfg}", "--seed", "0", "--train-frac", "0"], 1, "--train-frac"),
     (["eval", "--checkpoint", "{no-member}"], 2, "member"),
     (["eval", "--checkpoint", "{no-alphas}"], 2, "alphas"),
+    (["train", "--config", "{cfg}", "--seed", "0", "--data-n", "4", "--train-frac", "0.2"], 2,
+     "0 training and 4 test"),
+    (["analyze", "b-table", "--sigmas", "-1", "--seed", "0"], 1, "--sigmas"),
+    (["analyze", "theorem1", "--trials", "0", "--seed", "0"], 1, "--trials"),
+    (["analyze", "theorem2", "--widths", "4,1", "--seed", "0"], 1, "--widths"),
+    (["eval", "--checkpoint", "{no-scale}"], 2, "layer003.scale"),
+    (["perturb", "--sigma2", "0.01,100", "--checkpoint", "{ens}", "--seed", "0"], 1, "--sigma2"),
+    (["analyze", "theorem1", "--fan-in", "0", "--seed", "0"], 1, "--fan-in"),
+    (["train", "--config", "{cfg}", "--seed", "0", "--batch-size", "0"], 1, "--batch-size"),
 ], ids=["sigma2-text", "k-values-text", "widths-empty", "sigmas-semicolon", "k-zero",
-        "eval-train-frac-1", "train-train-frac-0", "missing-member", "manifest-no-alphas"])
+        "eval-train-frac-1", "train-train-frac-0", "missing-member", "manifest-no-alphas",
+        "empty-train-split", "sigmas-negative", "theorem1-trials-0", "widths-two",
+        "pbin-missing-section", "sigma2-out-of-range", "fan-in-0", "batch-size-0"])
 def test_malformed_invocations_exit_cleanly(tmp_path, cli_paths, argv, code, flag):
     out = _run_cli([cli_paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")])
     assert out.returncode == code, out.stderr

@@ -1,9 +1,12 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from binn import datio, nn
+from binn import bitcore, datio, nn
 from binn.errors import DataError
 
 
@@ -198,13 +201,115 @@ def test_checkpoint_version_refused():
         datio.load_checkpoint_bytes(body + hashlib.sha256(body).digest())
 
 
-def test_packed_export_reload_identical_predictions():
-    net, x = small_trained_net(variant="AB")
+@pytest.mark.parametrize("variant", ["DNN", "SB", "AB", "IB", "WQB", "AQB"])
+def test_packed_export_reload_identical_predictions(variant):
+    net, x = small_trained_net(variant=variant)
     packed = datio.load_packed_bytes(datio.packed_export_bytes(net))
     assert np.array_equal(net.forward(x), packed.forward(x))
     # and through a float-checkpoint roundtrip as well
     f = datio.load_checkpoint_bytes(datio.checkpoint_bytes(net))
     assert np.array_equal(f.forward(x).argmax(1), packed.forward(x).argmax(1))
+    # the reload is an ordinary network: its clone and its own checkpoint keep its logits
+    again = datio.load_checkpoint_bytes(datio.checkpoint_bytes(packed))
+    assert np.array_equal(again.forward(x), packed.forward(x))
+    assert np.array_equal(packed.clone().forward(x), packed.forward(x))
+
+
+def rehashed(body):
+    return body + hashlib.sha256(body).digest()
+
+
+def edited(blob, magic, edit):
+    """``blob`` with ``edit`` applied to its parsed sections, correctly hashed."""
+    text, sections = datio._parse_container(blob, magic)
+    edit(sections)
+    return datio._container_bytes(magic, text, list(sections.items()))
+
+
+def test_checkpoint_buffer_shapes_checked():
+    net, _ = small_trained_net()
+    blob = edited(datio.checkpoint_bytes(net), datio.CHECKPOINT_MAGIC,
+                  lambda s: s.update({"layer002.running_mean": np.zeros(5, np.float32)}))
+    with pytest.raises(DataError, match="layer002.running_mean"):
+        datio.load_checkpoint_bytes(blob)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda s: s.pop("layer000.wbits"), "layer000.w"),
+    (lambda s: s.pop("layer003.scale"), "layer003.scale"),
+    (lambda s: s.update({"layer003.extra": np.zeros(1, np.float32)}), "layer003.extra"),
+    (lambda s: s.update({"layer000.w": np.zeros((16, 6), np.float32)}), "layer000.w"),
+    (lambda s: s.update({"layer000.wbits": bitcore.pack(np.ones((16, 5)))}), "layer000.w"),
+    (lambda s: s.update({"layer000.wbits": np.ones((16, 6), np.float32)}), "layer000.wbits"),
+    (lambda s: s.update({"layer003.scale": np.ones(2, np.float32)}), "layer003.scale"),
+    (lambda s: s.update({"layer003.scale": np.ones((3, 1), np.float32)}), "layer003.scale"),
+    (lambda s: s.update({"layer003.wbits": bitcore.PackedBitTensor(
+        (3,) + (1,) * 69, bitcore.pack(np.ones(3)).words, 3)}), "does not fit its config"),
+], ids=["missing-wbits", "missing-scale", "extra", "wbits-and-w", "short-wbits",
+        "float-wbits", "short-scale", "scale-rank-2", "wbits-rank-70"])
+def test_packed_sections_checked(edit, named):
+    net, _ = small_trained_net(variant="AB")
+    blob = edited(datio.packed_export_bytes(net), datio.PACKED_MAGIC, edit)
+    with pytest.raises(DataError, match=named):
+        datio.load_packed_bytes(blob)
+
+
+def test_container_truncation_and_trailing_bytes_refused():
+    net, _ = small_trained_net()
+    body = datio.checkpoint_bytes(net)[:-32]
+    with pytest.raises(DataError, match="truncated"):
+        datio.load_checkpoint_bytes(rehashed(body[:200]))
+    with pytest.raises(DataError, match="after the last section"):
+        datio.load_checkpoint_bytes(rehashed(body + b"\0"))
+    cfg = nn.config_to_text(net.config).encode()
+    deep = struct.pack(f"<II{len(cfg)}sII10sBI70I", 1, len(cfg), cfg, 1, 10, b"layer000.w", 0,
+                       70, *[1] * 70)
+    with pytest.raises(DataError, match="layer000.w"):
+        datio.load_checkpoint_bytes(rehashed(datio.CHECKPOINT_MAGIC + deep + bytes(4)))
+
+
+def _valid_blobs():
+    net, _ = small_trained_net(variant="AB")
+    bits = bitcore.to_bytes(bitcore.pack(np.random.default_rng(0).standard_normal((3, 70))))
+    return {
+        datio.load_checkpoint_bytes: datio.checkpoint_bytes(net),
+        datio.load_packed_bytes: datio.packed_export_bytes(net),
+        bitcore.from_bytes: bits,
+    }
+
+
+VALID = _valid_blobs()
+
+
+@st.composite
+def loader_inputs(draw):
+    """A loader and bytes for it: arbitrary, or a valid blob cut short or with
+    one byte flipped, re-hashed where the format carries a hash."""
+    load = draw(st.sampled_from(sorted(VALID, key=lambda f: f.__name__)))
+    valid = VALID[load]
+    hashed = load is not bitcore.from_bytes
+    body = valid[:-32] if hashed else valid
+    how = draw(st.sampled_from(["arbitrary", "magic+arbitrary", "truncate", "flip"]))
+    if how == "arbitrary":
+        return load, draw(st.binary(max_size=300))
+    if how == "magic+arbitrary":
+        body = body[:4] + draw(st.binary(max_size=300))
+    elif how == "truncate":
+        body = body[: draw(st.integers(0, len(body) - 1))]
+    else:
+        at = draw(st.integers(0, len(body) - 1))
+        body = body[:at] + bytes([body[at] ^ draw(st.integers(1, 255))]) + body[at + 1 :]
+    return load, rehashed(body) if hashed else body
+
+
+@settings(max_examples=400, deadline=None)
+@given(loader_inputs())
+def test_loaders_yield_result_or_data_error(case):
+    load, blob = case
+    try:
+        load(blob)
+    except DataError:
+        pass
 
 
 def test_packed_export_smaller_than_float():

@@ -17,18 +17,18 @@ CTX_TRAIN = ForwardContext(train=True, rng=np.random.default_rng(0))
 
 
 def test_binarize_forward_examples():
-    assert nn.binarize_forward(np.array([0.3, -0.7, 0.0])).tolist() == [1, -1, 1]
-    assert (nn.binarize_forward(-np.abs(np.random.default_rng(0).standard_normal(50)) - 0.1) == -1).all()
+    assert nn.sign_binarize(np.array([0.3, -0.7, 0.0])).tolist() == [1, -1, 1]
+    assert (nn.sign_binarize(-np.abs(np.random.default_rng(0).standard_normal(50)) - 0.1) == -1).all()
 
 
 def test_binarize_matches_bitcore_roundtrip():
     x = np.random.default_rng(1).standard_normal(333).astype(np.float32)
-    assert np.array_equal(nn.binarize_forward(x), bitcore.unpack(bitcore.pack(x)))
+    assert np.array_equal(nn.sign_binarize(x), bitcore.unpack(bitcore.pack(x)))
 
 
 def test_binarize_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
-        nn.binarize_forward(np.array([1.0, np.nan]))
+        nn.sign_binarize(np.array([1.0, np.nan]))
 
 
 def test_ste_backward_examples():

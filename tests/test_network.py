@@ -62,6 +62,9 @@ def test_shape_mismatch_names_layer_index():
     net = nn.Network.from_config(cfg, seed=0)
     with pytest.raises(ShapeError, match="layer 0"):
         net.forward(np.zeros((2, 1, 4, 4), dtype=np.float32))
+    zero_stride = parse_config("name: z\ninput: 1x4x4\nclasses: 2\nlayer: maxpool kernel=2 stride=0\n")
+    with pytest.raises(ShapeError, match="layer 0"):
+        nn.Network.from_config(zero_stride)
 
 
 def test_train_eval_toggle_only_bn_dropout():
