@@ -9,5 +9,4 @@ from .errors import (  # noqa: F401
     EnsembleError,
     NumericalError,
     ShapeError,
-    StaleWeightsError,
 )

@@ -446,8 +446,6 @@ def _with_weight_noise(net: Network, rng, sigma) -> Network:
             lay.w.value = lay.w.value + rng.normal(0.0, sigma, lay.w.value.shape).astype(
                 lay.w.value.dtype
             )
-            lay.mark_updated()
-    noisy.refresh()
     return noisy
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -45,7 +46,7 @@ def _checked(parse, ok, what):
 
 
 _POSITIVE_INT = _checked(int, lambda k: k >= 1, "an integer >= 1")
-_POSITIVE_FLOAT = _checked(float, lambda v: v > 0, "a number > 0")
+_POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _SIGMA2_LIST = _checked(lambda t: [float(v) for v in t.split(",")],
                         lambda v: all(s == 0 or 1e-6 <= s <= 10 for s in v),
                         "comma-separated variances, each 0 or in [1e-6, 10]")
@@ -70,19 +71,19 @@ def _git_describe():
         return "unknown"
 
 
-def _write_manifest(out_dir, args, seeds, outputs, extra=None):
+def _write_manifest(out_dir, argv, started, run):
+    """Write run-manifest.json: the invocation plus what the command ran,
+    ``run`` being its seeds, its outputs and any further keys."""
     manifest = {
         "command": " ".join(map(str, sys.argv)),
-        "argv": [str(a) for a in vars(args).get("_argv", [])],
+        "argv": [str(a) for a in argv],
         "package_version": __version__,
         "git_describe": _git_describe(),
-        "seeds": seeds,
-        "started_unix": args._started,
-        "duration_s": time.time() - args._started,
-        "outputs": sorted(str(o) for o in outputs),
+        "started_unix": started,
+        "duration_s": time.time() - started,
+        **run,
+        "outputs": sorted(str(o) for o in run["outputs"]),
     }
-    if extra:
-        manifest.update(extra)
     path = os.path.join(out_dir, "run-manifest.json")
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -108,12 +109,6 @@ def _print_table(header, rows):
         print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
         if i == 0:
             print("  ".join("-" * w for w in widths))
-
-
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return x
 
 
 def _load_config(path):
@@ -179,15 +174,16 @@ def _add_data_flags(p, trains=True):
     p.add_argument("--data-noise", type=_checked(float, lambda v: v >= 0, "a number >= 0"),
                    default=0.1)
     p.add_argument("--data-seed", type=int, default=0)
-    p.add_argument("--image-size", type=int, default=8)
+    p.add_argument("--image-size", type=_POSITIVE_INT, default=8)
     p.add_argument("--train-frac", type=frac, default=0.75)
 
 
 def _add_train_flags(p):
-    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--epochs", type=_checked(int, lambda k: k >= 0, "an integer >= 0"),
+                   default=20)
     p.add_argument("--batch-size", type=_POSITIVE_INT, default=64)
     p.add_argument("--optimizer", default="adam", choices=["adam", "sgd"])
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=_POSITIVE_FLOAT, default=1e-3)
     p.add_argument("--no-clip", action="store_true", help="disable shadow-weight clipping")
 
 
@@ -221,16 +217,15 @@ def cmd_train(args):
     ckpt = os.path.join(args.out, "checkpoint.ckpt")
     datio.save_checkpoint(net, ckpt)
     rows = [
-        (e, _fmt(hist.train_loss[e]), _fmt(hist.test_accuracy[e]))
+        (e, hist.train_loss[e], hist.test_accuracy[e])
         for e in range(len(hist.train_loss))
     ]
     metrics = _write_csv(args.out, "metrics.csv", ["epoch", "train_loss", "test_accuracy"], rows)
-    _write_manifest(args.out, args, {"seed": args.seed, "data_seed": args.data_seed},
-                    [ckpt, metrics], {"config_hash": config_hash(cfg)})
     final = hist.test_accuracy[-1] if hist.test_accuracy else float("nan")
     print(f"trained {cfg.name}: epochs={len(hist.train_loss)} test_accuracy={final:.4f}")
     print(f"checkpoint: {ckpt}")
-    return 0
+    return {"seeds": {"seed": args.seed, "data_seed": args.data_seed},
+            "outputs": [ckpt, metrics], "config_hash": config_hash(cfg)}
 
 
 def cmd_ensemble_train(args):
@@ -252,9 +247,9 @@ def cmd_ensemble_train(args):
     i = 0
     for mi, hist in enumerate(info["histories"]):
         for e in range(len(hist.train_loss)):
-            ens_col = _fmt(ens_acc[i]) if i < len(ens_acc) else ""
-            rows.append((mi, e, _fmt(hist.train_loss[e]),
-                         _fmt(hist.test_accuracy[e]) if hist.test_accuracy else "", ens_col))
+            ens_col = ens_acc[i] if i < len(ens_acc) else ""
+            rows.append((mi, e, hist.train_loss[e],
+                         hist.test_accuracy[e] if hist.test_accuracy else "", ens_col))
             i += 1
     metrics = _write_csv(
         args.out, "metrics.csv",
@@ -262,13 +257,12 @@ def cmd_ensemble_train(args):
         rows,
     )
     ens_test = float((model.predict(test.images, rule=args.rule) == test.labels).mean())
-    _write_manifest(args.out, args, {"seed": args.seed, "data_seed": args.data_seed},
-                    [metrics, os.path.join(args.out, "manifest.json")],
-                    {"config_hash": config_hash(cfg), "alphas": [float(a) for a in model.alphas]})
     print(f"{args.strategy} ensemble k={len(model.members)} rule={args.rule} "
           f"test_accuracy={ens_test:.4f}")
     print(f"alphas: {[round(float(a), 4) for a in model.alphas]}")
-    return 0
+    return {"seeds": {"seed": args.seed, "data_seed": args.data_seed},
+            "outputs": [metrics, os.path.join(args.out, "manifest.json")],
+            "config_hash": config_hash(cfg), "alphas": [float(a) for a in model.alphas]}
 
 
 def cmd_eval(args):
@@ -281,14 +275,13 @@ def cmd_eval(args):
     classes = model.config.classes
     acc = float((pred == test.labels).mean())
     epath = _write_csv(args.out, "eval.csv", ["metric", "value"],
-                       [("accuracy", _fmt(acc)), ("n", len(test))])
+                       [("accuracy", acc), ("n", len(test))])
     conf = np.zeros((classes, classes), dtype=np.int64)
     np.add.at(conf, (test.labels, pred), 1)
     rows = [(t, p, int(conf[t, p])) for t in range(classes) for p in range(classes)]
     cpath = _write_csv(args.out, "confusion.csv", ["true_class", "pred_class", "count"], rows)
-    _write_manifest(args.out, args, {"data_seed": args.data_seed}, [epath, cpath])
     print(f"accuracy: {acc:.4f} on {len(test)} examples")
-    return 0
+    return {"seeds": {"data_seed": args.data_seed}, "outputs": [epath, cpath]}
 
 
 def cmd_perturb(args):
@@ -301,23 +294,19 @@ def cmd_perturb(args):
         )
         oc = analysis.output_change_trained(model, test.images, spec)
         ec = analysis.robustness_trained(model, test.images, test.labels, spec)
-        rows.append((_fmt(s2), args.target, "output_change",
-                     _fmt(oc.mean), _fmt(oc.stderr), oc.trials))
-        rows.append((_fmt(s2), args.target, "error_change",
-                     _fmt(ec.mean), _fmt(ec.stderr), ec.trials))
+        rows.append((s2, args.target, "output_change", oc.mean, oc.stderr, oc.trials))
+        rows.append((s2, args.target, "error_change", ec.mean, ec.stderr, ec.trials))
     header = ["sigma2", "target", "metric", "value", "stderr", "trials"]
     path = _write_csv(args.out, "perturb.csv", header, rows)
-    _write_manifest(args.out, args, {"seed": args.seed}, [path])
     _print_table(header, rows)
-    return 0
+    return {"seeds": {"seed": args.seed}, "outputs": [path]}
 
 
 def cmd_analyze_b_table(args):
-    rows = [(_fmt(r["sigma"]), _fmt(r["b"]), _fmt(r["r"])) for r in analysis.b_r_table(args.sigmas)]
+    rows = [(r["sigma"], r["b"], r["r"]) for r in analysis.b_r_table(args.sigmas)]
     path = _write_csv(args.out, "b_table.csv", ["sigma", "b", "r"], rows)
-    _write_manifest(args.out, args, {"seed": args.seed}, [path])
     _print_table(["sigma", "b", "r"], rows)
-    return 0
+    return {"seeds": {"seed": args.seed}, "outputs": [path]}
 
 
 def cmd_analyze_theorem1(args):
@@ -327,22 +316,21 @@ def cmd_analyze_theorem1(args):
     )
     rows = []
     for name, st in rep.regimes.items():
-        rows.append(("regime", name, _fmt(st.measured), _fmt(st.stderr),
-                     _fmt(st.predicted), _fmt(st.rel_err), int(st.rel_err <= rep.rel_tol)))
+        rows.append(("regime", name, st.measured, st.stderr,
+                     st.predicted, st.rel_err, int(st.rel_err <= rep.rel_tol)))
     for k, st in rep.bagged.items():
-        rows.append((f"bagged_k{k}", "both_bin", _fmt(st.measured), _fmt(st.stderr),
-                     _fmt(st.predicted), _fmt(st.rel_err), int(st.rel_err <= rep.rel_tol)))
+        rows.append((f"bagged_k{k}", "both_bin", st.measured, st.stderr,
+                     st.predicted, st.rel_err, int(st.rel_err <= rep.rel_tol)))
     for name, val in rep.thresholds.items():
-        rows.append(("threshold", name, _fmt(val), "", "", "", ""))
+        rows.append(("threshold", name, val, "", "", "", ""))
     for c in rep.threshold_checks:
         rows.append((f"check_k{c['k']}", c["predicate"], int(c["measured"]), "",
                      int(c["predicted"]), "", int(c["agree"])))
     path = _write_csv(args.out, "theorem1.csv",
                       ["kind", "name", "measured", "stderr", "predicted", "rel_err", "ok"], rows)
-    _write_manifest(args.out, args, {"seed": args.seed}, [path])
     bad = [r for r in rows if r[6] == 0]
     print(f"theorem1: {len(rows)} rows, {len(bad)} outside tolerance -> {path}")
-    return 0
+    return {"seeds": {"seed": args.seed}, "outputs": [path]}
 
 
 def cmd_analyze_theorem2(args):
@@ -352,17 +340,15 @@ def cmd_analyze_theorem2(args):
         trials=args.trials, inner=args.inner, seed=args.seed,
     )
     rows = [
-        (name, len(widths) - 1, _fmt(res["bound"]), _fmt(res["mean_measured"]),
-         _fmt(res["satisfied_fraction"]), _fmt(res["satisfied_se"]),
-         int(res["satisfied_fraction"] >= 0.99))
+        (name, len(widths) - 1, res["bound"], res["mean_measured"],
+         res["satisfied_fraction"], res["satisfied_se"], int(res["satisfied_fraction"] >= 0.99))
         for name, res in rep.regimes.items()
     ]
     header = ["regime", "layers", "bound", "mean_measured",
               "satisfied_fraction", "satisfied_se", "ok"]
     path = _write_csv(args.out, "theorem2.csv", header, rows)
-    _write_manifest(args.out, args, {"seed": args.seed}, [path])
     _print_table(header, rows)
-    return 0
+    return {"seeds": {"seed": args.seed}, "outputs": [path]}
 
 
 def cmd_export(args):
@@ -384,13 +370,12 @@ def cmd_export(args):
     rpath = _write_csv(args.out, "export.csv", ["metric", "value"], [
         ("float_bytes", len(float_blob)),
         ("packed_bytes", len(packed_blob)),
-        ("ratio", _fmt(ratio)),
+        ("ratio", ratio),
         ("argmax_match", int(match)),
     ])
-    _write_manifest(args.out, args, {}, [ppath, rpath])
     print(f"packed export: {len(packed_blob)} bytes, {ratio:.1f}x smaller, "
           f"argmax match: {match}")
-    return 0
+    return {"seeds": {}, "outputs": [ppath, rpath]}
 
 
 # --------------------------------------------------------------- dispatcher
@@ -474,11 +459,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
-    args._argv = argv if argv is not None else sys.argv[1:]
-    args._started = time.time()
+    started = time.time()
     try:
-        return args.func(args)
+        _write_manifest(args.out, argv, started, args.func(args))
+        return 0
     except (DataError, ShapeError) as e:
         sys.stderr.write(f"data error: {e}\n")
         return 2

@@ -298,7 +298,6 @@ def _load_container(blob: bytes, magic: bytes, state=lambda sections: sections) 
 
 def checkpoint_bytes(net: Network) -> bytes:
     """Float checkpoint: canonical config text + all shadow state as f32."""
-    net.refresh()  # store the scales the weights give, not ones an optimizer step left stale
     return _container_bytes(CHECKPOINT_MAGIC, config_to_text(net.config), net.state_items())
 
 
@@ -318,8 +317,6 @@ def packed_export_bytes(net: Network) -> bytes:
     for lay in net.layers:
         prefix = f"layer{lay.index:03d}"
         if getattr(lay, "weight_bits", 32) == 1:
-            if lay.is_stale():
-                lay.refresh()
             sections.append((f"{prefix}.wbits", lay.packed_weights))
             sections.append((f"{prefix}.scale", lay.scale))
             if lay.b is not None:
@@ -334,8 +331,7 @@ def packed_export_bytes(net: Network) -> bytes:
 
 def _shadow_state(sections) -> dict:
     """Packed sections as network state: a 1-bit layer's weights are its
-    sign bits times its per-row scale, from which refresh() recomputes
-    that scale exactly."""
+    sign bits times its per-row scale, whose mean |W| is that scale exactly."""
     state = {}
     for name, value in sections.items():
         prefix, _, key = name.rpartition(".")

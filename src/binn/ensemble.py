@@ -273,20 +273,17 @@ def train_boosting(config: NetworkConfig, images, labels, **kw) -> tuple[Ensembl
     return _train_rounds("boosting", config, images, labels, **kw)
 
 
-def aggregate(model: EnsembleModel, images, rule=None, weighted=True) -> AggregateResult:
+def aggregate(model: EnsembleModel, images, rule=None) -> AggregateResult:
     """Combine member outputs; ties break deterministically to the lowest class.
 
     soft: probabilities averaged with renormalized alpha weights;
-    hard: alpha-weighted votes on member argmax labels. ``weighted=False``
-    gives the plain unweighted mean/vote (bagging parity).
+    hard: alpha-weighted votes on member argmax labels.
     """
     rule = rule or model.rule
     if rule not in ("hard", "soft"):
         raise ValueError(f"rule must be hard or soft, got {rule!r}")
     mp = model.member_probs(images)  # [K, B, C]
     alphas = np.asarray(model.alphas, dtype=np.float64)
-    if not weighted:
-        alphas = np.ones_like(alphas)
     w = alphas / alphas.sum()
     probs = np.tensordot(w, mp, axes=1)
     probs = probs / probs.sum(axis=1, keepdims=True)

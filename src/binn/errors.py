@@ -17,9 +17,5 @@ class NumericalError(BinnError):
     """Training or evaluation produced non-finite values (exit 3)."""
 
 
-class StaleWeightsError(BinnError):
-    """Packed weights were not refreshed from shadow weights after an update."""
-
-
 class EnsembleError(BinnError):
     """Ensemble training could not produce any usable member."""

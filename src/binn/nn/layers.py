@@ -1,12 +1,14 @@
 """Layers for training weak binary networks.
 
-Binary conv/fc layers keep real-valued shadow weights and refresh their
-per-filter scales from them after every step. Every precision runs one
-forward product in float BLAS; for +/-1 inputs and weights it is the exact
-integer product times the scale, equal bit for bit to the packed XNOR
-kernels, which serve export, packed reload and ``scaled_binary_forward``.
-Gradients reach the shadow weights straight through; activation
-binarization backpropagates with the |x| <= 1 straight-through mask.
+Binary conv/fc layers keep real-valued shadow weights; a layer with 1-bit
+weights multiplies sign(W) by its per-filter scale, the mean |W| of the
+shadow weights, computed from them on every forward (XNOR-Net), so no
+cached state can go stale. Every precision runs one forward product in
+float BLAS; for +/-1 inputs and weights it is the exact integer product
+times the scale, equal bit for bit to the packed XNOR kernels, which serve
+export, packed reload and ``scaled_binary_forward``. Gradients reach the
+shadow weights straight through; activation binarization backpropagates
+with the |x| <= 1 straight-through mask.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .. import bitcore
-from ..errors import ShapeError, StaleWeightsError
+from ..errors import ShapeError
 
 
 @dataclass
@@ -125,12 +127,9 @@ class Layer:
     def backward(self, dy):
         raise NotImplementedError
 
-    def mark_updated(self) -> None:
-        pass
-
 
 class _WeightedLayer(Layer):
-    """Shared machinery for fc/conv: precision flags, scales, refresh."""
+    """Shared machinery for fc/conv: precision flags, shadow weights, scales."""
 
     def __init__(self, weight_bits, act_bits, dtype):
         if weight_bits != 32 and weight_bits != 1 and not 2 <= weight_bits <= 8:
@@ -140,53 +139,54 @@ class _WeightedLayer(Layer):
         self.weight_bits = int(weight_bits)
         self.act_bits = int(act_bits)
         self.dtype = dtype
-        self.scale = None
-        self._version = 0
-        self._refreshed = -1
 
-    # -- shadow-weight refresh -------------------------------------------
+    def params(self):
+        out = {"w": self.w}
+        if self.b is not None:
+            out["b"] = self.b
+        return out
+
+    def buffers(self):
+        return {"scale": self.scale} if self.weight_bits == 1 else {}
 
     @property
     def fan_in(self) -> int:
         return int(self.w.value[0].size)
 
-    def mark_updated(self) -> None:
-        self._version += 1
+    @property
+    def scale(self) -> np.ndarray | None:
+        """Per-filter scales of 1-bit weights, from the current shadow weights; else None."""
+        return self.refresh() if self.weight_bits == 1 else None
 
-    def is_stale(self) -> bool:
-        return self.weight_bits == 1 and self._refreshed != self._version
-
-    def refresh(self) -> None:
-        """Recompute per-filter scales from the shadow weights."""
-        if self.weight_bits == 1:
-            w2 = self.w.value.reshape(self.w.value.shape[0], -1)
-            self.scale = np.abs(w2).mean(axis=1, dtype=np.float64).astype(self.dtype)
-        self._refreshed = self._version
+    def refresh(self) -> np.ndarray:
+        """Per-filter mean |W| of the shadow weights, in the layer dtype."""
+        w2 = self.w.value.reshape(self.w.value.shape[0], -1)
+        return np.abs(w2).mean(axis=1, dtype=np.float64).astype(self.dtype)
 
     @property
     def packed_weights(self) -> bitcore.PackedBitTensor:
         """Sign bits of the shadow weights, packed for export and the XNOR kernels."""
         return bitcore.pack(self.w.value)
 
-    def effective_weight(self) -> np.ndarray:
+    def effective_weight(self, scale) -> np.ndarray:
+        """The weights the product uses; 1-bit weights multiply by ``scale``."""
         if self.weight_bits == 32:
             return self.w.value
         if self.weight_bits == 1:
             shape = (-1,) + (1,) * (self.w.value.ndim - 1)
-            return sign_binarize(self.w.value) * self.scale.reshape(shape)
+            return sign_binarize(self.w.value) * scale.reshape(shape)
         return quantize_k_bit(self.w.value, self.weight_bits)
 
     def _product(self, cols, ctx):
         """Input rows [N, fan_in] times the effective weights, plus bias: [N, out]."""
-        if self.is_stale():
-            self.refresh()
+        self._scale = scale = self.scale  # backward reuses it
         w2 = self.w.value.reshape(self.w.value.shape[0], -1)
         if self.weight_bits == 1 and self.act_bits == 1 and not ctx.surrogate:
             # sums of +/-1 are exact integers in float32 while fan_in < 2**24,
             # so this equals the packed XNOR product times the scale
-            y = (cols @ sign_binarize(w2).T) * self.scale
+            y = (cols @ sign_binarize(w2).T) * scale
         else:
-            y = cols @ self.effective_weight().reshape(w2.shape).T
+            y = cols @ self.effective_weight(scale).reshape(w2.shape).T
         if self.b is not None:
             y = y + self.b.value
         return y
@@ -217,16 +217,6 @@ class Linear(_WeightedLayer):
         self.out_features = int(out_features)
         self.w = Param(_init_weights((out_features, in_features), in_features, rng, dtype, init))
         self.b = Param(np.zeros(out_features, dtype)) if bias else None
-        self.refresh()
-
-    def params(self):
-        out = {"w": self.w}
-        if self.b is not None:
-            out["b"] = self.b
-        return out
-
-    def buffers(self):
-        return {"scale": self.scale} if self.weight_bits == 1 else {}
 
     def out_shape(self, in_shape):
         return (self.out_features,)
@@ -239,7 +229,7 @@ class Linear(_WeightedLayer):
         return self._product(xq, ctx)
 
     def backward(self, dy):
-        w_eff = self.effective_weight()
+        w_eff = self.effective_weight(self._scale)
         self.w.add_grad(dy.T @ self._xq)
         if self.b is not None:
             self.b.add_grad(dy.sum(axis=0))
@@ -290,16 +280,6 @@ class Conv2d(_WeightedLayer):
             _init_weights((out_channels, in_channels, kernel, kernel), fan_in, rng, dtype, init)
         )
         self.b = Param(np.zeros(out_channels, dtype)) if bias else None
-        self.refresh()
-
-    def params(self):
-        out = {"w": self.w}
-        if self.b is not None:
-            out["b"] = self.b
-        return out
-
-    def buffers(self):
-        return {"scale": self.scale} if self.weight_bits == 1 else {}
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
@@ -323,7 +303,7 @@ class Conv2d(_WeightedLayer):
         k = self.kernel
         dy_cols = dy.transpose(0, 2, 3, 1).reshape(b * ho * wo, f)
         cols, _, _ = bitcore._im2col(self._xq, k, self.stride, self.padding, self.pad_value)
-        w_eff = self.effective_weight().reshape(f, -1)
+        w_eff = self.effective_weight(self._scale).reshape(f, -1)
         self.w.add_grad((dy_cols.T @ cols).reshape(self.w.value.shape))
         if self.b is not None:
             self.b.add_grad(dy.sum(axis=(0, 2, 3)))
@@ -530,18 +510,9 @@ class Dropout(Layer):
 
 
 def scaled_binary_forward(layer: _WeightedLayer, x_binary: bitcore.PackedBitTensor) -> np.ndarray:
-    """Run a refreshed binary layer on packed +/-1 activations.
-
-    Raises StaleWeightsError when the layer's shadow weights changed after
-    the last refresh (step-counter check).
-    """
+    """Run a binary layer on packed +/-1 activations."""
     if layer.weight_bits != 1:
         raise ValueError("scaled_binary_forward requires a weight-binarized layer")
-    if layer.is_stale():
-        raise StaleWeightsError(
-            f"layer weights updated at version {layer._version} but scales "
-            f"are from version {layer._refreshed}; call refresh()"
-        )
     wbits = layer.packed_weights
     if isinstance(layer, Linear):
         squeeze = len(x_binary.shape) == 1

@@ -114,7 +114,14 @@ class Network:
                     f"layer {lay.index} (fc): expected {int(np.prod(lay.in_shape))} "
                     f"features, got {x.shape[1:]}"
                 )
-            x = lay.forward(x, ctx)
+            try:
+                x = lay.forward(x, ctx)
+            except ValueError:  # sign_binarize refuses non-finite values
+                if np.isfinite(x).all() and all(
+                        np.isfinite(p.value).all() for p in lay.params().values()):
+                    raise
+                raise NumericalError(f"non-finite values at the binarization in layer "
+                                     f"{lay.index} ({lay.kind})") from None
             if debug and not np.isfinite(x).all():
                 raise NumericalError(f"non-finite activations after layer {lay.index} ({lay.kind})")
         return x
@@ -147,15 +154,6 @@ class Network:
     def zero_grad(self):
         for p in self.parameters():
             p.grad = None
-
-    def mark_updated(self):
-        for lay in self.layers:
-            lay.mark_updated()
-
-    def refresh(self):
-        for lay in self.layers:
-            if getattr(lay, "is_stale", None) and lay.is_stale():
-                lay.refresh()
 
     def clip_binary_shadows(self, lo=-1.0, hi=1.0):
         """Clip shadow weights of sub-32-bit layers into the binarization range."""
@@ -193,10 +191,8 @@ class Network:
         for lay in self.layers:
             for key, p in lay.params().items():
                 p.value = items[f"layer{lay.index:03d}.{key}"].astype(self.dtype)
-            for key in lay.buffers():
-                setattr(lay, key, items[f"layer{lay.index:03d}.{key}"].astype(self.dtype))
-        self.mark_updated()
-        self.refresh()
+            for key, buf in lay.buffers().items():
+                np.copyto(buf, items[f"layer{lay.index:03d}.{key}"])
 
     def clone(self) -> "Network":
         dup = Network.from_config(self.config, seed=0, dtype=self.dtype, init="zeros")

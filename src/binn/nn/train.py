@@ -20,11 +20,10 @@ def backward_and_step(net: Network, batch, labels, optimizer, *, sample_weights=
                       rng=None, clip_weights=True, debug=False) -> float:
     """One training step: forward, weighted CE, backward, update shadows.
 
-    Updates land on the real-valued shadow weights only; layers with 1-bit
-    weights recompute their scales on the next forward, which uses the
-    exact dense +/-1 product. The packed kernels serve export, packed
-    reload and ``scaled_binary_forward``. Raises NumericalError on a
-    non-finite loss.
+    Updates land on the real-valued shadow weights only; a layer with 1-bit
+    weights derives its scales from them in each forward, which uses the
+    exact dense +/-1 product. Raises NumericalError on a non-finite loss or
+    on non-finite values at a binarization.
     """
     logits = net.forward(batch, train=True, rng=rng, debug=debug)
     probs = softmax(logits)
@@ -40,7 +39,6 @@ def backward_and_step(net: Network, batch, labels, optimizer, *, sample_weights=
     optimizer.step()
     if clip_weights:
         net.clip_binary_shadows()
-    net.mark_updated()
     return loss
 
 

@@ -312,8 +312,10 @@ def cli_paths(tmp_path_factory):
     del sections["layer003.scale"]
     no_scale = root / "no-scale.pbin"
     no_scale.write_bytes(datio._container_bytes(datio.PACKED_MAGIC, text, list(sections.items())))
+    ab_cfg = root / "ab.cfg"
+    ab_cfg.write_text(nn.config_to_text(nn.mlp_config((1, 8, 8), [16, 16], 4, variant="AB")))
     paths = {"cfg": cfg, "ens": ens, "no-member": no_member, "no-alphas": no_alphas,
-             "no-scale": no_scale}
+             "no-scale": no_scale, "ab-cfg": ab_cfg}
     return {f"{{{k}}}": str(v) for k, v in paths.items()}
 
 
@@ -337,10 +339,18 @@ def cli_paths(tmp_path_factory):
     (["perturb", "--sigma2", "0.01,100", "--checkpoint", "{ens}", "--seed", "0"], 1, "--sigma2"),
     (["analyze", "theorem1", "--fan-in", "0", "--seed", "0"], 1, "--fan-in"),
     (["train", "--config", "{cfg}", "--seed", "0", "--batch-size", "0"], 1, "--batch-size"),
+    (["train", "--config", "{cfg}", "--seed", "0", "--epochs", "-2"], 1, "--epochs"),
+    (["train", "--config", "{cfg}", "--seed", "0", "--lr", "-1"], 1, "--lr"),
+    (["train", "--config", "{cfg}", "--seed", "0", "--lr", "nan"], 1, "--lr"),
+    (["train", "--config", "{cfg}", "--seed", "0", "--image-size", "-1"], 1, "--image-size"),
+    (["train", "--config", "{ab-cfg}", "--seed", "0", "--data-n", "200", "--epochs", "2",
+      "--lr", "1e38"], 3, "binarization"),
 ], ids=["sigma2-text", "k-values-text", "widths-empty", "sigmas-semicolon", "k-zero",
         "eval-train-frac-1", "train-train-frac-0", "missing-member", "manifest-no-alphas",
         "empty-train-split", "sigmas-negative", "theorem1-trials-0", "widths-two",
-        "pbin-missing-section", "sigma2-out-of-range", "fan-in-0", "batch-size-0"])
+        "pbin-missing-section", "sigma2-out-of-range", "fan-in-0", "batch-size-0",
+        "epochs-negative", "lr-negative", "lr-nan", "image-size-negative",
+        "binary-net-diverges"])
 def test_malformed_invocations_exit_cleanly(tmp_path, cli_paths, argv, code, flag):
     out = _run_cli([cli_paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")])
     assert out.returncode == code, out.stderr

@@ -174,12 +174,26 @@ def test_checkpoint_roundtrip_byte_identical():
 
 
 def test_checkpoint_bytes_unchanged_by_eval_forward():
-    # the last optimizer step leaves the 1-bit scales stale; the checkpoint
-    # must hold the scales the next forward computes
+    # the checkpoint holds the 1-bit scales of the weights it stores, the
+    # ones the next forward uses
     net, x = small_trained_net(variant="AB")
     blob = datio.checkpoint_bytes(net)
     net.forward(x)
     assert datio.checkpoint_bytes(net) == blob
+
+
+@pytest.mark.parametrize("cfg", [
+    nn.mlp_config((1, 1, 6), [8], 3, variant="AB"),
+    nn.nin_config(variant="AB", width_scale=0.1, classes=4, input_shape=(3, 32, 32)),
+], ids=["Linear", "Conv2d"])
+def test_weights_written_in_place_reach_the_saved_scales(cfg):
+    net = nn.Network.from_config(cfg, seed=3)
+    for lay in net.binary_layers():
+        lay.w.value *= 0.5
+    loaded = nn.Network.from_config(cfg, init="zeros")
+    loaded.load_state_items(dict(net.state_items()))
+    assert datio.checkpoint_bytes(net) == datio.checkpoint_bytes(loaded)
+    assert datio.packed_export_bytes(net) == datio.packed_export_bytes(loaded)
 
 
 def test_checkpoint_corruption_detected(tmp_path):

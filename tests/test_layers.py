@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from binn import bitcore
 from binn import nn
-from binn.errors import ShapeError, StaleWeightsError
+from binn.errors import ShapeError
 from binn.nn.layers import AvgPool, BatchNorm, Dropout, ForwardContext, MaxPool
 
 
@@ -88,8 +90,6 @@ def test_scaled_binary_forward_tiny_example():
     rng = np.random.default_rng(0)
     lay = nn.Linear(3, 1, weight_bits=1, act_bits=1, bias=False, rng=rng)
     lay.w.value = np.array([[0.5, -1.5, 1.0]], dtype=np.float32)
-    lay.mark_updated()
-    lay.refresh()
     assert lay.scale[0] == pytest.approx(1.0)
     out = nn.scaled_binary_forward(lay, bitcore.pack(np.ones(3)))
     assert out.tolist() == [1.0]
@@ -100,8 +100,6 @@ def test_scaled_binary_forward_constant_weights():
     n, c = 16, 0.37
     lay = nn.Linear(n, 2, weight_bits=1, act_bits=1, bias=False, rng=rng)
     lay.w.value = np.full((2, n), c, dtype=np.float32)
-    lay.mark_updated()
-    lay.refresh()
     out = nn.scaled_binary_forward(lay, bitcore.pack(np.ones(n)))
     assert np.allclose(out, c * n, rtol=1e-6)
 
@@ -160,19 +158,6 @@ def test_conv_dense_product_equals_packed_kernel(channels, stride, padding, bias
     assert np.array_equal(got, nn.scaled_binary_forward(lay, bitcore.pack(x)))
 
 
-def test_stale_refresh_detected():
-    rng = np.random.default_rng(6)
-    lay = nn.Linear(8, 2, weight_bits=1, act_bits=1, rng=rng)
-    x = bitcore.pack(np.ones(8))
-    nn.scaled_binary_forward(lay, x)  # fresh
-    lay.w.value[0, 0] += 0.5
-    lay.mark_updated()
-    with pytest.raises(StaleWeightsError, match="refresh"):
-        nn.scaled_binary_forward(lay, x)
-    lay.refresh()
-    nn.scaled_binary_forward(lay, x)
-
-
 def test_scale_invariant_exact_recompute():
     rng = np.random.default_rng(7)
     lay = nn.Conv2d(4, 6, 3, weight_bits=1, act_bits=1, rng=rng)
@@ -180,6 +165,27 @@ def test_scale_invariant_exact_recompute():
     recomputed = np.abs(lay.w.value.reshape(6, -1)).sum(axis=1, dtype=np.float64) / f
     assert np.allclose(lay.scale, recomputed, rtol=1e-6)
     assert lay.packed_weights == bitcore.pack(nn.sign_binarize(lay.w.value))
+
+
+@pytest.mark.parametrize("make, x_shape", [
+    (lambda rng: nn.Linear(16, 3, weight_bits=1, act_bits=1, rng=rng), (5, 16)),
+    (lambda rng: nn.Conv2d(3, 4, 3, padding=1, weight_bits=1, act_bits=1, rng=rng), (2, 3, 6, 6)),
+], ids=["Linear", "Conv2d"])
+def test_forward_follows_weights_written_in_place(make, x_shape):
+    # the scale is a function of the shadow weights: a write into w.value,
+    # with no other call, reaches the next forward
+    rng = np.random.default_rng(8)
+    lay = make(rng)
+    lay.b.value = rng.standard_normal(lay.b.value.shape).astype(np.float32)
+    x = rng.standard_normal(x_shape).astype(np.float32)
+    lay.forward(x, CTX)
+    lay.w.value *= 3.0
+    oracle = copy.deepcopy(lay)
+    oracle.weight_bits = 32
+    alpha = np.abs(lay.w.value.reshape(len(lay.w.value), -1)).mean(axis=1)
+    oracle.w.value = nn.sign_binarize(lay.w.value) * alpha.reshape(
+        (-1,) + (1,) * (lay.w.value.ndim - 1)).astype(np.float32)
+    assert np.allclose(lay.forward(x, CTX), oracle.forward(x, CTX), rtol=1e-5, atol=1e-5)
 
 
 # ------------------------------------------------------------ batchnorm etc.
@@ -253,6 +259,6 @@ def test_packed_path_equals_dense_path():
     x = rng.standard_normal((6, 70)).astype(np.float32)
     y_packed = lay.forward(x, CTX)
     xq = nn.sign_binarize(x)
-    w_eff = lay.effective_weight()
+    w_eff = lay.effective_weight(lay.scale)
     y_dense = xq @ w_eff.T + lay.b.value
     assert np.allclose(y_packed, y_dense, rtol=1e-5, atol=1e-5)

@@ -216,10 +216,12 @@ def test_optimizers_stay_finite_10k_steps(opt_name):
         assert np.isfinite(p.value).all()
 
 
-def test_nan_loss_aborts_with_diagnostics():
-    cfg = mlp_config((1, 1, 2), [4], 2, variant="DNN", batchnorm=False)
+@pytest.mark.parametrize("variant", ["DNN", "AB"])
+def test_nan_loss_aborts_with_diagnostics(variant):
+    cfg = mlp_config((1, 1, 2), [4], 2, variant=variant, batchnorm=False)
     net = nn.Network.from_config(cfg, seed=9)
-    net.layers[0].w.value[:] = np.float32(1e38)  # overflow to inf logits
+    # overflow to inf activations: inf logits, or an inf input to a binarization
+    net.layers[0].w.value[:] = np.float32(3e38)
     x = np.full((4, 1, 1, 2), 1e5, dtype=np.float32)
     y = np.zeros(4, dtype=np.int64)
     opt = nn.SGD(net.parameters(), lr=0.1)
@@ -241,8 +243,8 @@ def test_train_network_history_and_patience():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_trained_net_checkpoint_reload_gives_identical_logits(variant):
-    # layers with 1-bit weights refresh their scale after every step, whatever
-    # their input precision, so a reload (which recomputes it) changes nothing
+    # layers with 1-bit weights take their scale from the weights, whatever
+    # their input precision, so a reload changes nothing
     rng = np.random.default_rng(4)
     x = rng.uniform(-1, 1, (64, 1, 1, 8)).astype(np.float32)
     y = rng.integers(0, 3, 64)
