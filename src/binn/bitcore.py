@@ -108,14 +108,6 @@ def unpack(t: PackedBitTensor, dtype=np.float32) -> np.ndarray:
     return (bits.astype(dtype) * 2 - 1).reshape(t.shape)
 
 
-def canonicalize(t: PackedBitTensor) -> PackedBitTensor:
-    """Return a copy with padding bits forced back to zero."""
-    words = t.words.copy()
-    if words.size and t.bit_len % WORD_BITS:
-        words[-1] &= _tail_mask(t.bit_len)
-    return PackedBitTensor(shape=t.shape, words=words, bit_len=t.bit_len)
-
-
 def xnor_dot(a: PackedBitTensor, b: PackedBitTensor) -> int:
     """Signed dot product of two packed sign vectors.
 
@@ -193,16 +185,21 @@ def _conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
     return (padded - k) // stride + 1
 
 
+def _windows(x: np.ndarray, k: int, stride: int, padding: int, pad_value) -> np.ndarray:
+    """[B, C, H, W] padded with ``pad_value`` -> strided window view [B, C, H', W', k, k]."""
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                   constant_values=pad_value)
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    return win[:, :, ::stride, ::stride]
+
+
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int, pad_value):
     """[B, C, H, W] -> patch matrix [B*H'*W', C*k*k] plus output dims."""
     b, c, h, w = x.shape
     ho = _conv_out_size(h, k, stride, padding)
     wo = _conv_out_size(w, k, stride, padding)
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                   constant_values=pad_value)
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # [B, C, H', W', k, k]
+    win = _windows(x, k, stride, padding, pad_value)
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * k * k)
     return np.ascontiguousarray(cols), ho, wo
 

@@ -28,7 +28,6 @@ class Dataset:
     images: np.ndarray  # [N, C, H, W] float32 in [-1, 1]
     labels: np.ndarray  # [N] int64 in [0, class_count)
     class_count: int
-    split: str = "train"
 
     def validate(self) -> None:
         if self.images.ndim != 4:
@@ -99,7 +98,7 @@ def load_idx(images_path, labels_path=None, class_count=10) -> Dataset:
         labels = np.frombuffer(lb, dtype=np.uint8, offset=8).astype(np.int64)
     else:
         labels = np.zeros(n, dtype=np.int64)
-    ds = Dataset(images=images, labels=labels, class_count=class_count, split="unlabeled" if labels_path is None else "train")
+    ds = Dataset(images=images, labels=labels, class_count=class_count)
     ds.validate()
     return ds
 
@@ -187,8 +186,8 @@ def make_blob_images(n, classes, *, noise=0.1, seed=0, size=8, sharpness=1.1) ->
 
 
 def split_dataset(ds: Dataset, train_n: int) -> tuple[Dataset, Dataset]:
-    tr = replace(ds, images=ds.images[:train_n], labels=ds.labels[:train_n], split="train")
-    te = replace(ds, images=ds.images[train_n:], labels=ds.labels[train_n:], split="test")
+    tr = replace(ds, images=ds.images[:train_n], labels=ds.labels[:train_n])
+    te = replace(ds, images=ds.images[train_n:], labels=ds.labels[train_n:])
     return tr, te
 
 

@@ -52,7 +52,6 @@ class MemberTrainSpec:
     optimizer: str = "adam"
     lr: float = 1e-3
     clip_weights: bool = True
-    patience: int | None = None
 
 
 @dataclass
@@ -134,7 +133,6 @@ def train_member(
         eval_images=eval_images,
         eval_labels=eval_labels,
         clip_weights=spec.clip_weights,
-        patience=spec.patience,
         epoch_callback=epoch_callback,
     )
     return net, hist

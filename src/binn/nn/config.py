@@ -54,12 +54,6 @@ class LayerSpec:
     kind: str
     params: tuple  # ((name, value), ...) in schema order
 
-    def get(self, name, default=None):
-        for k, v in self.params:
-            if k == name:
-                return v
-        return default
-
 
 @dataclass(frozen=True)
 class NetworkConfig:

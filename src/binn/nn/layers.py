@@ -8,7 +8,9 @@ float BLAS; for +/-1 inputs and weights it is the exact integer product
 times the scale, equal bit for bit to the packed XNOR kernels, which serve
 export, packed reload and ``scaled_binary_forward``. Gradients reach the
 shadow weights straight through; activation binarization backpropagates
-with the |x| <= 1 straight-through mask.
+with the |x| <= 1 straight-through mask. Conv and pooling read one padded
+window view (``bitcore._windows``) and send gradients back through one
+scatter-add over the window offsets (``_scatter_windows``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ class ForwardContext:
     surrogate: bool = False
     bn_batch_stats: bool = False
     rng: np.random.Generator | None = None
-    debug: bool = False
 
 
 class Param:
@@ -146,9 +147,6 @@ class _WeightedLayer(Layer):
             out["b"] = self.b
         return out
 
-    def buffers(self):
-        return {"scale": self.scale} if self.weight_bits == 1 else {}
-
     @property
     def fan_in(self) -> int:
         return int(self.w.value[0].size)
@@ -238,17 +236,17 @@ class Linear(_WeightedLayer):
         return dx.reshape(self._orig_shape)
 
 
-def _col2im(dcols, b, c, h, w, k, stride, padding, ho, wo, dtype):
-    """Scatter-add patch gradients back to the (unpadded) input."""
-    hp, wp = h + 2 * padding, w + 2 * padding
-    dx = np.zeros((b, c, hp, wp), dtype=dtype)
-    d6 = dcols.reshape(b, ho, wo, c, k, k).transpose(0, 3, 4, 5, 1, 2)
+def _scatter_windows(grad_at, in_shape, k, stride, padding, dtype):
+    """Scatter-add window gradients back onto the unpadded [B, C, H, W] input;
+    ``grad_at(i, j)`` is the [B, C, H', W'] gradient at window offset (i, j)."""
+    b, c, h, w = in_shape
+    p, s = padding, stride
+    dx = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=dtype)
     for i in range(k):
         for j in range(k):
-            dx[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += d6[:, :, i, j]
-    if padding:
-        dx = dx[:, :, padding : padding + h, padding : padding + w]
-    return dx
+            g = grad_at(i, j)
+            dx[:, :, i : i + s * g.shape[2] : s, j : j + s * g.shape[3] : s] += g
+    return dx[:, :, p : p + h, p : p + w]
 
 
 class Conv2d(_WeightedLayer):
@@ -290,7 +288,6 @@ class Conv2d(_WeightedLayer):
     def forward(self, x, ctx):
         xq = quantize_activation(x, self.act_bits, ctx.surrogate)
         self._xin, self._xq = x, xq
-        self._bhw = x.shape
         cols, ho, wo = bitcore._im2col(xq, self.kernel, self.stride, self.padding, self.pad_value)
         # the [B, F, H', W'] view of the product, not a contiguous copy: batchnorm
         # reduces in memory order, so the layout fixes its rounding
@@ -298,8 +295,7 @@ class Conv2d(_WeightedLayer):
         return y.transpose(0, 3, 1, 2)
 
     def backward(self, dy):
-        b, c, h, w = self._bhw
-        _, f, ho, wo = dy.shape
+        b, f, ho, wo = dy.shape
         k = self.kernel
         dy_cols = dy.transpose(0, 2, 3, 1).reshape(b * ho * wo, f)
         cols, _, _ = bitcore._im2col(self._xq, k, self.stride, self.padding, self.pad_value)
@@ -307,8 +303,9 @@ class Conv2d(_WeightedLayer):
         self.w.add_grad((dy_cols.T @ cols).reshape(self.w.value.shape))
         if self.b is not None:
             self.b.add_grad(dy.sum(axis=(0, 2, 3)))
-        dcols = dy_cols @ w_eff
-        dxq = _col2im(dcols, b, c, h, w, k, self.stride, self.padding, ho, wo, dy.dtype)
+        d6 = (dy_cols @ w_eff).reshape(b, ho, wo, -1, k, k).transpose(0, 3, 4, 5, 1, 2)
+        dxq = _scatter_windows(lambda i, j: d6[:, :, i, j], self._xin.shape, k, self.stride,
+                               self.padding, dy.dtype)
         return dxq if self.act_bits == 32 else ste_backward(dxq, self._xin)
 
 
@@ -428,61 +425,38 @@ class _Pool(Layer):
         return (c, ho, wo)
 
     def _windows(self, x, pad_value):
-        k, s, p = self.kernel, self.stride, self.padding
-        if p:
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=pad_value)
-        win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-        return win[:, :, ::s, ::s]  # [B, C, H', W', k, k]
+        self._in_shape = x.shape  # for the backward scatter
+        return bitcore._windows(x, self.kernel, self.stride, self.padding, pad_value)
+
+    def _scatter(self, grad_at, dtype):
+        return _scatter_windows(grad_at, self._in_shape, self.kernel, self.stride, self.padding, dtype)
 
 
 class MaxPool(_Pool):
     kind = "maxpool"
 
     def forward(self, x, ctx):
-        self._in_hw = x.shape[2:]
         win = self._windows(x, pad_value=-np.inf)
-        b, c, ho, wo = win.shape[:4]
-        flat = win.reshape(b, c, ho, wo, -1)
+        flat = win.reshape(win.shape[:4] + (-1,))
         self._arg = flat.argmax(axis=-1)
-        self._dims = (b, c, ho, wo)
         return flat.max(axis=-1)
 
     def backward(self, dy):
-        b, c, ho, wo = self._dims
-        h, w = self._in_hw
-        k, s, p = self.kernel, self.stride, self.padding
-        dx = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=dy.dtype)
-        for i in range(k):
-            for j in range(k):
-                sel = self._arg == (i * k + j)
-                dx[:, :, i : i + s * ho : s, j : j + s * wo : s] += dy * sel
-        if p:
-            dx = dx[:, :, p : p + h, p : p + w]
-        return dx
+        k = self.kernel
+        return self._scatter(lambda i, j: dy * (self._arg == (i * k + j)), dy.dtype)
 
 
 class AvgPool(_Pool):
     kind = "avgpool"
 
     def forward(self, x, ctx):
-        self._in_hw = x.shape[2:]
         win = self._windows(x, pad_value=0.0)
-        self._dims = win.shape[:4]
         # divisor includes padding, matching the zero-pad convention
         return win.mean(axis=(-2, -1))
 
     def backward(self, dy):
-        b, c, ho, wo = self._dims
-        h, w = self._in_hw
-        k, s, p = self.kernel, self.stride, self.padding
-        share = dy / (k * k)
-        dx = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=dy.dtype)
-        for i in range(k):
-            for j in range(k):
-                dx[:, :, i : i + s * ho : s, j : j + s * wo : s] += share
-        if p:
-            dx = dx[:, :, p : p + h, p : p + w]
-        return dx
+        share = dy / (self.kernel * self.kernel)
+        return self._scatter(lambda i, j: share, dy.dtype)
 
 
 class Dropout(Layer):

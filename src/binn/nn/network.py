@@ -8,8 +8,6 @@ from ..errors import NumericalError, ShapeError
 from . import layers as L
 from .config import NetworkConfig
 
-_BUILD_ORDER = ("w", "b", "gamma", "beta")
-
 
 def _build_layer(spec, in_shape, rng, dtype, init):
     kind = spec.kind
@@ -69,7 +67,6 @@ class Network:
         self.config = config
         self.layers = net_layers
         self.dtype = dtype
-        self.classes = config.classes
 
     @classmethod
     def from_config(cls, config: NetworkConfig, seed=0, *, dtype=np.float32, init="kaiming"):
@@ -97,10 +94,9 @@ class Network:
     # ------------------------------------------------------------- forward
 
     def forward(self, x, *, train=False, surrogate=False, bn_batch_stats=False,
-                rng=None, debug=False) -> np.ndarray:
+                rng=None) -> np.ndarray:
         ctx = L.ForwardContext(
-            train=train, surrogate=surrogate, bn_batch_stats=bn_batch_stats,
-            rng=rng, debug=debug,
+            train=train, surrogate=surrogate, bn_batch_stats=bn_batch_stats, rng=rng,
         )
         x = np.asarray(x, dtype=self.dtype)
         for lay in self.layers:
@@ -122,8 +118,6 @@ class Network:
                     raise
                 raise NumericalError(f"non-finite values at the binarization in layer "
                                      f"{lay.index} ({lay.kind})") from None
-            if debug and not np.isfinite(x).all():
-                raise NumericalError(f"non-finite activations after layer {lay.index} ({lay.kind})")
         return x
 
     def predict_proba(self, x, **kw) -> np.ndarray:
@@ -155,48 +149,56 @@ class Network:
         for p in self.parameters():
             p.grad = None
 
-    def clip_binary_shadows(self, lo=-1.0, hi=1.0):
-        """Clip shadow weights of sub-32-bit layers into the binarization range."""
+    def clip_binary_shadows(self):
+        """Clip shadow weights of sub-32-bit layers into [-1, 1]."""
         for lay in self.layers:
             if getattr(lay, "weight_bits", 32) < 32:
-                np.clip(lay.w.value, lo, hi, out=lay.w.value)
+                np.clip(lay.w.value, -1.0, 1.0, out=lay.w.value)
 
     def binary_layers(self):
         return [l for l in self.layers if getattr(l, "weight_bits", 32) == 1]
 
     # --------------------------------------------------------------- state
 
+    def _state(self):
+        """(name, layer, shape, stored array) of every checkpointed item, in
+        order: params, buffers, then a 1-bit layer's ``scale``, which is derived
+        from the weights (one per filter) and so has no stored array (None)."""
+        for lay in self.layers:
+            stored = {k: p.value for k, p in lay.params().items()}
+            stored.update(lay.buffers())
+            for key, arr in stored.items():
+                yield f"layer{lay.index:03d}.{key}", lay, arr.shape, arr
+            if getattr(lay, "weight_bits", 32) == 1:
+                yield f"layer{lay.index:03d}.scale", lay, lay.w.value.shape[:1], None
+
     def state_items(self):
         """Deterministically ordered (name, array) pairs for checkpointing."""
-        items = []
-        for lay in self.layers:
-            named = {}
-            named.update({k: p.value for k, p in lay.params().items()})
-            named.update(lay.buffers().items())
-            for key in sorted(named, key=lambda k: (_BUILD_ORDER.index(k) if k in _BUILD_ORDER else 9, k)):
-                items.append((f"layer{lay.index:03d}.{key}", named[key]))
-        return items
+        return [(name, lay.scale if arr is None else arr) for name, lay, _, arr in self._state()]
 
     def load_state_items(self, items: dict):
-        expected = dict(self.state_items())
-        if set(items) != set(expected):
-            missing = sorted(set(expected) - set(items))
-            extra = sorted(set(items) - set(expected))
+        """Copy params and buffers in; a stored 1-bit ``scale`` is shape-checked
+        but not read, since the forward derives it from the weights."""
+        state = list(self._state())
+        expected = {name for name, *_ in state}
+        if set(items) != expected:
+            missing = sorted(expected - set(items))
+            extra = sorted(set(items) - expected)
             raise ShapeError(f"state mismatch; missing={missing} extra={extra}")
-        for name, want in expected.items():
+        for name, _, shape, _ in state:
             got = items[name]
-            if not isinstance(got, np.ndarray) or got.shape != want.shape:
-                raise ShapeError(f"{name}: expected an array of shape {want.shape}, got "
+            if not isinstance(got, np.ndarray) or got.shape != shape:
+                raise ShapeError(f"{name}: expected an array of shape {shape}, got "
                                  f"{type(got).__name__} of shape {np.shape(got)}")
-        for lay in self.layers:
-            for key, p in lay.params().items():
-                p.value = items[f"layer{lay.index:03d}.{key}"].astype(self.dtype)
-            for key, buf in lay.buffers().items():
-                np.copyto(buf, items[f"layer{lay.index:03d}.{key}"])
+        for name, _, _, arr in state:
+            if arr is not None:
+                np.copyto(arr, items[name])
 
     def clone(self) -> "Network":
         dup = Network.from_config(self.config, seed=0, dtype=self.dtype, init="zeros")
-        dup.load_state_items(dict(self.state_items()))
+        for (*_, src), (*_, dst) in zip(self._state(), dup._state()):
+            if dst is not None:
+                np.copyto(dst, src)
         return dup
 
 
@@ -207,21 +209,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def cross_entropy_grad(probs, labels, sample_weights=None):
-    """Weighted softmax cross-entropy and its logit gradient.
-
-    Per-example weights are normalized to sum to 1 over the batch, so
-    uniform weights reproduce the plain mean loss exactly.
-    """
+def cross_entropy_grad(probs, labels):
+    """Mean softmax cross-entropy over the batch and its logit gradient."""
     n = len(labels)
-    if sample_weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(sample_weights, dtype=np.float64)
-        total = w.sum()
-        if total <= 0:
-            raise ValueError("sample weights sum to zero")
-        w = w / total
+    w = np.full(n, 1.0 / n)  # 1/n weights, not .mean(), which rounds differently
     picked = probs[np.arange(n), labels]
     loss = float(-(w * np.log(np.maximum(picked, 1e-300))).sum())
     dlogits = probs.copy()

