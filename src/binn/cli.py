@@ -46,6 +46,7 @@ def _checked(parse, ok, what):
 
 
 _POSITIVE_INT = _checked(int, lambda k: k >= 1, "an integer >= 1")
+_SAMPLE_COUNT = _checked(int, lambda k: k >= 2, "an integer >= 2")  # a variance needs two
 _POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _SIGMA2_LIST = _checked(lambda t: [float(v) for v in t.split(",")],
                         lambda v: all(s == 0 or 1e-6 <= s <= 10 for s in v),
@@ -318,9 +319,10 @@ def cmd_analyze_theorem1(args):
     for name, st in rep.regimes.items():
         rows.append(("regime", name, st.measured, st.stderr,
                      st.predicted, st.rel_err, int(st.rel_err <= rep.rel_tol)))
-    for k, st in rep.bagged.items():
+    for k, st in rep.bagged.items():  # nan ratio: no single-model variance to shrink
+        ok = st.rel_err <= rep.rel_tol and math.isfinite(rep.bagging_ratio[k])
         rows.append((f"bagged_k{k}", "both_bin", st.measured, st.stderr,
-                     st.predicted, st.rel_err, int(st.rel_err <= rep.rel_tol)))
+                     st.predicted, st.rel_err, int(ok)))
     for name, val in rep.thresholds.items():
         rows.append(("threshold", name, val, "", "", "", ""))
     for c in rep.threshold_checks:
@@ -436,7 +438,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma-w", type=_POSITIVE_FLOAT, default=1.0)
     p.add_argument("--sigma", type=_POSITIVE_FLOAT, default=0.1)
     p.add_argument("--k-values", type=_POSITIVE_INT_LIST, default="2,4,8,16")
-    p.add_argument("--trials", type=_POSITIVE_INT, default=100_000)
+    p.add_argument("--trials", type=_SAMPLE_COUNT, default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_theorem1)

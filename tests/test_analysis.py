@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,74 @@ def test_theorem1_rejects_bad_params():
         analysis.verify_theorem1(0, 1.0, 0.5)
     with pytest.raises(ValueError):
         analysis.verify_theorem1(16, -1.0, 0.5)
+    with pytest.raises(ValueError, match="trials"):
+        analysis.verify_theorem1(16, 1.0, 0.5, trials=1)
+
+
+def test_theorem1_zero_single_variance_gives_nan_ratio():
+    # fan-in 1 at sigma 0.1: both trials' sign flips are 0, so both_bin measures 0
+    with pytest.warns(UserWarning, match="widening"):
+        rep = analysis.verify_theorem1(1, 1.0, 0.1, k_values=(2, 4), trials=2, seed=0)
+    assert rep.regimes["both_bin"].measured == 0.0
+    assert all(math.isnan(r) for r in rep.bagging_ratio.values())
+
+
+def test_theorem1_theorem2_golden_bits():
+    # frozen from the all-at-once implementation: drawing in sub-blocks and
+    # reducing with matmul must not move a bit. Neither trial count is a
+    # multiple of the chunk or of any sub-block size.
+    rep = analysis.verify_theorem1(100, 0.8, 0.5, k_values=(3, 5), trials=9000, seed=4)
+    got = [repr(st) for st in rep.regimes.values()]
+    got += [repr(st) for st in rep.bagged.values()] + [repr(r) for r in rep.bagging_ratio.values()]
+    assert got == [
+        "RegimeStat(measured=16.15732865674885, stderr=0.24375651098433873, "
+        "predicted=16.000000000000004)",
+        "RegimeStat(measured=38.41454290409176, stderr=0.5987743602509383, "
+        "predicted=37.78140611851091)",
+        "RegimeStat(measured=24.807554673873693, stderr=0.36580677034521786, predicted=25.0)",
+        "RegimeStat(measured=60.298741292242354, stderr=0.8928552752035346, "
+        "predicted=59.03344706017328)",
+        "RegimeStat(measured=19.692949142497316, stderr=0.29534942414755583, "
+        "predicted=19.677815686724426)",
+        "RegimeStat(measured=11.777851131113334, stderr=0.1848023332923172, "
+        "predicted=11.806689412034656)",
+        "0.9797691653489399",
+        "0.9766249575618087",
+    ]
+    rep = analysis.verify_theorem2((20, 7, 1), 0.7, 0.3, trials=1500, inner=40, seed=2)
+    assert {k: repr(v) for k, v in rep.regimes.items()} == {
+        "real": "{'bound': 3.0252599999999994, 'mean_measured': 1.4768286590894353, "
+                "'satisfied_fraction': 0.9146666666666666, 'satisfied_se': 0.007213485313658744}",
+        "act_bin": "{'bound': 12.473964348476946, 'mean_measured': 2.4979543018310726, "
+                   "'satisfied_fraction': 0.9993333333333333, "
+                   "'satisfied_se': 0.0006664444073950753}",
+        "weight_bin": "{'bound': 12.6, 'mean_measured': 5.8362824452255575, "
+                      "'satisfied_fraction': 0.9993333333333333, "
+                      "'satisfied_se': 0.0006664444073950753}",
+        "both_bin": "{'bound': 51.95320428353581, 'mean_measured': 4.987733333333334, "
+                    "'satisfied_fraction': 1.0, 'satisfied_se': 0.0}",
+    }
+
+
+def _traced_peak_mb(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_theorem_monte_carlo_memory_is_bounded():
+    # one (4096, 16, 256) float64 draw alone is 134 MB; sub-blocks keep the
+    # temporaries at a few MB each whatever K is
+    with pytest.warns(UserWarning, match="widening"):
+        peak = _traced_peak_mb(analysis.verify_theorem1, 256, 1.0, 0.1,
+                               k_values=(16,), trials=4096, seed=0)
+    assert peak < 100, peak
+    peak = _traced_peak_mb(analysis.verify_theorem2, (64, 64, 1), 1.0, 1.0,
+                           trials=1000, inner=128, seed=0)
+    assert peak < 80, peak
 
 
 # ------------------------------------------------------------- theorem 2

@@ -221,6 +221,13 @@ def test_analyze_theorem_commands_quick(tmp_path):
     regime_rows = [r for r in rows[1:] if r[0] == "regime"]
     assert len(regime_rows) == 4 and all(r[6] == "1" for r in regime_rows)
 
+    out0 = tmp_path / "t1-zero"  # both_bin measures 0: no bagging ratio to check
+    with pytest.warns(UserWarning, match="widening"):
+        rc = main(["analyze", "theorem1", "--fan-in", "1", "--k-values", "2,4", "--trials", "2",
+                   "--seed", "0", "--out", str(out0)])
+    assert rc == 0
+    assert [r[6] for r in read_csv(out0 / "theorem1.csv") if r[0].startswith("bagged")] == ["0", "0"]
+
     out2 = tmp_path / "t2"
     rc = main(["analyze", "theorem2", "--widths", "32,32,1", "--trials", "400",
                "--inner", "64", "--seed", "0", "--out", str(out2)])
@@ -345,12 +352,15 @@ def cli_paths(tmp_path_factory):
     (["train", "--config", "{cfg}", "--seed", "0", "--image-size", "-1"], 1, "--image-size"),
     (["train", "--config", "{ab-cfg}", "--seed", "0", "--data-n", "200", "--epochs", "2",
       "--lr", "1e38"], 3, "binarization"),
+    (["analyze", "theorem1", "--trials", "1", "--seed", "0"], 1, "--trials"),
+    (["analyze", "theorem1", "--fan-in", "1", "--trials", "2", "--seed", "0"], 0,
+     "2 trials is small"),
 ], ids=["sigma2-text", "k-values-text", "widths-empty", "sigmas-semicolon", "k-zero",
         "eval-train-frac-1", "train-train-frac-0", "missing-member", "manifest-no-alphas",
         "empty-train-split", "sigmas-negative", "theorem1-trials-0", "widths-two",
         "pbin-missing-section", "sigma2-out-of-range", "fan-in-0", "batch-size-0",
         "epochs-negative", "lr-negative", "lr-nan", "image-size-negative",
-        "binary-net-diverges"])
+        "binary-net-diverges", "theorem1-trials-1", "theorem1-zero-variance"])
 def test_malformed_invocations_exit_cleanly(tmp_path, cli_paths, argv, code, flag):
     out = _run_cli([cli_paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")])
     assert out.returncode == code, out.stderr
