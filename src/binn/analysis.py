@@ -28,6 +28,7 @@ from .nn.network import Network, softmax
 
 _CHUNK = 4096
 _BLOCK_VALUES = _CHUNK * 64  # float64 values per sub-block temporary (2 MB)
+_MAX_WIDENED_TOL = 0.5  # a widened tolerance never passes a 100% error
 
 
 @dataclass(frozen=True)
@@ -203,10 +204,11 @@ def verify_theorem1(
     if trials < 2:
         raise ValueError(f"trials must be >= 2 to measure a variance, got {trials}")
     if trials < 10_000:
-        widened = max(rel_tol, 3.0 * math.sqrt(2.0 / trials))
+        widened = max(rel_tol, min(3.0 * math.sqrt(2.0 / trials), _MAX_WIDENED_TOL))
         if widened > rel_tol:
             warnings.warn(
-                f"{trials} trials is small for rel_tol={rel_tol}; widening to {widened:.3f}"
+                f"{trials} trials is small for rel_tol={rel_tol}; widening to {widened:.3f} "
+                f"(3 sqrt(2/trials), at most {_MAX_WIDENED_TOL})"
             )
             rel_tol = widened
 

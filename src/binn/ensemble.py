@@ -171,12 +171,15 @@ def adaboost_round(current_u: SampleWeights, member_predictions, labels, class_c
 
 
 def _ensemble_epoch_tracker(trained, images, labels, record):
-    """Callback factory: test accuracy of completed members + the live one."""
+    """Callback factory: test accuracy of completed members + the live one.
+
+    ``trained`` holds the completed members' softmax outputs on ``images``,
+    each computed once when its member was kept."""
 
     def cb(epoch, net, hist):
         probs = softmax(net.forward(images))
-        for m in trained:
-            probs = probs + softmax(m.forward(images))
+        for p in trained:
+            probs = probs + p
         acc = float((probs.argmax(axis=1) == labels).mean())
         record.append(acc)
 
@@ -206,11 +209,14 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
     histories = []
     rounds = []
     ensemble_acc = []
+    track = track_ensemble_accuracy and eval_images is not None
+    member_eval_probs = []
     prev = None
     for ki in range(k):
         cb = None
-        if track_ensemble_accuracy and eval_images is not None:
-            cb = _ensemble_epoch_tracker(members, eval_images, eval_labels, ensemble_acc)
+        if track:
+            cb = _ensemble_epoch_tracker(member_eval_probs, eval_images, eval_labels,
+                                         ensemble_acc)
         kw = dict(
             config=config, images=images, labels=labels, u=u,
             seed_seq=member_seed(seed, ki), spec=spec,
@@ -236,6 +242,8 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
         members.append(net)
         alphas.append(alpha)
         seeds_used.append(seed_used)
+        if track:
+            member_eval_probs.append(softmax(net.forward(eval_images)))
     if not members:
         raise EnsembleError(
             f"all {k} boosting members rejected (errors >= chance); rounds: {rounds}"

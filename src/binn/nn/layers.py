@@ -51,17 +51,21 @@ class Param:
 
     def add_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            self.grad = g + 0.0  # a fresh zeros + g, -0.0 included
+        else:
+            self.grad += g
 
 
 def sign_binarize(x: np.ndarray) -> np.ndarray:
-    """Elementwise deterministic binarization, Sign(0) = +1."""
+    """Elementwise deterministic binarization, Sign(0) = Sign(-0.0) = +1, in
+    the input's float dtype (float32 for other input); ValueError on NaN or inf."""
     arr = np.asarray(x)
-    if arr.size and not np.isfinite(arr).all():
+    # a finite sum means every element is finite; a finite array whose sum
+    # overflows takes the elementwise check
+    if not np.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
         raise ValueError("non-finite input to binarization")
-    dtype = arr.dtype if arr.dtype.kind == "f" else np.float32
-    return np.where(arr >= 0, 1, -1).astype(dtype)
+    dtype = arr.dtype if arr.dtype.kind == "f" else np.dtype(np.float32)
+    return np.where(arr >= 0, dtype.type(1), dtype.type(-1))
 
 
 def ste_backward(upstream_grad: np.ndarray, x_at_forward: np.ndarray) -> np.ndarray:
@@ -159,7 +163,9 @@ class _WeightedLayer(Layer):
     def refresh(self) -> np.ndarray:
         """Per-filter mean |W| of the shadow weights, in the layer dtype."""
         w2 = self.w.value.reshape(self.w.value.shape[0], -1)
-        return np.abs(w2).mean(axis=1, dtype=np.float64).astype(self.dtype)
+        # the float64 sum and divide of np.mean, without its wrapper
+        total = np.add.reduce(np.abs(w2), axis=1, dtype=np.float64)
+        return (total / w2.shape[1]).astype(self.dtype)
 
     @property
     def packed_weights(self) -> bitcore.PackedBitTensor:
@@ -176,18 +182,30 @@ class _WeightedLayer(Layer):
         return quantize_k_bit(self.w.value, self.weight_bits)
 
     def _product(self, cols, ctx):
-        """Input rows [N, fan_in] times the effective weights, plus bias: [N, out]."""
-        self._scale = scale = self.scale  # backward reuses it
+        """Input rows [N, fan_in] times the effective weights, plus bias: [N, out].
+
+        Keeps the weight matrix it multiplied by, and the scale, for backward."""
+        self._scale = scale = self.scale
         w2 = self.w.value.reshape(self.w.value.shape[0], -1)
-        if self.weight_bits == 1 and self.act_bits == 1 and not ctx.surrogate:
+        self._signs_only = self.weight_bits == 1 and self.act_bits == 1 and not ctx.surrogate
+        if self._signs_only:
             # sums of +/-1 are exact integers in float32 while fan_in < 2**24,
             # so this equals the packed XNOR product times the scale
-            y = (cols @ sign_binarize(w2).T) * scale
+            self._wmat = sign_binarize(w2)
+            y = (cols @ self._wmat.T) * scale
         else:
-            y = cols @ self.effective_weight(scale).reshape(w2.shape).T
+            self._wmat = self.effective_weight(scale).reshape(w2.shape)
+            y = cols @ self._wmat.T
         if self.b is not None:
             y = y + self.b.value
         return y
+
+    def _backward_weight(self) -> np.ndarray:
+        """The forward's effective weights as an [out, fan_in] matrix; the
+        +/-1 product is scaled here, so eval forwards skip the scaling."""
+        if self._signs_only:
+            return self._wmat * self._scale.reshape(-1, 1)
+        return self._wmat
 
     @property
     def pad_value(self) -> float:
@@ -227,7 +245,7 @@ class Linear(_WeightedLayer):
         return self._product(xq, ctx)
 
     def backward(self, dy):
-        w_eff = self.effective_weight(self._scale)
+        w_eff = self._backward_weight()
         self.w.add_grad(dy.T @ self._xq)
         if self.b is not None:
             self.b.add_grad(dy.sum(axis=0))
@@ -299,7 +317,7 @@ class Conv2d(_WeightedLayer):
         k = self.kernel
         dy_cols = dy.transpose(0, 2, 3, 1).reshape(b * ho * wo, f)
         cols, _, _ = bitcore._im2col(self._xq, k, self.stride, self.padding, self.pad_value)
-        w_eff = self.effective_weight(self._scale).reshape(f, -1)
+        w_eff = self._backward_weight()
         self.w.add_grad((dy_cols.T @ cols).reshape(self.w.value.shape))
         if self.b is not None:
             self.b.add_grad(dy.sum(axis=(0, 2, 3)))
@@ -335,8 +353,9 @@ class BatchNorm(Layer):
         axes = tuple(i for i in range(x.ndim) if i != 1)
         use_batch = ctx.train or ctx.bn_batch_stats
         if use_batch:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            mean = x.mean(axis=axes, keepdims=True)
+            var = x.var(axis=axes, mean=mean)  # np.var's own mean, computed once
+            mean = mean.reshape(self.num_features)
             if ctx.train:
                 n = x.size // self.num_features
                 unbiased = var * n / (n - 1) if n > 1 else var

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import NumericalError, ShapeError
@@ -67,6 +69,7 @@ class Network:
         self.config = config
         self.layers = net_layers
         self.dtype = dtype
+        self._params = [p for lay in net_layers for p in lay.params().values()]
 
     @classmethod
     def from_config(cls, config: NetworkConfig, seed=0, *, dtype=np.float32, init="kaiming"):
@@ -105,9 +108,9 @@ class Network:
                     f"layer {lay.index} ({lay.kind}): expected input {lay.in_shape}, "
                     f"got {x.shape[1:]}"
                 )
-            if lay.kind == "fc" and int(np.prod(x.shape[1:])) != int(np.prod(lay.in_shape)):
+            if lay.kind == "fc" and math.prod(x.shape[1:]) != lay.in_features:
                 raise ShapeError(
-                    f"layer {lay.index} (fc): expected {int(np.prod(lay.in_shape))} "
+                    f"layer {lay.index} (fc): expected {lay.in_features} "
                     f"features, got {x.shape[1:]}"
                 )
             try:
@@ -140,13 +143,10 @@ class Network:
     # ---------------------------------------------------------- bookkeeping
 
     def parameters(self):
-        out = []
-        for lay in self.layers:
-            out.extend(lay.params().values())
-        return out
+        return list(self._params)
 
     def zero_grad(self):
-        for p in self.parameters():
+        for p in self._params:
             p.grad = None
 
     def clip_binary_shadows(self):

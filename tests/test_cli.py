@@ -237,6 +237,18 @@ def test_analyze_theorem_commands_quick(tmp_path):
                        "satisfied_fraction", "satisfied_se", "ok"]
 
 
+def test_theorem1_few_trials_never_pass_a_full_error(tmp_path):
+    # 2 trials widen the tolerance, but only up to 0.5: a 100% error stays ok=0
+    out = tmp_path / "t1"
+    with pytest.warns(UserWarning, match="widening to 0.500"):
+        rc = main(["analyze", "theorem1", "--fan-in", "1", "--trials", "2", "--seed", "0",
+                   "--out", str(out)])
+    assert rc == 0
+    rows = [r for r in read_csv(out / "theorem1.csv")[1:] if r[5]]
+    assert any(float(r[5]) >= 1.0 for r in rows)
+    assert not [r for r in rows if float(r[5]) >= 1.0 and r[6] == "1"]
+
+
 def test_export_roundtrip_and_report(tmp_path):
     cfg = nn.mlp_config((1, 8, 8), [64], 4, variant="AB", batchnorm=False, bias=False)
     p = tmp_path / "ab.cfg"

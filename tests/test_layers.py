@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from binn import bitcore
 from binn import nn
@@ -31,6 +32,52 @@ def test_binarize_matches_bitcore_roundtrip():
 def test_binarize_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
         nn.sign_binarize(np.array([1.0, np.nan]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_binarize_edge_values():
+    tiny = np.finfo(np.float32).smallest_subnormal
+    x = np.array([0.0, -0.0, tiny, -tiny, 1.0, -1.0], dtype=np.float32)
+    assert nn.sign_binarize(x).tolist() == [1, 1, 1, -1, 1, -1]
+    big = np.full(8, 3e38, dtype=np.float32)  # finite, but the float32 sum overflows
+    assert np.array_equal(nn.sign_binarize(big), np.ones(8, np.float32))
+    assert np.array_equal(nn.sign_binarize(-big), -np.ones(8, np.float32))
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in (0, 7):
+            x = big.copy()
+            x[at] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                nn.sign_binarize(x)
+
+
+def _sign_elements(dtype):
+    if dtype.kind != "f":
+        return None
+    fi = np.finfo(dtype)
+    edges = [0.0, -0.0, float(fi.smallest_subnormal), -float(fi.smallest_subnormal),
+             float(fi.max), -float(fi.max)]
+    return st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=fi.bits),
+                     st.sampled_from(edges))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_binarize_property(data):
+    dtype = np.dtype(data.draw(st.sampled_from(
+        ["float16", "float32", "float64", "int8", "int64", "bool"])))
+    shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6))
+    x = data.draw(hnp.arrays(dtype, shape, elements=_sign_elements(dtype)))
+    if dtype.kind == "f" and x.size and data.draw(st.booleans()):
+        x.flat[data.draw(st.integers(0, x.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(ValueError, match="non-finite"):
+            nn.sign_binarize(x)
+        return
+    out_dtype = dtype if dtype.kind == "f" else np.dtype(np.float32)
+    got = nn.sign_binarize(x)
+    assert got.dtype == out_dtype and got.shape == x.shape
+    assert np.array_equal(got, np.where(x >= 0, 1, -1).astype(out_dtype))
 
 
 def test_ste_backward_examples():
