@@ -11,6 +11,14 @@ shadow weights straight through; activation binarization backpropagates
 with the |x| <= 1 straight-through mask. Conv and pooling read one padded
 window view (``bitcore._windows``) and send gradients back through one
 scatter-add over the window offsets (``_scatter_windows``).
+
+Memory and time go to full-size activations, so layers avoid copies that
+change no value: max pooling folds ``np.maximum`` over the window offsets
+instead of reducing a gathered copy of the windows; batchnorm writes each
+full-size step of its formulas into a buffer it already holds; conv
+rebuilds its patch matrix in backward rather than keeping it from forward
+(k*k times the input's size, held until the backward). No float operation
+or its order differs from the plain formulas.
 """
 
 from __future__ import annotations
@@ -65,7 +73,10 @@ def sign_binarize(x: np.ndarray) -> np.ndarray:
     if not np.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
         raise ValueError("non-finite input to binarization")
     dtype = arr.dtype if arr.dtype.kind == "f" else np.dtype(np.float32)
-    return np.where(arr >= 0, dtype.type(1), dtype.type(-1))
+    # 2 * [x >= 0] - 1 is exact; np.where with scalar branches is ~7x slower on large arrays
+    out = (arr >= 0) * dtype.type(2)
+    out -= dtype.type(1)
+    return out
 
 
 def ste_backward(upstream_grad: np.ndarray, x_at_forward: np.ndarray) -> np.ndarray:
@@ -192,12 +203,13 @@ class _WeightedLayer(Layer):
             # sums of +/-1 are exact integers in float32 while fan_in < 2**24,
             # so this equals the packed XNOR product times the scale
             self._wmat = sign_binarize(w2)
-            y = (cols @ self._wmat.T) * scale
+            y = cols @ self._wmat.T
+            y *= scale
         else:
             self._wmat = self.effective_weight(scale).reshape(w2.shape)
             y = cols @ self._wmat.T
         if self.b is not None:
-            y = y + self.b.value
+            y += self.b.value
         return y
 
     def _backward_weight(self) -> np.ndarray:
@@ -316,14 +328,18 @@ class Conv2d(_WeightedLayer):
         b, f, ho, wo = dy.shape
         k = self.kernel
         dy_cols = dy.transpose(0, 2, 3, 1).reshape(b * ho * wo, f)
-        cols, _, _ = bitcore._im2col(self._xq, k, self.stride, self.padding, self.pad_value)
-        w_eff = self._backward_weight()
+        # the patch matrix is rebuilt here and freed at once, not kept from forward
+        cols = bitcore._im2col(self._xq, k, self.stride, self.padding, self.pad_value)[0]
         self.w.add_grad((dy_cols.T @ cols).reshape(self.w.value.shape))
+        del cols
+        w_eff = self._backward_weight()
         if self.b is not None:
             self.b.add_grad(dy.sum(axis=(0, 2, 3)))
-        d6 = (dy_cols @ w_eff).reshape(b, ho, wo, -1, k, k).transpose(0, 3, 4, 5, 1, 2)
-        dxq = _scatter_windows(lambda i, j: d6[:, :, i, j], self._xin.shape, k, self.stride,
-                               self.padding, dy.dtype)
+        # the column gradient as [C, k, k, B, H', W']: each offset's slice is
+        # contiguous in H' and W', so the scatter-adds read it in order
+        d6 = (w_eff.T @ dy_cols.T).reshape(-1, k, k, b, ho, wo)
+        dxq = _scatter_windows(lambda i, j: d6[:, i, j].swapaxes(0, 1), self._xin.shape, k,
+                               self.stride, self.padding, dy.dtype)
         return dxq if self.act_bits == 32 else ste_backward(dxq, self._xin)
 
 
@@ -366,24 +382,36 @@ class BatchNorm(Layer):
             mean, var = self.running_mean, self.running_var
         bs = self._bshape(x.ndim)
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean.reshape(bs)) * inv.reshape(bs)
+        # (x - mean) * inv and gamma * xhat + beta in one full-size buffer each;
+        # a buffer takes x's memory layout, so later reductions sum in the same order
+        xhat = np.subtract(x, mean.reshape(bs))
+        xhat *= inv.reshape(bs)
         self._xhat, self._inv, self._axes = xhat, inv, axes
         self._batch_stats = use_batch
         self._n = x.size // self.num_features
-        return self.gamma.value.reshape(bs) * xhat + self.beta.value.reshape(bs)
+        y = np.multiply(self.gamma.value.reshape(bs), xhat)
+        y += self.beta.value.reshape(bs)
+        return y
 
     def backward(self, dy):
         bs = self._bshape(dy.ndim)
         xhat, inv, axes = self._xhat, self._inv, self._axes
-        self.gamma.add_grad((dy * xhat).sum(axis=axes))
+        prod = np.multiply(dy, xhat)
+        self.gamma.add_grad(prod.sum(axis=axes))
         self.beta.add_grad(dy.sum(axis=axes))
-        dxhat = dy * self.gamma.value.reshape(bs)
+        dxhat = np.multiply(dy, self.gamma.value.reshape(bs))
         if not self._batch_stats:
-            return dxhat * inv.reshape(bs)
+            dxhat *= inv.reshape(bs)
+            return dxhat
         n = self._n
         s1 = dxhat.sum(axis=axes).reshape(bs)
-        s2 = (dxhat * xhat).sum(axis=axes).reshape(bs)
-        return (inv.reshape(bs) / n) * (n * dxhat - s1 - xhat * s2)
+        s2 = np.multiply(dxhat, xhat, out=prod).sum(axis=axes).reshape(bs)
+        # (inv / n) * (n * dxhat - s1 - xhat * s2), in two full-size buffers
+        dxhat *= n
+        dxhat -= s1
+        dxhat -= np.multiply(xhat, s2, out=prod)
+        dxhat *= inv.reshape(bs) / n
+        return dxhat
 
 
 class ReLU(Layer):
@@ -456,9 +484,19 @@ class MaxPool(_Pool):
 
     def forward(self, x, ctx):
         win = self._windows(x, pad_value=-np.inf)
-        flat = win.reshape(win.shape[:4] + (-1,))
-        self._arg = flat.argmax(axis=-1)
-        return flat.max(axis=-1)
+        k = self.kernel
+        # fold the window offsets instead of reducing a gathered copy of the windows
+        m = win[..., 0, 0].copy()
+        for off in range(1, k * k):
+            np.maximum(m, win[..., off // k, off % k], out=m)
+        # argmax's choice: the first offset holding the maximum, or the first NaN
+        nan = np.isnan(m).any()
+        arg = np.zeros(m.shape, np.min_scalar_type(k * k - 1))
+        for off in reversed(range(k * k)):
+            w = win[..., off // k, off % k]
+            np.copyto(arg, off, where=((w == m) | np.isnan(w)) if nan else w == m)
+        self._arg = arg
+        return m
 
     def backward(self, dy):
         k = self.kernel
@@ -492,8 +530,9 @@ class Dropout(Layer):
             return x
         if ctx.rng is None:
             raise ValueError("dropout in training mode needs an rng for determinism")
-        keep = (ctx.rng.random(x.shape) >= self.p).astype(x.dtype)
-        self._scaled_mask = keep / (1.0 - self.p)
+        # the bool keep mask times 1 / (1 - p) in the input dtype: one operator
+        scale = x.dtype.type(1) / (1.0 - self.p)
+        self._scaled_mask = (ctx.rng.random(x.shape) >= self.p) * scale
         return x * self._scaled_mask
 
     def backward(self, dy):

@@ -132,12 +132,13 @@ class Network:
     # ------------------------------------------------------------ backward
 
     def backward(self, dlogits) -> np.ndarray:
-        """Accumulate parameter grads; returns the gradient w.r.t. the input."""
+        """Accumulate parameter grads; returns the gradient w.r.t. the input.
+
+        Keeps no per-layer input gradient: each is freed once the layer below
+        has used it, so none outlives the call into the next forward."""
         dy = np.asarray(dlogits, dtype=self.dtype)
-        self.last_input_grads = [None] * len(self.layers)
         for lay in reversed(self.layers):
             dy = lay.backward(dy)
-            self.last_input_grads[lay.index] = dy
         return dy
 
     # ---------------------------------------------------------- bookkeeping

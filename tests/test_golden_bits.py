@@ -1,9 +1,11 @@
 """Golden training bits.
 
-SHA-256 digests of the checkpoint bytes after a few optimizer steps, and of
-the ``metrics.csv`` of a tracked bag-3 and boost-3 ``ensemble train``. A
-speed-up of the training step must leave them unchanged; any change to a
-float operation of the step, or to its order, changes them.
+SHA-256 digests of the checkpoint bytes after a few optimizer steps, of the
+``metrics.csv`` of a tracked bag-3 and boost-3 ``ensemble train``, and, for
+the NIN, of the eval-mode logits and of ``Network.backward``'s input
+gradient after a train-mode and an eval-mode forward. A speed-up of the
+training step must leave them unchanged; any change to a float operation of
+the step, or to its order, changes them.
 """
 
 import hashlib
@@ -38,6 +40,19 @@ GOLDEN_STEPS = {
     ("nin", "DNN", "sgd"): "eaff7a34a05f8b1f048a512a432d599413906716330b03167dbce83e6703bcde",
 }
 
+GOLDEN_NIN = {
+    "AB": {
+        "eval_logits": "35c30731969c1fffde8c50fb2bd3227a93a825bda3884d72ebcff684c0293910",
+        "train_input_grad": "097a3455335fd93b97883e7c7d884c2f1d7bf8dbb7db40e54ad5ad118148d693",
+        "eval_input_grad": "d95d3f50a9e1f498d674fac1ceca4572bb2fc2de09ef5aec2cb8846846bdb431",
+    },
+    "DNN": {
+        "eval_logits": "7e32d4a5de40d7ca755cd06b66d3dd3d6f1d270eaf2667e0bfab714911afaabd",
+        "train_input_grad": "1482bff27fa8f3a4a154778f20c25fab3231cebbaa2f8a50a4d537f9a9b7269c",
+        "eval_input_grad": "0c170c18881a570269fd486ac9567e2fd2d938e14dcf85082347818e041b6cb8",
+    },
+}
+
 GOLDEN_METRICS = {
     "bag": "12ebbdf2fc46010b75c30e8c4cc82b644d46b46c48a127b030a0d02b17b5a5a9",
     "boost": "456796389499049451defa42141a789d29a621592c9cd5dbe11af3d03724af7b",
@@ -48,7 +63,7 @@ CASES = [("mlp", v, o) for v in VARIANTS for o in ("adam", "sgd")] + [
 ]
 
 
-def _checkpoint_after_steps(arch, variant, opt_name):
+def _net_after_steps(arch, variant, opt_name):
     if arch == "mlp":
         cfg = mlp_config((1, 8, 8), [16], 4, variant=variant)
         pool, batch = 96, 32
@@ -63,13 +78,32 @@ def _checkpoint_after_steps(arch, variant, opt_name):
     for _ in range(STEPS):
         idx = rng.choice(pool, batch, replace=False)
         nn.backward_and_step(net, x[idx], y[idx], opt, rng=rng)
-    return hashlib.sha256(datio.checkpoint_bytes(net)).hexdigest()
+    return net, x, y, rng
+
+
+def _sha(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("arch,variant,opt_name", CASES)
 def test_checkpoint_bits_after_steps(arch, variant, opt_name):
-    got = _checkpoint_after_steps(arch, variant, opt_name)
+    net, *_ = _net_after_steps(arch, variant, opt_name)
+    got = hashlib.sha256(datio.checkpoint_bytes(net)).hexdigest()
     assert got == GOLDEN_STEPS[(arch, variant, opt_name)]
+
+
+@pytest.mark.parametrize("variant", ["AB", "DNN"])
+def test_nin_forward_and_input_grad_bits(variant):
+    net, x, y, rng = _net_after_steps("nin", variant, "adam")
+    got = {"eval_logits": _sha(net.forward(x))}
+    for mode, train in (("train", True), ("eval", False)):
+        probs = nn.softmax(net.forward(x, train=train, rng=rng))
+        _, dlogits = nn.cross_entropy_grad(probs, y)
+        net.zero_grad()
+        gx = net.backward(dlogits.astype(net.dtype))
+        assert gx.shape == x.shape and gx.dtype == np.float32
+        got[f"{mode}_input_grad"] = _sha(gx)
+    assert got == GOLDEN_NIN[variant]
 
 
 @pytest.mark.parametrize("strategy", ["bag", "boost"])

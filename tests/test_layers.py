@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 from binn import bitcore
 from binn import nn
 from binn.errors import ShapeError
-from binn.nn.layers import AvgPool, BatchNorm, Dropout, ForwardContext, MaxPool
+from binn.nn.layers import (AvgPool, BatchNorm, Dropout, ForwardContext, MaxPool,
+                            _scatter_windows)
 
 
 CTX = ForwardContext()
@@ -275,6 +276,47 @@ def test_maxpool_matches_naive():
                     assert y[b, c, i, j] == xp[b, c, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3].max()
 
 
+def _maxpool_oracle(x, k, s, p, dy):
+    """Max pooling as a reshape of the windows, max and argmax over the last axis."""
+    win = bitcore._windows(x, k, s, p, -np.inf)
+    flat = win.reshape(win.shape[:4] + (-1,))
+    arg = flat.argmax(axis=-1)
+    dx = _scatter_windows(lambda i, j: dy * (arg == i * k + j), x.shape, k, s, p, dy.dtype)
+    return flat.max(axis=-1), dx
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_maxpool_bits_equal_reshape_argmax_oracle(data):
+    dtype = np.dtype(data.draw(st.sampled_from(["float32", "float64"])))
+    k = data.draw(st.integers(2, 3))
+    s, p = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 1))
+    shape = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3)),
+             data.draw(st.integers(k, 7)), data.draw(st.integers(k, 7)))
+    # a few distinct values, so windows tie, plus signed zeros and -inf
+    ties = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -np.inf])
+    fi = np.finfo(dtype)
+    anyf = st.floats(allow_nan=False, allow_infinity=False, width=fi.bits)
+    x = data.draw(hnp.arrays(dtype, shape, elements=st.one_of(ties, anyf)))
+    if data.draw(st.booleans()):
+        x.flat[data.draw(st.integers(0, x.size - 1))] = np.nan
+    pool = MaxPool(k, s, p)
+    y = pool.forward(x, CTX)
+    dy = data.draw(hnp.arrays(dtype, y.shape, elements=st.floats(-4, 4, width=fi.bits)))
+    want_y, want_dx = _maxpool_oracle(x, k, s, p, dy)
+    # bit-equal up to the sign of a zero maximum: among tied -0.0 and +0.0 the
+    # fold keeps the last, while numpy's max reduction picks by its SIMD lane
+    # order (the same for float32 windows of 4 and 9 on AVX-512, not for float64
+    # windows of 9); adding +0.0 turns -0.0 into +0.0 and keeps every other bit
+    assert y.dtype == dtype and (y + 0.0).tobytes() == (want_y + 0.0).tobytes()
+    # a window holding a NaN gives a NaN output
+    win_nan = np.isnan(bitcore._windows(x, k, s, p, -np.inf)).any(axis=(-2, -1))
+    assert np.array_equal(np.isnan(y), win_nan)
+    dx = pool.backward(dy)
+    assert dx.shape == x.shape and dx.tobytes() == want_dx.tobytes()
+
+
 def test_avgpool_matches_naive_include_pad():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((1, 2, 6, 6)).astype(np.float32)
@@ -342,6 +384,16 @@ def test_dropout_train_eval():
     assert 0.3 < (y > 0).mean() < 0.7
     with pytest.raises(ValueError, match="rng"):
         d.forward(x, ForwardContext(train=True))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", [0.5, 0.3, 0.1])
+def test_dropout_mask_bits_equal_divided_keep_mask(dtype, p):
+    x = np.random.default_rng(14).standard_normal((8, 50)).astype(dtype)
+    y = Dropout(p).forward(x, ForwardContext(train=True, rng=np.random.default_rng(15)))
+    keep = (np.random.default_rng(15).random(x.shape) >= p).astype(dtype)
+    want = x * (keep / (1.0 - p))
+    assert y.dtype == dtype and y.tobytes() == want.tobytes()
 
 
 def test_packed_path_equals_dense_path():

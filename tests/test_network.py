@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from binn import datio, nn
 from binn.errors import NumericalError, ShapeError
-from binn.nn import mlp_config, parse_config, config_to_text
+from binn.nn import mlp_config, nin_config, parse_config, config_to_text
 from binn.nn.config import VARIANTS
 
 
@@ -147,12 +149,17 @@ def test_ste_gradient_exactly_zero_outside_unit_interval():
     probs = nn.softmax(logits)
     _, dlogits = nn.cross_entropy_grad(probs, y)
     net.zero_grad()
-    gx = net.backward(dlogits.astype(np.float32))
+    # walk the layers by hand to see every layer's input gradient
+    g = dlogits.astype(np.float32)
+    grads = {}
+    for lay in reversed(net.layers):
+        g = grads[lay.index] = lay.backward(g)
+    gx = g
     assert np.all(gx[np.abs(x) > 1.0] == 0.0)
     # every binact layer individually blocks gradient where |input| > 1
-    for lay, g in zip(net.layers, net.last_input_grads):
+    for lay in net.layers:
         if lay.kind == "binact":
-            assert np.all(g[np.abs(lay._xin) > 1.0] == 0.0)
+            assert np.all(grads[lay.index][np.abs(lay._xin) > 1.0] == 0.0)
 
 
 # ---------------------------------------------------------------- training
@@ -235,6 +242,27 @@ def test_trained_net_checkpoint_reload_gives_identical_logits(variant):
     nn.train_network(net, x, y, epochs=3, batch_size=16, optimizer=opt, rng=4)
     again = datio.load_checkpoint_bytes(datio.checkpoint_bytes(net))
     assert np.array_equal(net.forward(x), again.forward(x))
+
+
+def test_nin_step_then_eval_forward_memory_is_bounded():
+    # NIN-x0.25 AB at batch 16: the train step peaks at ~38 MB and the eval
+    # forward at ~32 MB. Keeping every layer's input gradient after backward
+    # (~28 MB) under the eval forward, and max pooling through a gathered copy
+    # of its windows, took the peak to ~62 MB.
+    cfg = nin_config(variant="AB", width_scale=0.25, classes=4, input_shape=(1, 32, 32))
+    net = nn.Network.from_config(cfg, seed=0)
+    rng = np.random.default_rng(1)
+    x = rng.uniform(-1.5, 1.5, (16, 1, 32, 32)).astype(np.float32)
+    y = rng.integers(0, 4, 16)
+    opt = nn.make_optimizer("adam", net.parameters(), 5e-3)
+    tracemalloc.start()
+    try:
+        nn.backward_and_step(net, x, y, opt, rng=rng)
+        net.forward(x)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak < 50, peak
 
 
 # ------------------------------------------------------------------ config
