@@ -12,7 +12,11 @@ derive theirs from the seed and the weight-sample index. A result therefore
 depends on the seed and the trial count alone. The theorem checks split a
 chunk into row sub-blocks of at most ``_BLOCK_VALUES`` values that consume
 the chunk's stream in the same order, so their peak memory does not grow
-with the ensemble size K. All estimators report standard errors.
+with the ensemble size K. Theorem 1's bagged members take their ±1 weights
+from the raw 64-bit words of the chunk's stream, ceil(fan_in / 64) whole
+words per member row, drawn after the chunk's w, x and dx normals (so the
+four single-neuron regimes do not depend on K). All estimators report
+standard errors.
 """
 
 from __future__ import annotations
@@ -203,6 +207,8 @@ def verify_theorem1(
         raise ValueError("fan_in, sigma_w and sigma must be positive")
     if trials < 2:
         raise ValueError(f"trials must be >= 2 to measure a variance, got {trials}")
+    if any(k < 1 for k in k_values) or len(set(k_values)) != len(k_values):
+        raise ValueError(f"k_values must be distinct integers >= 1, got {k_values}")
     if trials < 10_000:
         widened = max(rel_tol, min(3.0 * math.sqrt(2.0 / trials), _MAX_WIDENED_TOL))
         if widened > rel_tol:
@@ -217,6 +223,7 @@ def verify_theorem1(
     names = ("real", "act_bin", "weight_bin", "both_bin")
     collected = {n: [] for n in names}
     bagged_collected = {k: [] for k in k_values}
+    words = -(-fan_in // 64)  # raw 64-bit words per member row
 
     done = 0
     ci = 0
@@ -233,12 +240,19 @@ def verify_theorem1(
         collected["weight_bin"].append((sw * dx).sum(axis=1))
         collected["both_bin"].append((sw * gamma).sum(axis=1))
         for k in k_values:
-            # sub-block draws continue the stream of one (m, k, fan_in) draw, and
+            # sign(N(0, sigma_w^2)) is a fair ±1, so each member row is drawn as
+            # whole raw words; sub-block draws continue the stream of one draw, and
             # matmul sums the ±1 x {-2, 0, 2} products exactly, in any order
             member = np.empty((m, k))
             for lo, hi in _row_blocks(m, k * fan_in):
-                wk = rng.normal(0.0, sigma_w, (hi - lo, k, fan_in))
-                member[lo:hi] = np.matmul(_sign(wk), gamma[lo:hi, :, None])[..., 0]
+                raw = rng.bit_generator.random_raw((hi - lo) * k * words)
+                signs = np.unpackbits(
+                    raw.astype("<u8", copy=False).view(np.uint8).reshape(hi - lo, k, words * 8),
+                    axis=-1, count=fan_in, bitorder="little",
+                ).astype(np.float64)
+                signs *= 2.0  # bit 1 is +1, as in bitcore
+                signs -= 1.0
+                member[lo:hi] = np.matmul(signs, gamma[lo:hi, :, None])[..., 0]
             bagged_collected[k].append(member.mean(axis=1))
         done += m
         ci += 1
@@ -423,16 +437,22 @@ def _estimate(values, trials) -> MonteCarloEstimate:
 
 def _perturbed(model, images, spec: PerturbationSpec, rng, noise_shape):
     """Yield one (model, images) pair per trial of ``spec``: the images plus one
-    N(0, sigma2) draw of ``noise_shape``, or the model with every member's weights noised."""
+    N(0, sigma2) draw of ``noise_shape``, or the model with every member's weights noised.
+
+    Weight noise is written into one copy of each member, made once, so a
+    yielded model is only valid until the next trial is drawn."""
     sigma = math.sqrt(spec.sigma2)
-    for _ in range(spec.trials):
-        if spec.target == "input":
+    if spec.target == "input":
+        for _ in range(spec.trials):
             yield model, images + rng.normal(0.0, sigma, noise_shape).astype(np.float32)
-        elif hasattr(model, "members"):
-            noisy = [_with_weight_noise(m, rng, sigma) for m in model.members]
-            yield replace(model, members=noisy), images
-        else:
-            yield _with_weight_noise(model, rng, sigma), images
+        return
+    members = model.members if hasattr(model, "members") else [model]
+    noisy = [m.clone() for m in members]
+    noisy_model = replace(model, members=noisy) if hasattr(model, "members") else noisy[0]
+    for _ in range(spec.trials):
+        for clean, dup in zip(members, noisy):
+            _with_weight_noise(dup, clean, rng, sigma)
+        yield noisy_model, images
 
 
 def robustness_random(
@@ -470,14 +490,13 @@ def robustness_random(
     return _estimate(per_sample, weight_samples * spec.trials)
 
 
-def _with_weight_noise(net: Network, rng, sigma) -> Network:
-    noisy = net.clone()
-    for lay in noisy.layers:
+def _with_weight_noise(noisy: Network, clean: Network, rng, sigma) -> None:
+    """Overwrite ``noisy``'s weights (a clone of ``clean``) with ``clean``'s plus
+    one N(0, sigma^2) draw cast to the weight dtype, layer by layer."""
+    for lay, src in zip(noisy.layers, clean.layers):
         if hasattr(lay, "w"):
-            lay.w.value = lay.w.value + rng.normal(0.0, sigma, lay.w.value.shape).astype(
-                lay.w.value.dtype
-            )
-    return noisy
+            w = src.w.value
+            np.add(w, rng.normal(0.0, sigma, w.shape).astype(w.dtype), out=lay.w.value)
 
 
 def _error_rate(model, images, labels) -> float:

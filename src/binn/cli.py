@@ -53,8 +53,9 @@ _SIGMA2_LIST = _checked(lambda t: [float(v) for v in t.split(",")],
                         "comma-separated variances, each 0 or in [1e-6, 10]")
 _POSITIVE_FLOAT_LIST = _checked(lambda t: [float(v) for v in t.split(",")], lambda v: min(v) > 0,
                                 "comma-separated numbers > 0")
-_POSITIVE_INT_LIST = _checked(lambda t: [int(v) for v in t.split(",")], lambda v: min(v) >= 1,
-                              "comma-separated integers >= 1")
+_K_VALUES = _checked(lambda t: [int(v) for v in t.split(",")],
+                     lambda v: min(v) >= 1 and len(set(v)) == len(v),
+                     "distinct comma-separated integers >= 1")
 _WIDTHS = _checked(lambda t: [int(v) for v in t.split(",")], lambda v: len(v) >= 3 and min(v) >= 1,
                    "at least 3 comma-separated integers >= 1")
 
@@ -437,7 +438,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fan-in", type=_POSITIVE_INT, default=256)
     p.add_argument("--sigma-w", type=_POSITIVE_FLOAT, default=1.0)
     p.add_argument("--sigma", type=_POSITIVE_FLOAT, default=0.1)
-    p.add_argument("--k-values", type=_POSITIVE_INT_LIST, default="2,4,8,16")
+    p.add_argument("--k-values", type=_K_VALUES, default="2,4,8,16")
     p.add_argument("--trials", type=_SAMPLE_COUNT, default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)

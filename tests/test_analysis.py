@@ -100,9 +100,9 @@ def test_theorem1_zero_single_variance_gives_nan_ratio():
 
 
 def test_theorem1_theorem2_golden_bits():
-    # frozen from the all-at-once implementation: drawing in sub-blocks and
-    # reducing with matmul must not move a bit. Neither trial count is a
-    # multiple of the chunk or of any sub-block size.
+    # the regime rows and theorem 2 are frozen from the all-at-once
+    # implementation; the bagged rows from the raw-bit member draw. Neither
+    # trial count is a multiple of the chunk or of any sub-block size.
     rep = analysis.verify_theorem1(100, 0.8, 0.5, k_values=(3, 5), trials=9000, seed=4)
     got = [repr(st) for st in rep.regimes.values()]
     got += [repr(st) for st in rep.bagged.values()] + [repr(r) for r in rep.bagging_ratio.values()]
@@ -114,12 +114,12 @@ def test_theorem1_theorem2_golden_bits():
         "RegimeStat(measured=24.807554673873693, stderr=0.36580677034521786, predicted=25.0)",
         "RegimeStat(measured=60.298741292242354, stderr=0.8928552752035346, "
         "predicted=59.03344706017328)",
-        "RegimeStat(measured=19.692949142497316, stderr=0.29534942414755583, "
+        "RegimeStat(measured=19.855967398298027, stderr=0.3072739797097219, "
         "predicted=19.677815686724426)",
-        "RegimeStat(measured=11.777851131113334, stderr=0.1848023332923172, "
+        "RegimeStat(measured=11.744439039399438, stderr=0.1823816516101238, "
         "predicted=11.806689412034656)",
-        "0.9797691653489399",
-        "0.9766249575618087",
+        "0.9878796956340066",
+        "0.973854411195678",
     ]
     rep = analysis.verify_theorem2((20, 7, 1), 0.7, 0.3, trials=1500, inner=40, seed=2)
     assert {k: repr(v) for k, v in rep.regimes.items()} == {
@@ -134,6 +134,23 @@ def test_theorem1_theorem2_golden_bits():
         "both_bin": "{'bound': 51.95320428353581, 'mean_measured': 4.987733333333334, "
                     "'satisfied_fraction': 1.0, 'satisfied_se': 0.0}",
     }
+
+
+def test_theorem1_bagged_bits_do_not_depend_on_sub_block_size(monkeypatch):
+    # fan-in 100 leaves 28 unused bits in each member row's second word;
+    # 777 values per block divides no row count, so blocks hold 1-7 rows
+    want = analysis.verify_theorem1(100, 1.0, 0.5, k_values=(1, 3, 8), trials=10_000, seed=6)
+    monkeypatch.setattr(analysis, "_BLOCK_VALUES", 777)
+    got = analysis.verify_theorem1(100, 1.0, 0.5, k_values=(1, 3, 8), trials=10_000, seed=6)
+    assert repr(got.bagged) == repr(want.bagged)
+    assert repr(got.bagging_ratio) == repr(want.bagging_ratio)
+
+
+def test_theorem1_rejects_repeated_or_nonpositive_k():
+    with pytest.raises(ValueError, match="distinct"):
+        analysis.verify_theorem1(64, 1.0, 0.5, k_values=(2, 2), trials=3000)
+    with pytest.raises(ValueError, match="distinct"):
+        analysis.verify_theorem1(64, 1.0, 0.5, k_values=(0, 2), trials=3000)
 
 
 def _traced_peak_mb(fn, *args, **kwargs):

@@ -341,6 +341,7 @@ def cli_paths(tmp_path_factory):
 @pytest.mark.parametrize("argv, code, flag", [
     (["perturb", "--sigma2", "abc", "--checkpoint", "{ens}", "--seed", "0"], 1, "--sigma2"),
     (["analyze", "theorem1", "--k-values", "2,x", "--seed", "0"], 1, "--k-values"),
+    (["analyze", "theorem1", "--k-values", "2,2", "--seed", "0"], 1, "--k-values"),
     (["analyze", "theorem2", "--widths", "64,,1", "--seed", "0"], 1, "--widths"),
     (["analyze", "b-table", "--sigmas", "0.5;1", "--seed", "0"], 1, "--sigmas"),
     (["ensemble", "train", "--config", "{cfg}", "--strategy", "bag", "--k", "0",
@@ -367,7 +368,7 @@ def cli_paths(tmp_path_factory):
     (["analyze", "theorem1", "--trials", "1", "--seed", "0"], 1, "--trials"),
     (["analyze", "theorem1", "--fan-in", "1", "--trials", "2", "--seed", "0"], 0,
      "2 trials is small"),
-], ids=["sigma2-text", "k-values-text", "widths-empty", "sigmas-semicolon", "k-zero",
+], ids=["sigma2-text", "k-values-text", "k-values-repeated", "widths-empty", "sigmas-semicolon", "k-zero",
         "eval-train-frac-1", "train-train-frac-0", "missing-member", "manifest-no-alphas",
         "empty-train-split", "sigmas-negative", "theorem1-trials-0", "widths-two",
         "pbin-missing-section", "sigma2-out-of-range", "fan-in-0", "batch-size-0",
