@@ -62,13 +62,6 @@ class MonteCarloEstimate:
 
 
 @dataclass
-class StabilityReport:
-    accuracies: list
-    std: float
-    window: int = 20
-
-
-@dataclass
 class RegimeStat:
     measured: float
     stderr: float
@@ -193,7 +186,6 @@ def verify_theorem1(
     k_values=(2, 4, 8, 16),
     trials: int = 100_000,
     seed: int = 0,
-    rel_tol: float = 0.05,
 ) -> VarianceReport:
     """Monte-Carlo one-layer, single-neuron simulation of the four regimes.
 
@@ -209,6 +201,7 @@ def verify_theorem1(
         raise ValueError(f"trials must be >= 2 to measure a variance, got {trials}")
     if any(k < 1 for k in k_values) or len(set(k_values)) != len(k_values):
         raise ValueError(f"k_values must be distinct integers >= 1, got {k_values}")
+    rel_tol = 0.05
     if trials < 10_000:
         widened = max(rel_tol, min(3.0 * math.sqrt(2.0 / trials), _MAX_WIDENED_TOL))
         if widened > rel_tol:
@@ -536,11 +529,10 @@ def robustness_trained(model, images, labels, spec: PerturbationSpec) -> MonteCa
 # ---------------------------------------------------------------- stability
 
 
-def stability_track(accuracies, window: int = 20) -> StabilityReport:
+def stability_track(accuracies, window: int = 20) -> float:
     """Sample standard deviation of the last ``window`` recorded accuracies."""
     acc = list(accuracies)
     if len(acc) < window:
         raise ValueError(f"need at least {window} recorded points, got {len(acc)}")
     tail = np.asarray(acc[-window:], dtype=np.float64)
-    std = 0.0 if np.all(tail == tail[0]) else float(tail.std(ddof=1))
-    return StabilityReport(accuracies=tail.tolist(), std=std, window=window)
+    return 0.0 if np.all(tail == tail[0]) else float(tail.std(ddof=1))

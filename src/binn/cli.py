@@ -45,6 +45,7 @@ def _checked(parse, ok, what):
     return checked
 
 
+_NON_NEGATIVE_INT = _checked(int, lambda k: k >= 0, "an integer >= 0")
 _POSITIVE_INT = _checked(int, lambda k: k >= 1, "an integer >= 1")
 _SAMPLE_COUNT = _checked(int, lambda k: k >= 2, "an integer >= 2")  # a variance needs two
 _POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
@@ -126,7 +127,7 @@ def _load_dataset(args) -> tuple[datio.Dataset, datio.Dataset]:
     if kind == "blobs":
         ds = datio.make_toy(datio.ToySpec(
             "gaussian_blobs", args.data_n, args.data_classes,
-            dim=2, noise=args.data_noise, seed=args.data_seed,
+            noise=args.data_noise, seed=args.data_seed,
         ))
     elif kind == "blobs-img":
         ds = datio.make_blob_images(
@@ -175,24 +176,22 @@ def _add_data_flags(p, trains=True):
     p.add_argument("--data-classes", type=_POSITIVE_INT, default=4)
     p.add_argument("--data-noise", type=_checked(float, lambda v: v >= 0, "a number >= 0"),
                    default=0.1)
-    p.add_argument("--data-seed", type=int, default=0)
+    p.add_argument("--data-seed", type=_NON_NEGATIVE_INT, default=0)
     p.add_argument("--image-size", type=_POSITIVE_INT, default=8)
     p.add_argument("--train-frac", type=frac, default=0.75)
 
 
 def _add_train_flags(p):
-    p.add_argument("--epochs", type=_checked(int, lambda k: k >= 0, "an integer >= 0"),
-                   default=20)
+    p.add_argument("--epochs", type=_NON_NEGATIVE_INT, default=20)
     p.add_argument("--batch-size", type=_POSITIVE_INT, default=64)
     p.add_argument("--optimizer", default="adam", choices=["adam", "sgd"])
     p.add_argument("--lr", type=_POSITIVE_FLOAT, default=1e-3)
-    p.add_argument("--no-clip", action="store_true", help="disable shadow-weight clipping")
 
 
 def _member_spec(args):
     return ensemble.MemberTrainSpec(
         epochs=args.epochs, batch_size=args.batch_size,
-        optimizer=args.optimizer, lr=args.lr, clip_weights=not args.no_clip,
+        optimizer=args.optimizer, lr=args.lr,
     )
 
 
@@ -210,7 +209,7 @@ def cmd_train(args):
     train, test = _load_dataset(args)
     net, hist = ensemble.train_member(
         cfg, train.images, train.labels,
-        u=ensemble.SampleWeights.uniform(len(train)),
+        u=np.full(len(train), 1.0 / len(train)),
         seed_seq=ensemble.member_seed(args.seed, 0),
         spec=_member_spec(args),
         eval_images=test.images, eval_labels=test.labels,
@@ -390,7 +389,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train one weak binary network")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     p.add_argument("--out", required=True)
     _add_data_flags(p)
     _add_train_flags(p)
@@ -404,7 +403,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=_POSITIVE_INT, required=True)
     p.add_argument("--mode", default="indep", choices=["indep", "warm"])
     p.add_argument("--rule", default="soft", choices=["hard", "soft"])
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
     p.add_argument("--out", required=True)
     _add_data_flags(p)
     _add_train_flags(p)
@@ -422,7 +421,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma2", type=_SIGMA2_LIST, default="0.001,0.01,0.1")
     p.add_argument("--trials", type=_POSITIVE_INT, default=100)
     p.add_argument("--target", default="input", choices=["input", "weights"])
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
     p.add_argument("--out", required=True)
     _add_data_flags(p, trains=False)
     p.set_defaults(func=cmd_perturb)
@@ -431,7 +430,7 @@ def build_parser() -> _Parser:
     asub = pa.add_subparsers(dest="analyze_command", required=True, parser_class=_Parser)
     p = asub.add_parser("b-table", help="sign-flip variance factor table")
     p.add_argument("--sigmas", type=_POSITIVE_FLOAT_LIST, default="1.5,1.0,0.5,0.1,0.01,0.001")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_b_table)
     p = asub.add_parser("theorem1", help="one-layer variance Monte Carlo")
@@ -440,7 +439,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma", type=_POSITIVE_FLOAT, default=0.1)
     p.add_argument("--k-values", type=_K_VALUES, default="2,4,8,16")
     p.add_argument("--trials", type=_SAMPLE_COUNT, default=100_000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_theorem1)
     p = asub.add_parser("theorem2", help="multi-layer bound satisfaction")
@@ -449,7 +448,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma", type=_POSITIVE_FLOAT, default=1.0)
     p.add_argument("--trials", type=_POSITIVE_INT, default=10_000)
     p.add_argument("--inner", type=_POSITIVE_INT, default=128)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_theorem2)
 

@@ -48,7 +48,6 @@ class ToySpec:
     generator: str  # gaussian_blobs | xor_rings
     n: int
     classes: int
-    dim: int = 2
     noise: float = 0.1
     seed: int = 0
 
@@ -126,11 +125,9 @@ def _balanced_labels(n, classes, rng):
     return labels
 
 
-def _blob_centers(classes, dim, rng):
-    if dim == 2:
-        angles = 2 * np.pi * np.arange(classes) / classes + np.pi / classes
-        return 0.5 + 0.3 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return rng.uniform(0.2, 0.8, (classes, dim))
+def _blob_centers(classes):
+    angles = 2 * np.pi * np.arange(classes) / classes + np.pi / classes
+    return 0.5 + 0.3 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
 def make_toy(spec: ToySpec) -> Dataset:
@@ -140,10 +137,10 @@ def make_toy(spec: ToySpec) -> Dataset:
     rng = np.random.default_rng(np.random.SeedSequence([0x70F0, spec.seed]))
     if spec.generator == "gaussian_blobs":
         labels = _balanced_labels(spec.n, spec.classes, rng)
-        centers = _blob_centers(spec.classes, spec.dim, rng)
-        pos = centers[labels] + rng.normal(0, spec.noise, (spec.n, spec.dim))
+        centers = _blob_centers(spec.classes)
+        pos = centers[labels] + rng.normal(0, spec.noise, (spec.n, 2))
         pos = np.clip(pos, 0.0, 1.0)
-        images = (pos * 2 - 1).astype(np.float32).reshape(spec.n, 1, 1, spec.dim)
+        images = (pos * 2 - 1).astype(np.float32).reshape(spec.n, 1, 1, 2)
     elif spec.generator == "xor_rings":
         if spec.classes != 2:
             raise DataError("xor_rings is a two-class generator")
@@ -161,23 +158,18 @@ def make_toy(spec: ToySpec) -> Dataset:
     return ds
 
 
-def render_points_to_images(points01: np.ndarray, size: int = 8, sharpness: float = 1.1) -> np.ndarray:
-    """Render 2-D points in [0, 1]^2 as single-channel Gaussian bumps in [-1, 1]."""
-    n = len(points01)
-    px = points01[:, 0] * (size - 1)
-    py = points01[:, 1] * (size - 1)
+def make_blob_images(n, classes, *, noise=0.1, seed=0, size=8) -> Dataset:
+    """Gaussian-blob toy points in [0, 1]^2, each rendered as a size x size
+    single-channel Gaussian bump in [-1, 1]."""
+    vec = make_toy(ToySpec("gaussian_blobs", n, classes, noise=noise, seed=seed))
+    pos = (vec.images.reshape(n, 2) + 1) / 2
+    px = pos[:, 0] * (size - 1)
+    py = pos[:, 1] * (size - 1)
     rr, cc = np.mgrid[0:size, 0:size].astype(np.float64)
     d2 = (rr[None] - py[:, None, None]) ** 2 + (cc[None] - px[:, None, None]) ** 2
-    img = np.exp(-d2 / (2 * sharpness**2))
-    return (img * 2 - 1).astype(np.float32).reshape(n, 1, size, size)
-
-
-def make_blob_images(n, classes, *, noise=0.1, seed=0, size=8, sharpness=1.1) -> Dataset:
-    """Gaussian-blob toy points rendered as size x size images."""
-    vec = make_toy(ToySpec("gaussian_blobs", n, classes, dim=2, noise=noise, seed=seed))
-    pos = (vec.images.reshape(n, 2) + 1) / 2
+    img = np.exp(-d2 / (2 * 1.1**2))  # bumps 1.1 pixels wide
     ds = Dataset(
-        images=render_points_to_images(pos, size=size, sharpness=sharpness),
+        images=(img * 2 - 1).astype(np.float32).reshape(n, 1, size, size),
         labels=vec.labels,
         class_count=classes,
     )

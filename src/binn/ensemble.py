@@ -27,23 +27,6 @@ ALPHA_CAP = math.log(1e6)  # perfect members get a finite vote
 
 
 @dataclass
-class SampleWeights:
-    """Per-example sampling distribution driving bagging/boosting."""
-
-    u: np.ndarray
-
-    @classmethod
-    def uniform(cls, m: int) -> "SampleWeights":
-        return cls(np.full(m, 1.0 / m))
-
-    def validate(self) -> None:
-        if (self.u < 0).any():
-            raise ValueError("negative sample weight")
-        if abs(self.u.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {self.u.sum()}, not 1")
-
-
-@dataclass
 class MemberTrainSpec:
     """Per-member training budget; 20 epochs is the desk-scale default."""
 
@@ -51,7 +34,6 @@ class MemberTrainSpec:
     batch_size: int = 64
     optimizer: str = "adam"
     lr: float = 1e-3
-    clip_weights: bool = True
 
 
 @dataclass
@@ -64,9 +46,6 @@ class EnsembleModel:
     config: NetworkConfig
     seed: int = 0
     member_seeds: list = field(default_factory=list)
-
-    def member_probs(self, images) -> np.ndarray:
-        return np.stack([softmax(m.forward(images)) for m in self.members])
 
     def predict(self, images, rule=None) -> np.ndarray:
         return aggregate(self, images, rule=rule).labels
@@ -84,11 +63,11 @@ def member_seed(seed: int, k: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(seed), int(k)])
 
 
-def bagging_sample(dataset_size: int, u: SampleWeights | np.ndarray, rng) -> np.ndarray:
+def bagging_sample(dataset_size: int, u: np.ndarray, rng) -> np.ndarray:
     """Draw dataset_size indices i.i.d. from categorical(u), with replacement."""
     if dataset_size < 1:
         raise ValueError("dataset_size must be >= 1")
-    probs = u.u if isinstance(u, SampleWeights) else np.asarray(u, dtype=np.float64)
+    probs = np.asarray(u, dtype=np.float64)
     total = probs.sum()
     if total <= 0:
         raise ValueError("degenerate sample weights: all zero")
@@ -102,7 +81,7 @@ def train_member(
     images,
     labels,
     *,
-    u: SampleWeights,
+    u: np.ndarray,
     seed_seq,
     spec: MemberTrainSpec,
     eval_images=None,
@@ -132,13 +111,12 @@ def train_member(
         rng=np.random.default_rng(train_ss),
         eval_images=eval_images,
         eval_labels=eval_labels,
-        clip_weights=spec.clip_weights,
         epoch_callback=epoch_callback,
     )
     return net, hist
 
 
-def adaboost_round(current_u: SampleWeights, member_predictions, labels, class_count: int):
+def adaboost_round(current_u: np.ndarray, member_predictions, labels, class_count: int):
     """One multiclass-AdaBoost update from a member's training-set predictions.
 
     Returns (alpha, new_u, err, rejected). err is measured on the full
@@ -153,7 +131,7 @@ def adaboost_round(current_u: SampleWeights, member_predictions, labels, class_c
     if pred.ndim == 2:
         pred = pred.argmax(axis=1)
     mis = (pred != np.asarray(labels)).astype(np.float64)
-    err = float((current_u.u * mis).sum())
+    err = float((current_u * mis).sum())
     if err == 0.0:
         alpha = ALPHA_CAP
     elif err >= 1.0:
@@ -163,11 +141,13 @@ def adaboost_round(current_u: SampleWeights, member_predictions, labels, class_c
     # boundary inclusive; tolerance absorbs float accumulation in err
     if err >= (class_count - 1) / class_count - 1e-12:
         return alpha, current_u, err, True
-    new = current_u.u * np.exp(alpha * mis)
+    new = current_u * np.exp(alpha * mis)
     new = new / new.sum()
-    out = SampleWeights(new)
-    out.validate()
-    return alpha, out, err, False
+    if (new < 0).any():
+        raise ValueError("negative sample weight")
+    if abs(new.sum() - 1.0) > 1e-9:
+        raise ValueError(f"weights sum to {new.sum()}, not 1")
+    return alpha, new, err, False
 
 
 def _ensemble_epoch_tracker(trained, images, labels, record):
@@ -202,7 +182,7 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
     if mode not in ("independent", "warm_restart"):
         raise ValueError(f"mode must be independent or warm_restart, got {mode!r}")
     spec = spec or MemberTrainSpec()
-    u = SampleWeights.uniform(len(labels))
+    u = np.full(len(labels), 1.0 / len(labels))
     members = []
     alphas = []
     seeds_used = []
@@ -288,7 +268,7 @@ def aggregate(model: EnsembleModel, images, rule=None) -> AggregateResult:
     rule = rule or model.rule
     if rule not in ("hard", "soft"):
         raise ValueError(f"rule must be hard or soft, got {rule!r}")
-    mp = model.member_probs(images)  # [K, B, C]
+    mp = np.stack([softmax(m.forward(images)) for m in model.members])  # [K, B, C]
     alphas = np.asarray(model.alphas, dtype=np.float64)
     w = alphas / alphas.sum()
     probs = np.tensordot(w, mp, axes=1)

@@ -17,7 +17,6 @@ from .layers import (  # noqa: F401
     Linear,
     QuantAct,
     quantize_k_bit,
-    scaled_binary_forward,
     sign_binarize,
     ste_backward,
 )

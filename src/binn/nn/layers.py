@@ -6,11 +6,11 @@ shadow weights, computed from them on every forward (XNOR-Net), so no
 cached state can go stale. Every precision runs one forward product in
 float BLAS; for +/-1 inputs and weights it is the exact integer product
 times the scale, equal bit for bit to the packed XNOR kernels, which serve
-export, packed reload and ``scaled_binary_forward``. Gradients reach the
-shadow weights straight through; activation binarization backpropagates
-with the |x| <= 1 straight-through mask. Conv and pooling read one padded
-window view (``bitcore._windows``) and send gradients back through one
-scatter-add over the window offsets (``_scatter_windows``).
+export and packed reload. Gradients reach the shadow weights straight
+through; activation binarization backpropagates with the |x| <= 1
+straight-through mask. Conv and pooling read one padded window view
+(``bitcore._windows``) and send gradients back through one scatter-add
+over the window offsets (``_scatter_windows``).
 
 Memory and time go to full-size activations, so layers avoid copies that
 change no value: max pooling folds ``np.maximum`` over the window offsets
@@ -23,7 +23,7 @@ or its order differs from the plain formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -540,27 +540,3 @@ class Dropout(Layer):
             return dy
         return dy * self._scaled_mask
 
-
-def scaled_binary_forward(layer: _WeightedLayer, x_binary: bitcore.PackedBitTensor) -> np.ndarray:
-    """Run a binary layer on packed +/-1 activations."""
-    if layer.weight_bits != 1:
-        raise ValueError("scaled_binary_forward requires a weight-binarized layer")
-    wbits = layer.packed_weights
-    if isinstance(layer, Linear):
-        squeeze = len(x_binary.shape) == 1
-        rows = (1 if squeeze else x_binary.shape[0], layer.in_features)
-        ints = bitcore.binary_gemm(wbits, replace(x_binary, shape=rows))
-    elif isinstance(layer, Conv2d):
-        squeeze = len(x_binary.shape) == 3
-        xb = bitcore.unpack(x_binary)
-        ints = np.stack([
-            bitcore.im2col_binary_conv(bitcore.pack(img), wbits, layer.stride, layer.padding)
-            for img in (xb[None] if squeeze else xb)
-        ])
-    else:
-        raise TypeError(f"unsupported layer type {type(layer).__name__}")
-    per_out = (-1,) + (1,) * (ints.ndim - 2)
-    y = ints.astype(layer.dtype) * layer.scale.reshape(per_out)
-    if layer.b is not None:
-        y = y + layer.b.value.reshape(per_out)
-    return y[0] if squeeze else y

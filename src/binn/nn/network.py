@@ -102,17 +102,17 @@ class Network:
             train=train, surrogate=surrogate, bn_batch_stats=bn_batch_stats, rng=rng,
         )
         x = np.asarray(x, dtype=self.dtype)
+        first = self.layers[0]  # from_config fixed every later layer's input shape
+        if first.kind == "fc":
+            if math.prod(x.shape[1:]) != first.in_features:
+                raise ShapeError(
+                    f"layer 0 (fc): expected {first.in_features} features, got {x.shape[1:]}"
+                )
+        elif x.shape[1:] != first.in_shape:
+            raise ShapeError(
+                f"layer 0 ({first.kind}): expected input {first.in_shape}, got {x.shape[1:]}"
+            )
         for lay in self.layers:
-            if x.shape[1:] != lay.in_shape and lay.kind != "fc":
-                raise ShapeError(
-                    f"layer {lay.index} ({lay.kind}): expected input {lay.in_shape}, "
-                    f"got {x.shape[1:]}"
-                )
-            if lay.kind == "fc" and math.prod(x.shape[1:]) != lay.in_features:
-                raise ShapeError(
-                    f"layer {lay.index} (fc): expected {lay.in_features} "
-                    f"features, got {x.shape[1:]}"
-                )
             try:
                 x = lay.forward(x, ctx)
             except ValueError:  # sign_binarize refuses non-finite values
@@ -122,9 +122,6 @@ class Network:
                 raise NumericalError(f"non-finite values at the binarization in layer "
                                      f"{lay.index} ({lay.kind})") from None
         return x
-
-    def predict_proba(self, x, **kw) -> np.ndarray:
-        return softmax(self.forward(x, **kw))
 
     def predict(self, x, **kw) -> np.ndarray:
         return np.argmax(self.forward(x, **kw), axis=1)
@@ -222,9 +219,10 @@ def cross_entropy_grad(probs, labels):
     return loss, dlogits
 
 
-def accuracy(net: Network, images, labels, batch_size=512) -> float:
+def accuracy(net: Network, images, labels) -> float:
     hits = 0
-    for lo in range(0, len(labels), batch_size):
-        pred = net.predict(images[lo : lo + batch_size])
-        hits += int((pred == labels[lo : lo + batch_size]).sum())
+    batch = 512  # rows per forward, which bounds its memory
+    for lo in range(0, len(labels), batch):
+        pred = net.predict(images[lo : lo + batch])
+        hits += int((pred == labels[lo : lo + batch]).sum())
     return hits / len(labels)

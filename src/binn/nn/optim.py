@@ -60,17 +60,16 @@ class SGD(_FlatParams):
 
 
 class Adam(_FlatParams):
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         super().__init__(params)
         self.lr = float(lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self._m = np.zeros_like(self._flat)
         self._v = np.zeros_like(self._flat)
         self._t = 0
 
     def step(self):
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         for w, g, s in self._segments():
             m, v = self._m[s], self._v[s]
             m *= b1
@@ -79,7 +78,7 @@ class Adam(_FlatParams):
             v += (1 - b2) * g * g
             mhat = m / (1 - b1**self._t)
             vhat = v / (1 - b2**self._t)
-            w -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            w -= self.lr * mhat / (np.sqrt(vhat) + eps)
 
 
 def make_optimizer(name: str, params, lr: float):

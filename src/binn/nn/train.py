@@ -16,11 +16,11 @@ class TrainHistory:
     test_accuracy: list = field(default_factory=list)
 
 
-def backward_and_step(net: Network, batch, labels, optimizer, *, rng=None,
-                      clip_weights=True) -> float:
+def backward_and_step(net: Network, batch, labels, optimizer, *, rng=None) -> float:
     """One training step: forward, mean cross-entropy, backward, update shadows.
 
-    Updates land on the real-valued shadow weights only; a layer with 1-bit
+    Updates land on the real-valued shadow weights only, and sub-32-bit
+    shadows are then clipped into [-1, 1] (BinaryNet); a layer with 1-bit
     weights derives its scales from them in each forward, which uses the
     exact dense +/-1 product. Raises NumericalError on a non-finite loss or
     on non-finite values at a binarization.
@@ -37,8 +37,7 @@ def backward_and_step(net: Network, batch, labels, optimizer, *, rng=None,
     net.zero_grad()
     net.backward(dlogits.astype(net.dtype))
     optimizer.step()
-    if clip_weights:
-        net.clip_binary_shadows()
+    net.clip_binary_shadows()
     return loss
 
 
@@ -53,7 +52,6 @@ def train_network(
     rng,
     eval_images=None,
     eval_labels=None,
-    clip_weights=True,
     epoch_callback=None,
 ) -> TrainHistory:
     """Mini-batch training for exactly ``epochs`` epochs.
@@ -71,9 +69,7 @@ def train_network(
         batches = 0
         for lo in range(0, n, batch_size):
             idx = perm[lo : lo + batch_size]
-            total += backward_and_step(
-                net, images[idx], labels[idx], optimizer, rng=rng, clip_weights=clip_weights,
-            )
+            total += backward_and_step(net, images[idx], labels[idx], optimizer, rng=rng)
             batches += 1
         history.train_loss.append(total / max(1, batches))
         if eval_images is not None:

@@ -48,7 +48,7 @@ def toy_c6():
         tr, te = _toy_split(s)
         net, _ = ensemble.train_member(
             MEMBER_CFG, tr.images, tr.labels,
-            u=ensemble.SampleWeights.uniform(len(tr)),
+            u=np.full(len(tr), 1.0 / len(tr)),
             seed_seq=ensemble.member_seed(s, 0), spec=SPEC12,
         )
         bag, _ = ensemble.train_bagging(
@@ -69,7 +69,7 @@ def toy_c7c8():
         tr, te = _toy_split(s)
         net, hist = ensemble.train_member(
             MEMBER_CFG, tr.images, tr.labels,
-            u=ensemble.SampleWeights.uniform(len(tr)),
+            u=np.full(len(tr), 1.0 / len(tr)),
             seed_seq=ensemble.member_seed(s, 0), spec=SPEC25,
             eval_images=te.images, eval_labels=te.labels,
         )
@@ -313,8 +313,8 @@ def test_c06_ensemble_direction(toy_c6):
 def test_c07_stability_direction(toy_c7c8):
     singles, ensembles = [], []
     for s in SEEDS:
-        singles.append(analysis.stability_track(toy_c7c8[s]["single_stream"]).std)
-        ensembles.append(analysis.stability_track(toy_c7c8[s]["ensemble_stream"]).std)
+        singles.append(analysis.stability_track(toy_c7c8[s]["single_stream"]))
+        ensembles.append(analysis.stability_track(toy_c7c8[s]["ensemble_stream"]))
     mean_single = float(np.mean(singles))
     mean_ens = float(np.mean(ensembles))
     assert mean_ens <= 0.5 * mean_single, (mean_ens, mean_single)
@@ -372,7 +372,7 @@ def test_c08_robustness_direction(toy_c7c8):
 def test_c09_bootstrap_coverage():
     fractions = []
     for seed in range(20):
-        u = ensemble.SampleWeights.uniform(10_000)
+        u = np.full(10_000, 1.0 / 10_000)
         idx = ensemble.bagging_sample(10_000, u, rng=seed)
         frac = len(np.unique(idx)) / 10_000
         assert abs(frac - 0.632) <= 0.02, (seed, frac)

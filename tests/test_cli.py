@@ -368,12 +368,16 @@ def cli_paths(tmp_path_factory):
     (["analyze", "theorem1", "--trials", "1", "--seed", "0"], 1, "--trials"),
     (["analyze", "theorem1", "--fan-in", "1", "--trials", "2", "--seed", "0"], 0,
      "2 trials is small"),
+    (["train", "--config", "{cfg}", "--seed", "-1"], 1, "--seed"),
+    (["train", "--config", "{cfg}", "--seed", "0", "--data-seed", "-3"], 1, "--data-seed"),
+    (["analyze", "theorem2", "--seed", "-1"], 1, "--seed"),
 ], ids=["sigma2-text", "k-values-text", "k-values-repeated", "widths-empty", "sigmas-semicolon", "k-zero",
         "eval-train-frac-1", "train-train-frac-0", "missing-member", "manifest-no-alphas",
         "empty-train-split", "sigmas-negative", "theorem1-trials-0", "widths-two",
         "pbin-missing-section", "sigma2-out-of-range", "fan-in-0", "batch-size-0",
         "epochs-negative", "lr-negative", "lr-nan", "image-size-negative",
-        "binary-net-diverges", "theorem1-trials-1", "theorem1-zero-variance"])
+        "binary-net-diverges", "theorem1-trials-1", "theorem1-zero-variance",
+        "seed-negative", "data-seed-negative", "theorem2-seed-negative"])
 def test_malformed_invocations_exit_cleanly(tmp_path, cli_paths, argv, code, flag):
     out = _run_cli([cli_paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")])
     assert out.returncode == code, out.stderr

@@ -24,7 +24,7 @@ def small_cfg(classes=3, variant="SB"):
 
 
 def test_bagging_sample_one_hot():
-    u = ensemble.SampleWeights(np.array([0.0, 1.0, 0.0]))
+    u = np.array([0.0, 1.0, 0.0])
     idx = ensemble.bagging_sample(50, u, rng=0)
     assert (idx == 1).all()
 
@@ -36,7 +36,7 @@ def test_bagging_sample_balanced_frequencies():
 
 
 def test_bagging_sample_bootstrap_coverage_single_seed():
-    u = ensemble.SampleWeights.uniform(10_000)
+    u = np.full(10_000, 1.0 / 10_000)
     idx = ensemble.bagging_sample(10_000, u, rng=2)
     distinct = len(np.unique(idx)) / 10_000
     assert abs(distinct - (1 - 1 / math.e)) <= 0.02
@@ -56,7 +56,7 @@ def test_bagging_sample_errors_and_reproducibility():
 
 
 def test_adaboost_alpha_formula():
-    u = ensemble.SampleWeights.uniform(4)
+    u = np.full(4, 0.25)
     labels = np.array([0, 0, 1, 1])
     # err = 0.5 at C=2: alpha = 0, i.e. a chance member contributes nothing
     alpha, _, err, rejected = ensemble.adaboost_round(u, np.array([0, 1, 1, 0]), labels, 2)
@@ -69,13 +69,13 @@ def test_adaboost_alpha_formula():
     assert alpha == pytest.approx(math.log(3.0), abs=1e-12)
     assert not rejected
     # misclassified example ends up heavier than the correct ones
-    assert new_u.u[3] > new_u.u[0]
-    assert new_u.u.sum() == pytest.approx(1.0, abs=1e-12)
+    assert new_u[3] > new_u[0]
+    assert new_u.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_adaboost_rejects_worse_than_chance():
     m = 100
-    u = ensemble.SampleWeights.uniform(m)
+    u = np.full(m, 1.0 / m)
     labels = np.zeros(m, dtype=np.int64)
     pred = np.ones(m, dtype=np.int64)
     pred[:10] = 0  # err = 0.9 >= 9/10 for C=10
@@ -86,13 +86,13 @@ def test_adaboost_rejects_worse_than_chance():
 
 
 def test_adaboost_perfect_member_capped():
-    u = ensemble.SampleWeights.uniform(8)
+    u = np.full(8, 0.125)
     labels = np.arange(8) % 3
     alpha, u2, err, rejected = ensemble.adaboost_round(u, labels.copy(), labels, 3)
     assert err == 0.0
     assert alpha == pytest.approx(math.log(1e6))
     assert not rejected
-    assert np.allclose(u2.u, u.u)
+    assert np.allclose(u2, u)
 
 
 def test_adaboost_alpha_monotone_decreasing_in_err():
@@ -107,14 +107,14 @@ def test_adaboost_alpha_monotone_decreasing_in_err():
         for e in (0.1, 0.2, 0.4):
             pred = np.zeros(m, dtype=np.int64)
             pred[: int(m * e)] = 1
-            a, _, _, _ = ensemble.adaboost_round(ensemble.SampleWeights.uniform(m), pred, labels, c)
+            a, _, _, _ = ensemble.adaboost_round(np.full(m, 1.0 / m), pred, labels, c)
             vals.append(a)
         assert vals[0] > vals[1] > vals[2]
 
 
 def test_adaboost_empty_predictions():
     with pytest.raises(ValueError, match="empty"):
-        ensemble.adaboost_round(ensemble.SampleWeights.uniform(1), np.array([]), np.array([]), 2)
+        ensemble.adaboost_round(np.ones(1), np.array([]), np.array([]), 2)
 
 
 # -------------------------------------------------------------- aggregation
@@ -207,7 +207,7 @@ def test_bagging_k1_identical_to_single_member_train():
         cfg, tr.images, tr.labels, k=1, mode="independent", seed=7, spec=SPEC_FAST
     )
     net, _ = ensemble.train_member(
-        cfg, tr.images, tr.labels, u=ensemble.SampleWeights.uniform(len(tr)),
+        cfg, tr.images, tr.labels, u=np.full(len(tr), 1.0 / len(tr)),
         seed_seq=ensemble.member_seed(7, 0), spec=SPEC_FAST,
     )
     from binn import datio as dio
@@ -256,7 +256,7 @@ def test_boosting_k1_single_weighted_member_with_alpha():
 
 def test_boosting_grows_weights_of_misclassified():
     (tr, te) = blob_task(seed=4)
-    u = ensemble.SampleWeights.uniform(len(tr))
+    u = np.full(len(tr), 1.0 / len(tr))
     cfg = small_cfg()
     net, _ = ensemble.train_member(
         cfg, tr.images, tr.labels, u=u, seed_seq=ensemble.member_seed(4, 0), spec=SPEC_FAST
@@ -265,7 +265,7 @@ def test_boosting_grows_weights_of_misclassified():
     alpha, new_u, err, _ = ensemble.adaboost_round(u, pred, tr.labels, cfg.classes)
     assert 0 < err < 0.5
     mis = pred != tr.labels
-    assert new_u.u[mis].min() > new_u.u[~mis].max()
+    assert new_u[mis].min() > new_u[~mis].max()
 
 
 def test_boosting_beats_best_single_on_xor():

@@ -26,7 +26,7 @@ def test_zeroed_final_layer_gives_uniform():
     last = net.layers[-1]
     last.w.value[:] = 0
     last.b.value[:] = 0
-    p = net.predict_proba(np.random.default_rng(0).standard_normal((3, 1, 1, 8)))
+    p = nn.softmax(net.forward(np.random.default_rng(0).standard_normal((3, 1, 1, 8))))
     assert np.allclose(p, 0.2, atol=1e-12)
 
 
@@ -35,7 +35,7 @@ def test_forward_deterministic_row_repeat():
     net = nn.Network.from_config(cfg, seed=1)
     x = np.random.default_rng(1).uniform(-1, 1, (1, 1, 8, 8)).astype(np.float32)
     batch = np.repeat(x, 2, axis=0)
-    p = net.predict_proba(batch)
+    p = nn.softmax(net.forward(batch))
     assert np.array_equal(p[0], p[1])
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-6)
 
@@ -56,7 +56,7 @@ def test_tiny_fixed_net_matches_dense_oracle():
     logits = h @ w2.T + b2
     e = np.exp(logits - logits.max())
     want = e / e.sum()
-    assert np.allclose(net.predict_proba(x), want, atol=1e-6)
+    assert np.allclose(nn.softmax(net.forward(x)), want, atol=1e-6)
 
 
 def test_shape_mismatch_names_layer_index():
@@ -296,7 +296,7 @@ def test_nin_config_instantiates_reduced_scale():
     cfg = nn.nin_config(variant="SB", width_scale=0.25, classes=10)
     net = nn.Network.from_config(cfg, seed=0)
     x = np.random.default_rng(0).uniform(-1, 1, (2, 3, 32, 32)).astype(np.float32)
-    p = net.predict_proba(x)
+    p = nn.softmax(net.forward(x))
     assert p.shape == (2, 10)
     assert np.allclose(p.sum(axis=1), 1, atol=1e-6)
 
