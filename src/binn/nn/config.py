@@ -212,7 +212,13 @@ def nin_config(
     input_shape=(3, 32, 32),
     name=None,
 ) -> NetworkConfig:
-    """Compact network-in-network; width_scale 0.5/0.1 gives Tiny/Nano sizes."""
+    """Compact network-in-network; width_scale 0.5/0.1 gives Tiny/Nano sizes.
+
+    Every conv/fc after the first takes its input from a batchnorm
+    (XNOR-Net's BN -> binarize -> conv/fc order). Without the one before
+    the final fc, that fc's input is a pooled ReLU output, never negative,
+    and binarizes to all +1.
+    """
 
     def d(depth):
         return max(1, round(depth * width_scale))
@@ -271,6 +277,7 @@ def nin_config(
         conv(conv_rows[6]),
         layer("relu"),
         layer("avgpool", kernel=8, stride=1, pad=0),
+        bn(),
     ]
     wb, ab = bits()
     specs.append(layer("fc", out=classes, wbits=wb, abits=ab))

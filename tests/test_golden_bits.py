@@ -34,22 +34,22 @@ GOLDEN_STEPS = {
     ("mlp", "WQB", "sgd"): "ccfeb3fc2295a5adb6d803a69d8c770013a4e6c4aac1f39f01c16b6831c28f75",
     ("mlp", "AQB", "adam"): "ada17a2886c69228669d8f4a325ae2e103be884d153f6fdb87d2d34d63ed3874",
     ("mlp", "AQB", "sgd"): "2f33a4735313128704d43c13ad2ff2898fb960b5c3cc18c5170b78208800d97b",
-    ("nin", "AB", "adam"): "cfc3e2e2d665448b0496b4020488e23a7b167d99794909ddad03ba6995a78b10",
-    ("nin", "AB", "sgd"): "b8bce534a9f8183878bf2054941f8e342b266b56ce0e5a383e6858843f3486de",
-    ("nin", "DNN", "adam"): "6ae6202b90a77170eccba1e2af988d06049d5c1e0e91ee0d6a201a01ff9c4b4c",
-    ("nin", "DNN", "sgd"): "eaff7a34a05f8b1f048a512a432d599413906716330b03167dbce83e6703bcde",
+    ("nin", "AB", "adam"): "30957347c3ca08318cdbdbb5d472848203cd45d3bfeddfb89cf0e6ac1f3fb036",
+    ("nin", "AB", "sgd"): "4da03d645104c6af8ee0b45f4ba6db006f0a09e6c9e9b3263aa735b68e19110d",
+    ("nin", "DNN", "adam"): "97ae3304b62a3125f1d26e0be6bc29c17837f11002a58150b1080f3babd0dace",
+    ("nin", "DNN", "sgd"): "55335ef3f235b50239d16e0f2dc24434bad5490dc0b30b170df0340a7bb55338",
 }
 
 GOLDEN_NIN = {
     "AB": {
-        "eval_logits": "35c30731969c1fffde8c50fb2bd3227a93a825bda3884d72ebcff684c0293910",
-        "train_input_grad": "097a3455335fd93b97883e7c7d884c2f1d7bf8dbb7db40e54ad5ad118148d693",
-        "eval_input_grad": "d95d3f50a9e1f498d674fac1ceca4572bb2fc2de09ef5aec2cb8846846bdb431",
+        "eval_logits": "0c732e63cbbcfe028fe4fa6c772d646fded7a123f617dbe4f31332beefc5128d",
+        "train_input_grad": "a87542e99713e29ddcec3ee8a39b8fcb6f41838c6b8b30acbf251d48e537e62b",
+        "eval_input_grad": "ecbf4df35e5c3191709f98bf7059cff4c0f904275910311e958e4dedaabde68d",
     },
     "DNN": {
-        "eval_logits": "7e32d4a5de40d7ca755cd06b66d3dd3d6f1d270eaf2667e0bfab714911afaabd",
-        "train_input_grad": "1482bff27fa8f3a4a154778f20c25fab3231cebbaa2f8a50a4d537f9a9b7269c",
-        "eval_input_grad": "0c170c18881a570269fd486ac9567e2fd2d938e14dcf85082347818e041b6cb8",
+        "eval_logits": "59b602d437756eae59fa3b18cc885ad4c02490ba6465928a4564fb92da5ebf29",
+        "train_input_grad": "8039c3d09268c464bf17d2cf4a941f93100d8e9b43e67c79859e6e0389318c5c",
+        "eval_input_grad": "61b003cbe54e1ccb46f4e9af29e6e3bb536582a1dd3ecd47bef809c5dc9ef223",
     },
 }
 

@@ -64,6 +64,12 @@ def test_shape_mismatch_names_layer_index():
     net = nn.Network.from_config(cfg, seed=0)
     with pytest.raises(ShapeError, match="layer 0"):
         net.forward(np.zeros((2, 1, 4, 4), dtype=np.float32))
+    # an fc-first net takes any input with the right number of features
+    x = np.random.default_rng(0).uniform(-1, 1, (3, 1, 8, 8)).astype(np.float32)
+    assert np.array_equal(net.forward(x.reshape(3, 64)), net.forward(x))
+    nin = nn.Network.from_config(nin_config(width_scale=0.25), seed=0)
+    with pytest.raises(ShapeError, match="layer 0"):
+        nin.forward(np.zeros((2, 3, 16, 16), dtype=np.float32))
     zero_stride = parse_config("name: z\ninput: 1x4x4\nclasses: 2\nlayer: maxpool kernel=2 stride=0\n")
     with pytest.raises(ShapeError, match="layer 0"):
         nn.Network.from_config(zero_stride)
@@ -290,6 +296,27 @@ def test_variant_precision_assignment():
         fcs = [l for l in cfg.layers if l.kind == "fc"]
         got = [(dict(l.params)["wbits"], dict(l.params)["abits"]) for l in fcs]
         assert got == [first, mid, last], variant
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_binarized_inputs_follow_a_batchnorm(variant):
+    # relu, and the pools after it, give no negative value: a 1-bit input
+    # taken from them with no batchnorm in between is all +1
+    for cfg in (mlp_config((1, 8, 8), [16, 16], 4, variant=variant), nin_config(variant=variant)):
+        kinds = [spec.kind for spec in cfg.layers]
+        weighted = [i for i, kind in enumerate(kinds) if kind in ("conv", "fc")]
+        for i in weighted[1:]:
+            if dict(cfg.layers[i].params)["abits"] < 32:
+                last = max(j for j in range(i) if kinds[j] in ("relu", "maxpool", "avgpool"))
+                assert "batchnorm" in kinds[last + 1 : i], (cfg.name, i)
+
+
+@pytest.mark.parametrize("variant", ["AB", "IB", "WQB"])
+def test_nin_binary_logits_depend_on_input(variant):
+    net = nn.Network.from_config(nin_config(variant=variant, width_scale=0.25), seed=0)
+    x = np.random.default_rng(0).uniform(-1, 1, (16, 3, 32, 32)).astype(np.float32)
+    logits = net.forward(x, bn_batch_stats=True)
+    assert len(np.unique(logits, axis=0)) == 16
 
 
 def test_nin_config_instantiates_reduced_scale():
