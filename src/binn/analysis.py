@@ -91,6 +91,12 @@ def _rng(seed, *tags) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 
+def _chunks(trials, size, seed, tag):
+    """(m, rng) for each chunk of at most ``size`` trials, drawn from stream (seed, tag, index)."""
+    for ci, lo in enumerate(range(0, trials, size)):
+        yield min(size, trials - lo), _rng(seed, tag, ci)
+
+
 def _sign(x):
     """np.where(x >= 0, 1.0, -1.0), NaN -> -1; np.where with scalar branches is ~4x slower."""
     s = (x >= 0).astype(np.float64)
@@ -158,18 +164,12 @@ def monte_carlo_b(sigma: float, trials: int = 10_000_000, seed: int = 0) -> Mont
     """Sampling cross-check of compute_b (gamma^2 has values in {0, 4})."""
     total = 0.0
     total_sq = 0.0
-    done = 0
-    ci = 0
-    while done < trials:
-        m = min(_CHUNK * 64, trials - done)
-        rng = _rng(seed, 0xB0, ci)
+    for m, rng in _chunks(trials, _CHUNK * 64, seed, 0xB0):
         x = rng.standard_normal(m)
         dx = rng.standard_normal(m) * sigma
         g2 = (_sign(x + dx) - _sign(x)) ** 2
         total += g2.sum()
         total_sq += (g2 * g2).sum()
-        done += m
-        ci += 1
     mean = total / trials
     var = total_sq / trials - mean * mean
     return MonteCarloEstimate(mean=mean, stderr=math.sqrt(max(var, 0) / trials), trials=trials)
@@ -218,11 +218,7 @@ def verify_theorem1(
     bagged_collected = {k: [] for k in k_values}
     words = -(-fan_in // 64)  # raw 64-bit words per member row
 
-    done = 0
-    ci = 0
-    while done < trials:
-        m = min(_CHUNK, trials - done)
-        rng = _rng(seed, 0x71, ci)
+    for m, rng in _chunks(trials, _CHUNK, seed, 0x71):
         w = rng.normal(0.0, sigma_w, (m, fan_in))
         x = rng.standard_normal((m, fan_in))
         dx = rng.normal(0.0, sigma, (m, fan_in))
@@ -247,8 +243,6 @@ def verify_theorem1(
                 signs -= 1.0
                 member[lo:hi] = np.matmul(signs, gamma[lo:hi, :, None])[..., 0]
             bagged_collected[k].append(member.mean(axis=1))
-        done += m
-        ci += 1
 
     predicted = {
         "real": fan_in * sigma_w**2 * sigma**2,
@@ -371,12 +365,7 @@ def verify_theorem2(
         reg: {"bound": theorem2_bound(widths, sigma_w, sigma, b, reg), "satisfied": 0, "sum": 0.0}
         for reg in THEOREM2_REGIMES
     }
-    done = 0
-    ci = 0
-    chunk = max(1, _CHUNK // max(1, inner // 8))
-    while done < trials:
-        m = min(chunk, trials - done)
-        rng = _rng(seed, 0x72, ci)
+    for m, rng in _chunks(trials, max(1, _CHUNK // max(1, inner // 8)), seed, 0x72):
         ws = [
             rng.normal(0.0, sigma_w, (m, widths[li + 1], widths[li]))
             for li in range(len(widths) - 1)
@@ -395,8 +384,6 @@ def verify_theorem2(
         for reg, res in results.items():  # whole-chunk sums keep the summation order
             res["satisfied"] += int((v_hat[reg] <= res["bound"]).sum())
             res["sum"] += float(v_hat[reg].sum())
-        done += m
-        ci += 1
     regimes = {}
     for reg, res in results.items():
         frac = res["satisfied"] / trials

@@ -116,9 +116,9 @@ def _print_table(header, rows):
 
 def _load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return parse_config(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read config {path}: {e}") from None
 
 

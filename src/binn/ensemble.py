@@ -205,9 +205,11 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
             epoch_callback=cb,
         )
         seed_used = [int(seed), ki]
+        n_acc = len(ensemble_acc)
         try:
             net, hist = train_member(**kw)
         except NumericalError:
+            del ensemble_acc[n_acc:]  # the failed attempt's epochs
             seed_used.append(0xEE7)
             kw["seed_seq"] = np.random.SeedSequence(seed_used)
             net, hist = train_member(**kw)
@@ -313,12 +315,37 @@ def save_ensemble(model: EnsembleModel, out_dir) -> dict:
     return manifest
 
 
+def _check_manifest(manifest):
+    """Raise DataError naming the first manifest key that holds a malformed value."""
+    members = manifest["members"]
+    if not (isinstance(members, list) and members and all(
+            isinstance(h, str) and len(h) == 64 and not set(h) - set("0123456789abcdef")
+            for h in members)):
+        raise DataError("ensemble manifest key 'members' must be a non-empty list of "
+                        "64-digit hex hashes")
+    alphas = manifest["alphas"]
+    try:
+        ok = (isinstance(alphas, list) and len(alphas) == len(members)
+              and not any(isinstance(a, bool) for a in alphas)
+              and all(a > 0 for a in alphas) and math.isfinite(math.fsum(alphas)))
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise DataError("ensemble manifest key 'alphas' must hold one finite number > 0 per member")
+    for key, allowed in (("rule", ("hard", "soft")), ("strategy", ("bagging", "boosting")),
+                         ("mode", ("independent", "warm_restart"))):
+        if manifest[key] not in allowed:
+            raise DataError(f"ensemble manifest key {key!r} must be one of {allowed}")
+    if not isinstance(manifest["config"], str):
+        raise DataError("ensemble manifest key 'config' must be a string")
+
+
 def load_ensemble(out_dir) -> EnsembleModel:
     path = os.path.join(out_dir, "manifest.json")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8 or not JSON
         raise DataError(f"cannot read ensemble manifest: {e}") from None
     if not isinstance(manifest, dict):
         raise DataError("ensemble manifest is not a JSON object")
@@ -328,6 +355,7 @@ def load_ensemble(out_dir) -> EnsembleModel:
     missing = sorted(keys - set(manifest))
     if missing:
         raise DataError(f"ensemble manifest lacks {missing}")
+    _check_manifest(manifest)
     members = []
     for h in manifest["members"]:
         fpath = os.path.join(out_dir, f"member-{h[:16]}.ckpt")

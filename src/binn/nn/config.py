@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from importlib import resources
 
 from ..errors import DataError
 
@@ -170,6 +171,21 @@ def _variant_bits(variant: str, position: str, q: int) -> tuple[int, int]:
     raise DataError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
+def _with_variant(specs, variant, q) -> tuple[LayerSpec, ...]:
+    """Set wbits/abits on each conv/fc from its position among the weighted layers."""
+    n_weighted = sum(spec.kind in ("conv", "fc") for spec in specs)
+    out = []
+    widx = 0
+    for spec in specs:
+        if spec.kind in ("conv", "fc"):
+            pos = "first" if widx == 0 else ("last" if widx == n_weighted - 1 else "middle")
+            wb, ab = _variant_bits(variant, pos, q)
+            spec = layer(spec.kind, **{**dict(spec.params), "wbits": wb, "abits": ab})
+            widx += 1
+        out.append(spec)
+    return tuple(out)
+
+
 def mlp_config(
     input_shape,
     hidden,
@@ -186,11 +202,9 @@ def mlp_config(
     widths = list(hidden) + [classes]
     specs = []
     for i, width in enumerate(widths):
-        pos = "first" if i == 0 else ("last" if i == len(widths) - 1 else "middle")
-        wb, ab = _variant_bits(variant, pos, q)
         if batchnorm and i > 0:
             specs.append(layer("batchnorm"))
-        specs.append(layer("fc", out=width, wbits=wb, abits=ab, bias=int(bias)))
+        specs.append(layer("fc", out=width, bias=int(bias)))
         if i < len(widths) - 1:
             specs.append(layer("relu"))
             if dropout > 0:
@@ -199,7 +213,7 @@ def mlp_config(
         name=name or f"mlp-{variant.lower()}-{'-'.join(map(str, widths))}",
         input_shape=tuple(input_shape),
         classes=classes,
-        layers=tuple(specs),
+        layers=_with_variant(specs, variant, q),
     )
 
 
@@ -212,78 +226,24 @@ def nin_config(
     input_shape=(3, 32, 32),
     name=None,
 ) -> NetworkConfig:
-    """Compact network-in-network; width_scale 0.5/0.1 gives Tiny/Nano sizes.
+    """The bundled ``configs/nin.cfg`` table with its conv depths scaled by
+    width_scale (0.5/0.1 give Tiny/Nano sizes) and ``classes`` fc outputs.
 
-    Every conv/fc after the first takes its input from a batchnorm
-    (XNOR-Net's BN -> binarize -> conv/fc order). Without the one before
-    the final fc, that fc's input is a pooled ReLU output, never negative,
-    and binarizes to all +1.
+    The table's batchnorms put XNOR-Net's BN -> binarize -> conv/fc order
+    before every conv/fc after the first (see the table's header).
     """
-
-    def d(depth):
-        return max(1, round(depth * width_scale))
-
-    conv_rows = [
-        # (depth, kernel, stride, pad), in table order
-        (192, 5, 1, 2),
-        (96, 1, 1, 0),
-        (192, 5, 1, 2),
-        (192, 1, 1, 0),
-        (192, 3, 1, 1),
-        (192, 1, 1, 0),
-        (192, 1, 1, 0),
-    ]
-    n_weighted = len(conv_rows) + 1  # + final fc
-    widx = 0
-
-    def bits():
-        nonlocal widx
-        pos = "first" if widx == 0 else ("last" if widx == n_weighted - 1 else "middle")
-        widx += 1
-        return _variant_bits(variant, pos, q)
-
-    def conv(row):
-        depth, k, s, p = row
-        wb, ab = bits()
-        return layer("conv", out=d(depth), kernel=k, stride=s, pad=p, wbits=wb, abits=ab)
-
-    bn = lambda: layer("batchnorm", eps=1e-4, momentum=0.1)
-    specs = [
-        conv(conv_rows[0]),
-        bn(),
-        layer("relu"),
-        bn(),
-        layer("dropout", p=0.5),
-        conv(conv_rows[1]),
-        layer("relu"),
-        layer("maxpool", kernel=3, stride=2, pad=1),
-        bn(),
-        layer("dropout", p=0.5),
-        conv(conv_rows[2]),
-        layer("relu"),
-        bn(),
-        layer("dropout", p=0.5),
-        conv(conv_rows[3]),
-        layer("relu"),
-        layer("avgpool", kernel=3, stride=2, pad=1),
-        bn(),
-        layer("dropout", p=0.5),
-        conv(conv_rows[4]),
-        layer("relu"),
-        bn(),
-        conv(conv_rows[5]),
-        layer("relu"),
-        bn(),
-        conv(conv_rows[6]),
-        layer("relu"),
-        layer("avgpool", kernel=8, stride=1, pad=0),
-        bn(),
-    ]
-    wb, ab = bits()
-    specs.append(layer("fc", out=classes, wbits=wb, abits=ab))
+    table = parse_config((resources.files("binn") / "configs" / "nin.cfg").read_text())
+    specs = []
+    for spec in table.layers:
+        params = dict(spec.params)
+        if spec.kind == "conv":
+            params["out"] = max(1, round(params["out"] * width_scale))
+        elif spec.kind == "fc":
+            params["out"] = classes
+        specs.append(layer(spec.kind, **params))
     return NetworkConfig(
         name=name or f"nin-{variant.lower()}-x{width_scale:g}",
         input_shape=tuple(input_shape),
         classes=classes,
-        layers=tuple(specs),
+        layers=_with_variant(specs, variant, q),
     )

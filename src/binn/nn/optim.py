@@ -26,27 +26,23 @@ class _FlatParams:
         dtype = dtypes.pop() if dtypes else np.float32
         sizes = [p.value.size for p in self.params]
         self._flat = np.empty(sum(sizes), dtype)
-        self._slices = []
         lo = 0
         for p, n in zip(self.params, sizes):
             view = self._flat[lo : lo + n].reshape(p.value.shape)
             view[...] = p.value
             p.value = view
-            self._slices.append(slice(lo, lo + n))
             lo += n
         self._grad = np.empty_like(self._flat)
 
-    def _segments(self):
-        """(values, gradients, buffer slice) triples to update: the whole
-        buffer when every parameter has a gradient, else one per parameter
-        that has one."""
+    def _gathered_grad(self):
+        """Every parameter's gradient, in buffer order; a step updates all of them."""
         grads = [p.grad for p in self.params]
-        if all(g is not None for g in grads):
-            if grads:
-                np.concatenate(grads, axis=None, out=self._grad)
-            return [(self._flat, self._grad, slice(None))]
-        return [(self._flat[s], p.grad.reshape(-1), s)
-                for p, s in zip(self.params, self._slices) if p.grad is not None]
+        missing = [i for i, g in enumerate(grads) if g is None]
+        if missing:
+            raise ValueError(f"parameters {missing} have no gradient")
+        if grads:
+            np.concatenate(grads, axis=None, out=self._grad)
+        return self._grad
 
 
 class SGD(_FlatParams):
@@ -55,8 +51,7 @@ class SGD(_FlatParams):
         self.lr = float(lr)
 
     def step(self):
-        for w, g, _ in self._segments():
-            w -= self.lr * g
+        self._flat -= self.lr * self._gathered_grad()
 
 
 class Adam(_FlatParams):
@@ -68,17 +63,17 @@ class Adam(_FlatParams):
         self._t = 0
 
     def step(self):
+        g = self._gathered_grad()
         self._t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        for w, g, s in self._segments():
-            m, v = self._m[s], self._v[s]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1**self._t)
-            vhat = v / (1 - b2**self._t)
-            w -= self.lr * mhat / (np.sqrt(vhat) + eps)
+        m, v = self._m, self._v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        mhat = m / (1 - b1**self._t)
+        vhat = v / (1 - b2**self._t)
+        self._flat -= self.lr * mhat / (np.sqrt(vhat) + eps)
 
 
 def make_optimizer(name: str, params, lr: float):

@@ -323,9 +323,28 @@ def cli_paths(tmp_path_factory):
     manifest = json.loads((ens / "manifest.json").read_text())
     no_member = shutil.copytree(ens, root / "no-member")
     (no_member / f"member-{manifest['members'][1][:16]}.ckpt").unlink()
+
+    def edited(name, **changes):
+        d = shutil.copytree(ens, root / name)
+        (d / "manifest.json").write_text(json.dumps({**manifest, **changes}))
+        return d
+
+    paths = {name: edited(name, **changes) for name, changes in [
+        ("members-int", {"members": [1]}),
+        ("alphas-text", {"alphas": ["x", "y"]}),
+        ("alphas-short", {"alphas": [1.0]}),
+        ("alphas-zero", {"alphas": [0, 0]}),
+        ("alphas-nan", {"alphas": [float("nan"), 1]}),
+        ("rule-median", {"rule": "median"}),
+        ("config-int", {"config": 5}),
+    ]}
     no_alphas = shutil.copytree(ens, root / "no-alphas")
     del manifest["alphas"]
     (no_alphas / "manifest.json").write_text(json.dumps(manifest))
+    utf16_manifest = shutil.copytree(ens, root / "utf16-manifest")
+    (utf16_manifest / "manifest.json").write_bytes((ens / "manifest.json").read_text().encode("utf-16"))
+    utf16_cfg = root / "utf16.cfg"
+    utf16_cfg.write_bytes(CFG_TEXT.encode("utf-16"))
     net = nn.Network.from_config(nn.mlp_config((1, 8, 8), [32], 4, variant="AB"), seed=0)
     text, sections = datio._parse_container(datio.packed_export_bytes(net), datio.PACKED_MAGIC)
     del sections["layer003.scale"]
@@ -333,8 +352,9 @@ def cli_paths(tmp_path_factory):
     no_scale.write_bytes(datio._container_bytes(datio.PACKED_MAGIC, text, list(sections.items())))
     ab_cfg = root / "ab.cfg"
     ab_cfg.write_text(nn.config_to_text(nn.mlp_config((1, 8, 8), [16, 16], 4, variant="AB")))
-    paths = {"cfg": cfg, "ens": ens, "no-member": no_member, "no-alphas": no_alphas,
-             "no-scale": no_scale, "ab-cfg": ab_cfg}
+    paths.update({"cfg": cfg, "ens": ens, "no-member": no_member, "no-alphas": no_alphas,
+                  "no-scale": no_scale, "ab-cfg": ab_cfg, "utf16-manifest": utf16_manifest,
+                  "utf16-cfg": utf16_cfg})
     return {f"{{{k}}}": str(v) for k, v in paths.items()}
 
 
@@ -371,13 +391,25 @@ def cli_paths(tmp_path_factory):
     (["train", "--config", "{cfg}", "--seed", "-1"], 1, "--seed"),
     (["train", "--config", "{cfg}", "--seed", "0", "--data-seed", "-3"], 1, "--data-seed"),
     (["analyze", "theorem2", "--seed", "-1"], 1, "--seed"),
+    (["train", "--config", "{utf16-cfg}", "--seed", "0"], 2, "utf-8"),
+    (["eval", "--checkpoint", "{utf16-manifest}"], 2, "manifest"),
+    (["eval", "--checkpoint", "{members-int}"], 2, "'members'"),
+    (["eval", "--checkpoint", "{alphas-text}"], 2, "'alphas'"),
+    (["eval", "--checkpoint", "{alphas-short}"], 2, "'alphas'"),
+    (["eval", "--checkpoint", "{alphas-zero}"], 2, "'alphas'"),
+    (["eval", "--checkpoint", "{alphas-nan}"], 2, "'alphas'"),
+    (["eval", "--checkpoint", "{rule-median}"], 2, "'rule'"),
+    (["eval", "--checkpoint", "{config-int}"], 2, "'config'"),
 ], ids=["sigma2-text", "k-values-text", "k-values-repeated", "widths-empty", "sigmas-semicolon", "k-zero",
         "eval-train-frac-1", "train-train-frac-0", "missing-member", "manifest-no-alphas",
         "empty-train-split", "sigmas-negative", "theorem1-trials-0", "widths-two",
         "pbin-missing-section", "sigma2-out-of-range", "fan-in-0", "batch-size-0",
         "epochs-negative", "lr-negative", "lr-nan", "image-size-negative",
         "binary-net-diverges", "theorem1-trials-1", "theorem1-zero-variance",
-        "seed-negative", "data-seed-negative", "theorem2-seed-negative"])
+        "seed-negative", "data-seed-negative", "theorem2-seed-negative", "config-not-utf8",
+        "manifest-not-utf8", "manifest-members-int", "manifest-alphas-text",
+        "manifest-alphas-short", "manifest-alphas-zero", "manifest-alphas-nan",
+        "manifest-rule-median", "manifest-config-int"])
 def test_malformed_invocations_exit_cleanly(tmp_path, cli_paths, argv, code, flag):
     out = _run_cli([cli_paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")])
     assert out.returncode == code, out.stderr

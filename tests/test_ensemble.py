@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binn import datio, ensemble, nn
-from binn.errors import EnsembleError, NumericalError
+from binn.errors import DataError, EnsembleError, NumericalError
 
 
 def blob_task(seed=0, n=600, classes=3, noise=0.12):
@@ -336,6 +338,29 @@ def test_retried_member_records_fallback_seed(monkeypatch, tmp_path, train):
         assert json.load(fh)["member_seeds"] == want
 
 
+def test_retried_member_leaves_no_stale_ensemble_records(monkeypatch):
+    (tr, te) = blob_task(seed=12)
+    real = ensemble.train_network
+    calls = {"n": 0}
+
+    def flaky(net, *a, **kw):
+        calls["n"] += 1
+        if calls["n"] == 2:  # member 1's first attempt: two epochs, then a divergence
+            real(net, *a, **{**kw, "epochs": 2})
+            raise NumericalError("synthetic divergence")
+        return real(net, *a, **kw)
+
+    monkeypatch.setattr(ensemble, "train_network", flaky)
+    _, info = ensemble.train_bagging(
+        small_cfg(), tr.images, tr.labels, k=3, seed=12,
+        spec=ensemble.MemberTrainSpec(epochs=4, batch_size=32),
+        eval_images=te.images, eval_labels=te.labels, track_ensemble_accuracy=True,
+    )
+    assert calls["n"] == 4
+    epochs = sum(len(h.test_accuracy) for h in info["histories"])
+    assert epochs == 12 and len(info["ensemble_accuracy"]) == epochs
+
+
 def test_all_members_rejected_fails_with_report(monkeypatch):
     (tr, te) = blob_task(seed=6)
     cfg = small_cfg()
@@ -385,6 +410,40 @@ def test_ensemble_save_load_roundtrip(tmp_path):
     again = ensemble.load_ensemble(tmp_path / "ens")
     assert np.array_equal(model.predict(te.images), again.predict(te.images))
     assert manifest["k"] == 2
+
+
+@pytest.fixture(scope="module")
+def saved_bag2(tmp_path_factory):
+    (tr, te) = blob_task(seed=8)
+    model, _ = ensemble.train_bagging(
+        small_cfg(), tr.images, tr.labels, k=2, seed=8,
+        spec=ensemble.MemberTrainSpec(epochs=1, batch_size=32),
+    )
+    d = tmp_path_factory.mktemp("bag2")
+    return d, ensemble.save_ensemble(model, d), te.images
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=st.sampled_from(["format_version", "members", "config", "alphas", "rule",
+                            "strategy", "mode", "seed", "member_seeds"]),
+       value=_JSON | st.lists(st.floats() | st.integers(), min_size=2, max_size=2)
+       | st.sampled_from(["hard", "soft", "bagging", "boosting", "independent", "warm_restart"]))
+def test_load_ensemble_returns_a_model_or_raises_data_error(saved_bag2, key, value):
+    d, manifest, images = saved_bag2
+    (d / "manifest.json").write_text(json.dumps({**manifest, key: value}))
+    try:
+        model = ensemble.load_ensemble(d)
+    except DataError:
+        return
+    assert np.isfinite(ensemble.aggregate(model, images).probs).all()
 
 
 def test_k1_all_rules_and_strategies_agree():

@@ -5,7 +5,8 @@ SHA-256 digests of the checkpoint bytes after a few optimizer steps, of the
 the NIN, of the eval-mode logits and of ``Network.backward``'s input
 gradient after a train-mode and an eval-mode forward. A speed-up of the
 training step must leave them unchanged; any change to a float operation of
-the step, or to its order, changes them.
+the step, or to its order, changes them. The config text that
+``nin_config`` and ``mlp_config`` emit is pinned the same way.
 """
 
 import hashlib
@@ -57,6 +58,32 @@ GOLDEN_METRICS = {
     "bag": "12ebbdf2fc46010b75c30e8c4cc82b644d46b46c48a127b030a0d02b17b5a5a9",
     "boost": "456796389499049451defa42141a789d29a621592c9cd5dbe11af3d03724af7b",
 }
+
+GOLDEN_CONFIG_TEXT = {
+    ("nin", "DNN"): "8429820bbb45097b4705f66a981aaac06f8319eb5914742bf0880e000330455b",
+    ("mlp", "DNN"): "bd73fe878748078dcb4062194614d92f813f660a5aef96dffc05333d0a746ca8",
+    ("nin", "SB"): "b0720b96d2a5126b5d7d0a4a2ff724198d3ae8440ce8bce84b9fcd74c1760a87",
+    ("mlp", "SB"): "de09c0fb14e124ae2f22f02025ef8b137506a79862ba32a4d2d3d7ef42519670",
+    ("nin", "AB"): "5015aec874ef770eab1f865531173c89ed1a7e06e01f3b36ac4741536e690efb",
+    ("mlp", "AB"): "872fcc8c48d4fdc892f139948d2f9c66c6e4dfc0f84fe639d182e8001b7307c3",
+    ("nin", "IB"): "bbdcd6b9356e39f50a003d0e86517128e148f30f59b96d1139bf730d6b4447a6",
+    ("mlp", "IB"): "d4ec5b8890a4aa3220cc56a45d81ad2f4551c07d07d670a581ea7c1ee445f5af",
+    ("nin", "WQB"): "31ff4257cfad514cbbaf8254ade13bb84995c0f0ee53ede24750078ab11e5987",
+    ("mlp", "WQB"): "8ae3045288f07073d23301620cf47224adca77287c12b55c260bb72cec980b73",
+    ("nin", "AQB"): "ab6cc502ec579ac703e4a80e29f58ef75863d51a2fe738bd7efff82197aa1174",
+    ("mlp", "AQB"): "4bc08a53ea0f2bc8fb402405d5a20f3495ca6873fd1a57ec74bf48c9ebba3ecf",
+}
+
+# (input_shape, hidden, classes, keywords) of the MLPs the tests and benchmarks build
+MLP_SHAPES = [
+    ((1, 8, 8), [8], 4, {}),
+    ((1, 8, 8), [16], 4, {}),
+    ((1, 8, 8), [64, 64], 4, {}),
+    ((1, 8, 8), [96, 96, 96], 4, {}),
+    ((1, 8, 8), [32, 16], 4, {"q": 3, "dropout": 0.5}),
+    ((1, 8, 8), [64], 4, {"batchnorm": False, "bias": False}),
+    ((1, 1, 8), [16], 3, {"batchnorm": False}),
+]
 
 CASES = [("mlp", v, o) for v in VARIANTS for o in ("adam", "sgd")] + [
     ("nin", v, o) for v in ("AB", "DNN") for o in ("adam", "sgd")
@@ -119,3 +146,13 @@ def test_ensemble_metrics_bits(tmp_path, strategy):
     assert rc == 0
     got = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
     assert got == GOLDEN_METRICS[strategy]
+
+
+@pytest.mark.parametrize("arch,variant", list(GOLDEN_CONFIG_TEXT))
+def test_config_text_bits(arch, variant):
+    if arch == "nin":
+        cfgs = [nin_config(variant=variant, width_scale=ws) for ws in (1, 0.5, 0.25, 0.1)]
+    else:
+        cfgs = [mlp_config(s, h, c, variant=variant, **kw) for s, h, c, kw in MLP_SHAPES]
+    text = "".join(nn.config_to_text(cfg) for cfg in cfgs)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CONFIG_TEXT[(arch, variant)]

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import binn
 from binn import datio, nn
 from binn.errors import NumericalError, ShapeError
 from binn.nn import mlp_config, nin_config, parse_config, config_to_text
@@ -336,3 +340,13 @@ def test_bundled_architecture_tables_parse():
         cfg = parse_config(text)
         weighted = [l for l in cfg.layers if l.kind in ("conv", "fc")]
         assert len(weighted) == n_weighted, fname
+
+
+def test_nin_config_finds_its_table_from_any_directory(tmp_path):
+    src = os.path.dirname(os.path.dirname(binn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "from binn.nn import config_hash, nin_config; print(config_hash(nin_config()))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == nn.config_hash(nin_config())
