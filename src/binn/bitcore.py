@@ -186,21 +186,21 @@ def _conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
 
 
 def _windows(x: np.ndarray, k: int, stride: int, padding: int, pad_value) -> np.ndarray:
-    """[B, C, H, W] padded with ``pad_value`` -> strided window view [B, C, H', W', k, k]."""
+    """[..., C, H, W] padded with ``pad_value`` -> strided window view [..., C, H', W', k, k]."""
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+        x = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((padding, padding),) * 2,
                    constant_values=pad_value)
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(-2, -1))
+    return win[..., ::stride, ::stride, :, :]
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int, pad_value):
-    """[B, C, H, W] -> patch matrix [B*H'*W', C*k*k] plus output dims."""
-    b, c, h, w = x.shape
+    """[..., C, H, W] -> patch matrix [...*H'*W', C*k*k] plus output dims."""
+    c, h, w = x.shape[-3:]
     ho = _conv_out_size(h, k, stride, padding)
     wo = _conv_out_size(w, k, stride, padding)
     win = _windows(x, k, stride, padding, pad_value)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * k * k)
+    cols = np.moveaxis(win, -5, -3).reshape(-1, c * k * k)
     return np.ascontiguousarray(cols), ho, wo
 
 

@@ -1,9 +1,11 @@
 """Bagging and boosting of weak binary networks.
 
-Members share one NetworkConfig. Bagging and independent-mode members could
-train fully in parallel (member RNG streams are isolated by construction);
-boosting and warm-restart are sequential by nature. Aggregation is
-read-only.
+Members share one NetworkConfig. Independent-mode bagged members train in
+lockstep as one stacked network (``Network.stack``): each keeps its own
+init, bootstrap, permutation and dropout streams, and its checkpoint bytes
+equal those of training it alone. Boosting and warm restart depend on the
+previous member, so each of their rounds trains a stack of one.
+Aggregation is read-only.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import DataError, EnsembleError, NumericalError
 from .nn.config import NetworkConfig, config_hash, config_to_text, parse_config
 from .nn.network import Network, softmax
 from .nn.optim import make_optimizer
-from .nn.train import TrainHistory, train_network
+from .nn.train import train_network
 
 ALPHA_CAP = math.log(1e6)  # perfect members get a finite vote
 
@@ -76,43 +78,39 @@ def bagging_sample(dataset_size: int, u: np.ndarray, rng) -> np.ndarray:
     return rng.choice(len(probs), size=dataset_size, replace=True, p=probs / total)
 
 
-def train_member(
-    config: NetworkConfig,
-    images,
-    labels,
-    *,
-    u: np.ndarray,
-    seed_seq,
-    spec: MemberTrainSpec,
-    eval_images=None,
-    eval_labels=None,
-    init_from: Network | None = None,
-    epoch_callback=None,
-) -> tuple[Network, TrainHistory]:
-    """Train one weak network under the sampling distribution u.
+def train_members(config: NetworkConfig, images, labels, *, u: np.ndarray, seed_seqs,
+                  spec: MemberTrainSpec, eval_images=None, eval_labels=None,
+                  init_from: Network | None = None) -> list:
+    """Train one weak network per seed sequence under the sampling
+    distribution u, all in lockstep as one stack; returns a (net, history)
+    per member, with net None and ``history.error`` set for a member whose
+    training went non-finite.
 
-    Reweighting is on sampling probabilities: a fresh bootstrap multiset of
-    M examples is drawn from u.
+    Reweighting is on sampling probabilities: each member draws a fresh
+    bootstrap multiset of M examples from u.
     """
-    init_ss, boot_ss, train_ss = seed_seq.spawn(3)
-    if init_from is not None:
-        net = init_from.clone()
-    else:
-        net = Network.from_config(config, seed=np.random.default_rng(init_ss))
-    idx = bagging_sample(len(labels), u, np.random.default_rng(boot_ss))
-    opt = make_optimizer(spec.optimizer, net.parameters(), spec.lr)
-    hist = train_network(
-        net,
-        images[idx],
-        labels[idx],
-        epochs=spec.epochs,
-        batch_size=spec.batch_size,
-        optimizer=opt,
-        rng=np.random.default_rng(train_ss),
-        eval_images=eval_images,
-        eval_labels=eval_labels,
-        epoch_callback=epoch_callback,
-    )
+    nets, samples, rngs = [], [], []
+    for seed_seq in seed_seqs:
+        init_ss, boot_ss, train_ss = seed_seq.spawn(3)
+        if init_from is not None:
+            nets.append(init_from.clone())
+        else:
+            nets.append(Network.from_config(config, seed=np.random.default_rng(init_ss)))
+        samples.append(bagging_sample(len(labels), u, np.random.default_rng(boot_ss)))
+        rngs.append(np.random.default_rng(train_ss))
+    stack = Network.stack(nets)
+    opt = make_optimizer(spec.optimizer, stack.parameters(), spec.lr)
+    hists = train_network(stack, images, labels, epochs=spec.epochs, batch_size=spec.batch_size,
+                          optimizer=opt, rng=rngs, eval_images=eval_images,
+                          eval_labels=eval_labels, sample=np.stack(samples))
+    return [(None if h.error else net, h) for net, h in zip(stack.unstack(), hists)]
+
+
+def train_member(config: NetworkConfig, images, labels, *, seed_seq, **kw):
+    """``train_members`` for one member: (net, history), or its NumericalError raised."""
+    ((net, hist),) = train_members(config, images, labels, seed_seqs=[seed_seq], **kw)
+    if hist.error:
+        raise hist.error
     return net, hist
 
 
@@ -150,18 +148,15 @@ def adaboost_round(current_u: np.ndarray, member_predictions, labels, class_coun
     return alpha, new, err, False
 
 
-def _ensemble_epoch_tracker(trained, images, labels, record):
-    """Callback factory: test accuracy of completed members + the live one.
+def _ensemble_epoch_tracker(trained, labels, record):
+    """Callback factory: records the test accuracy of the kept members' summed
+    softmax outputs (``trained``) plus the live member's, from its eval logits."""
 
-    ``trained`` holds the completed members' softmax outputs on ``images``,
-    each computed once when its member was kept."""
-
-    def cb(epoch, net, hist):
-        probs = softmax(net.forward(images))
+    def cb(logits):
+        probs = softmax(logits)
         for p in trained:
             probs = probs + p
-        acc = float((probs.argmax(axis=1) == labels).mean())
-        record.append(acc)
+        record.append(float((probs.argmax(axis=1) == labels).mean()))
 
     return cb
 
@@ -172,10 +167,13 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
                   ) -> tuple[EnsembleModel, dict]:
     """The member loop shared by bagging and boosting.
 
-    Each round trains one member on a bootstrap drawn from u, retrying once
-    from the fallback stream [seed, k, 0xEE7] on NumericalError. Bagging
-    then keeps u and gives the member alpha 1; boosting applies
-    ``adaboost_round`` and skips a rejected member.
+    Independent bagging trains all k members in lockstep up front; otherwise
+    each round trains one member on a bootstrap drawn from u. A member that
+    went non-finite retrains alone once, from the fallback stream
+    [seed, k, 0xEE7]. Bagging then keeps u and gives the member alpha 1;
+    boosting applies ``adaboost_round`` and skips a rejected member. Each
+    round's epochs then add to the ensemble accuracy stream from their
+    recorded eval logits.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -190,31 +188,31 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
     rounds = []
     ensemble_acc = []
     track = track_ensemble_accuracy and eval_images is not None
-    member_eval_probs = []
+    kept_probs = []  # the kept members' softmax outputs on eval_images
+    common = dict(spec=spec, eval_images=eval_images, eval_labels=eval_labels)
+    stacked = []
+    if strategy == "bagging" and mode == "independent":
+        stacked = train_members(config, images, labels, u=u, **common,
+                                seed_seqs=[member_seed(seed, ki) for ki in range(k)])
     prev = None
     for ki in range(k):
-        cb = None
-        if track:
-            cb = _ensemble_epoch_tracker(member_eval_probs, eval_images, eval_labels,
-                                         ensemble_acc)
-        kw = dict(
-            config=config, images=images, labels=labels, u=u,
-            seed_seq=member_seed(seed, ki), spec=spec,
-            eval_images=eval_images, eval_labels=eval_labels,
-            init_from=prev if mode == "warm_restart" else None,
-            epoch_callback=cb,
-        )
         seed_used = [int(seed), ki]
-        n_acc = len(ensemble_acc)
+        kw = dict(u=u, init_from=prev if mode == "warm_restart" else None, **common)
         try:
-            net, hist = train_member(**kw)
+            net, hist = stacked[ki] if stacked else train_member(
+                config, images, labels, seed_seq=member_seed(seed, ki), **kw)
+            if net is None:
+                raise hist.error
         except NumericalError:
-            del ensemble_acc[n_acc:]  # the failed attempt's epochs
             seed_used.append(0xEE7)
-            kw["seed_seq"] = np.random.SeedSequence(seed_used)
-            net, hist = train_member(**kw)
+            net, hist = train_member(config, images, labels,
+                                     seed_seq=np.random.SeedSequence(seed_used), **kw)
         prev = net
         histories.append(hist)
+        if track:
+            cb = _ensemble_epoch_tracker(kept_probs, eval_labels, ensemble_acc)
+            for logits in hist.eval_logits:
+                cb(logits)
         alpha = 1.0
         if strategy == "boosting":
             alpha, u, err, rejected = adaboost_round(u, net.predict(images), labels, config.classes)
@@ -224,8 +222,8 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
         members.append(net)
         alphas.append(alpha)
         seeds_used.append(seed_used)
-        if track:
-            member_eval_probs.append(softmax(net.forward(eval_images)))
+        if track and hist.eval_logits:
+            kept_probs.append(softmax(hist.eval_logits[-1]))
     if not members:
         raise EnsembleError(
             f"all {k} boosting members rejected (errors >= chance); rounds: {rounds}"

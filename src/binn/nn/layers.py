@@ -19,6 +19,11 @@ full-size step of its formulas into a buffer it already holds; conv
 rebuilds its patch matrix in backward rather than keeping it from forward
 (k*k times the input's size, held until the backward). No float operation
 or its order differs from the plain formulas.
+
+A stack of K networks (``Network.stack``) gives every parameter, buffer
+and activation a leading member axis. Each layer runs it through the same
+code, indexing from the last axes, by broadcasting and per-slice
+``matmul``, so every member's values equal its own network's bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ class ForwardContext:
     train: bool = False
     surrogate: bool = False
     bn_batch_stats: bool = False
-    rng: np.random.Generator | None = None
+    rng: np.random.Generator | list | None = None  # a list: one per stacked member
 
 
 class Param:
@@ -166,6 +171,10 @@ class _WeightedLayer(Layer):
     def fan_in(self) -> int:
         return int(self.w.value[0].size)
 
+    def _rows(self, arr):
+        """``arr`` [*members, out, ...] (``w``'s shape) as [*members, out, fan_in]."""
+        return arr.reshape(arr.shape[:1 - self._wdim] + (-1,))
+
     @property
     def scale(self) -> np.ndarray | None:
         """Per-filter scales of 1-bit weights, from the current shadow weights; else None."""
@@ -173,10 +182,10 @@ class _WeightedLayer(Layer):
 
     def refresh(self) -> np.ndarray:
         """Per-filter mean |W| of the shadow weights, in the layer dtype."""
-        w2 = self.w.value.reshape(self.w.value.shape[0], -1)
+        w2 = self._rows(self.w.value)
         # the float64 sum and divide of np.mean, without its wrapper
-        total = np.add.reduce(np.abs(w2), axis=1, dtype=np.float64)
-        return (total / w2.shape[1]).astype(self.dtype)
+        total = np.add.reduce(np.abs(w2), axis=-1, dtype=np.float64)
+        return (total / w2.shape[-1]).astype(self.dtype)
 
     @property
     def packed_weights(self) -> bitcore.PackedBitTensor:
@@ -188,35 +197,36 @@ class _WeightedLayer(Layer):
         if self.weight_bits == 32:
             return self.w.value
         if self.weight_bits == 1:
-            shape = (-1,) + (1,) * (self.w.value.ndim - 1)
+            shape = scale.shape + (1,) * (self.w.value.ndim - scale.ndim)
             return sign_binarize(self.w.value) * scale.reshape(shape)
         return quantize_k_bit(self.w.value, self.weight_bits)
 
     def _product(self, cols, ctx):
-        """Input rows [N, fan_in] times the effective weights, plus bias: [N, out].
+        """Input rows [*members, N, fan_in] times the effective weights, plus
+        bias: [*members, N, out].
 
         Keeps the weight matrix it multiplied by, and the scale, for backward."""
         self._scale = scale = self.scale
-        w2 = self.w.value.reshape(self.w.value.shape[0], -1)
+        w2 = self._rows(self.w.value)
         self._signs_only = self.weight_bits == 1 and self.act_bits == 1 and not ctx.surrogate
         if self._signs_only:
             # sums of +/-1 are exact integers in float32 while fan_in < 2**24,
             # so this equals the packed XNOR product times the scale
             self._wmat = sign_binarize(w2)
-            y = cols @ self._wmat.T
-            y *= scale
+            y = cols @ self._wmat.swapaxes(-1, -2)
+            y *= scale[..., None, :]
         else:
-            self._wmat = self.effective_weight(scale).reshape(w2.shape)
-            y = cols @ self._wmat.T
+            self._wmat = self._rows(self.effective_weight(scale))
+            y = cols @ self._wmat.swapaxes(-1, -2)
         if self.b is not None:
-            y += self.b.value
+            y += self.b.value[..., None, :]
         return y
 
     def _backward_weight(self) -> np.ndarray:
         """The forward's effective weights as an [out, fan_in] matrix; the
         +/-1 product is scaled here, so eval forwards skip the scaling."""
         if self._signs_only:
-            return self._wmat * self._scale.reshape(-1, 1)
+            return self._wmat * self._scale[..., None]
         return self._wmat
 
     @property
@@ -227,6 +237,7 @@ class _WeightedLayer(Layer):
 
 class Linear(_WeightedLayer):
     kind = "fc"
+    _wdim = 2  # w is [out, in]
 
     def __init__(
         self,
@@ -251,36 +262,37 @@ class Linear(_WeightedLayer):
 
     def forward(self, x, ctx):
         self._orig_shape = x.shape
-        xin = x.reshape(x.shape[0], -1)
+        xin = x.reshape(x.shape[:self.w.value.ndim - 1] + (-1,))
         xq = quantize_activation(xin, self.act_bits, ctx.surrogate)
         self._xin, self._xq = xin, xq
         return self._product(xq, ctx)
 
     def backward(self, dy):
         w_eff = self._backward_weight()
-        self.w.add_grad(dy.T @ self._xq)
+        self.w.add_grad(dy.swapaxes(-1, -2) @ self._xq)
         if self.b is not None:
-            self.b.add_grad(dy.sum(axis=0))
+            self.b.add_grad(dy.sum(axis=-2))
         dxq = dy @ w_eff
         dx = dxq if self.act_bits == 32 else ste_backward(dxq, self._xin)
         return dx.reshape(self._orig_shape)
 
 
 def _scatter_windows(grad_at, in_shape, k, stride, padding, dtype):
-    """Scatter-add window gradients back onto the unpadded [B, C, H, W] input;
-    ``grad_at(i, j)`` is the [B, C, H', W'] gradient at window offset (i, j)."""
-    b, c, h, w = in_shape
+    """Scatter-add window gradients back onto the unpadded [..., C, H, W] input;
+    ``grad_at(i, j)`` is the [..., C, H', W'] gradient at window offset (i, j)."""
+    *lead, h, w = in_shape
     p, s = padding, stride
-    dx = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=dtype)
+    dx = np.zeros((*lead, h + 2 * p, w + 2 * p), dtype=dtype)
     for i in range(k):
         for j in range(k):
             g = grad_at(i, j)
-            dx[:, :, i : i + s * g.shape[2] : s, j : j + s * g.shape[3] : s] += g
-    return dx[:, :, p : p + h, p : p + w]
+            dx[..., i : i + s * g.shape[-2] : s, j : j + s * g.shape[-1] : s] += g
+    return dx[..., p : p + h, p : p + w]
 
 
 class Conv2d(_WeightedLayer):
     kind = "conv"
+    _wdim = 4  # w is [out, in, k, k]
 
     def __init__(
         self,
@@ -319,27 +331,30 @@ class Conv2d(_WeightedLayer):
         xq = quantize_activation(x, self.act_bits, ctx.surrogate)
         self._xin, self._xq = x, xq
         cols, ho, wo = bitcore._im2col(xq, self.kernel, self.stride, self.padding, self.pad_value)
+        cols = cols.reshape(x.shape[:-4] + (-1, cols.shape[-1]))
         # the [B, F, H', W'] view of the product, not a contiguous copy: batchnorm
         # reduces in memory order, so the layout fixes its rounding
-        y = self._product(cols, ctx).reshape(x.shape[0], ho, wo, self.out_channels)
-        return y.transpose(0, 3, 1, 2)
+        y = self._product(cols, ctx).reshape(x.shape[:-3] + (ho, wo, self.out_channels))
+        return np.moveaxis(y, -1, -3)
 
     def backward(self, dy):
-        b, f, ho, wo = dy.shape
-        k = self.kernel
-        dy_cols = dy.transpose(0, 2, 3, 1).reshape(b * ho * wo, f)
+        *lead, b, f, ho, wo = dy.shape
+        lead, k = tuple(lead), self.kernel
+        dy_cols = np.moveaxis(dy, -3, -1).reshape(lead + (b * ho * wo, f))
         # the patch matrix is rebuilt here and freed at once, not kept from forward
         cols = bitcore._im2col(self._xq, k, self.stride, self.padding, self.pad_value)[0]
-        self.w.add_grad((dy_cols.T @ cols).reshape(self.w.value.shape))
+        self.w.add_grad((dy_cols.swapaxes(-1, -2) @ cols.reshape(lead + (-1, cols.shape[-1])))
+                        .reshape(self.w.value.shape))
         del cols
         w_eff = self._backward_weight()
         if self.b is not None:
-            self.b.add_grad(dy.sum(axis=(0, 2, 3)))
+            self.b.add_grad(dy.sum(axis=(-4, -2, -1)))
         # the column gradient as [C, k, k, B, H', W']: each offset's slice is
         # contiguous in H' and W', so the scatter-adds read it in order
-        d6 = (w_eff.T @ dy_cols.T).reshape(-1, k, k, b, ho, wo)
-        dxq = _scatter_windows(lambda i, j: d6[:, i, j].swapaxes(0, 1), self._xin.shape, k,
-                               self.stride, self.padding, dy.dtype)
+        d6 = w_eff.swapaxes(-1, -2) @ dy_cols.swapaxes(-1, -2)
+        d6 = d6.reshape(lead + (-1, k, k, b, ho, wo))
+        dxq = _scatter_windows(lambda i, j: d6[..., i, j, :, :, :].swapaxes(-4, -3),
+                               self._xin.shape, k, self.stride, self.padding, dy.dtype)
         return dxq if self.act_bits == 32 else ste_backward(dxq, self._xin)
 
 
@@ -363,17 +378,20 @@ class BatchNorm(Layer):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def _bshape(self, ndim):
-        return (1, self.num_features) + (1,) * (ndim - 2)
+        """[*members, 1, C, 1, ...]: per-feature values against [*members, B, C, ...]."""
+        lead = self.gamma.value.shape[:-1]
+        return lead + (1, self.num_features) + (1,) * (ndim - len(lead) - 2)
 
     def forward(self, x, ctx):
-        axes = tuple(i for i in range(x.ndim) if i != 1)
+        lead = self.gamma.value.ndim - 1  # member axes before the batch axis
+        axes = tuple(i for i in range(lead, x.ndim) if i != lead + 1)
         use_batch = ctx.train or ctx.bn_batch_stats
         if use_batch:
             mean = x.mean(axis=axes, keepdims=True)
             var = x.var(axis=axes, mean=mean)  # np.var's own mean, computed once
-            mean = mean.reshape(self.num_features)
+            mean = mean.reshape(var.shape)
             if ctx.train:
-                n = x.size // self.num_features
+                n = x.size // var.size
                 unbiased = var * n / (n - 1) if n > 1 else var
                 m = self.momentum
                 self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(self.dtype)
@@ -388,7 +406,7 @@ class BatchNorm(Layer):
         xhat *= inv.reshape(bs)
         self._xhat, self._inv, self._axes = xhat, inv, axes
         self._batch_stats = use_batch
-        self._n = x.size // self.num_features
+        self._n = x.size // self.gamma.value.size
         y = np.multiply(self.gamma.value.reshape(bs), xhat)
         y += self.beta.value.reshape(bs)
         return y
@@ -530,9 +548,13 @@ class Dropout(Layer):
             return x
         if ctx.rng is None:
             raise ValueError("dropout in training mode needs an rng for determinism")
+        rngs = ctx.rng if isinstance(ctx.rng, list) else None  # one per stacked member
+        # the float64 draws are a temporary, freed before the full-size buffers below
+        keep = (np.stack([r.random(x.shape[1:]) for r in rngs]) if rngs
+                else ctx.rng.random(x.shape)) >= self.p
         # the bool keep mask times 1 / (1 - p) in the input dtype: one operator
         scale = x.dtype.type(1) / (1.0 - self.p)
-        self._scaled_mask = (ctx.rng.random(x.shape) >= self.p) * scale
+        self._scaled_mask = keep * scale
         return x * self._scaled_mask
 
     def backward(self, dy):

@@ -62,13 +62,16 @@ class Network:
     """Sequential net instantiated from a NetworkConfig.
 
     Single-writer during training; an immutable snapshot may serve inference
-    from any number of threads.
+    from any number of threads. ``Network.stack`` makes one network of K
+    members (``stack_size``; None for one net) that train in lockstep: a
+    [K, B, ...] input gives each its own batch, a [B, ...] one is shared.
     """
 
     def __init__(self, config: NetworkConfig, net_layers, dtype):
         self.config = config
         self.layers = net_layers
         self.dtype = dtype
+        self.stack_size = None
         self._params = [p for lay in net_layers for p in lay.params().values()]
 
     @classmethod
@@ -103,28 +106,40 @@ class Network:
         )
         x = np.asarray(x, dtype=self.dtype)
         first = self.layers[0]  # from_config fixed every later layer's input shape
+        lead = self.stack_size is not None
+        if lead and x.shape[1:] == first.in_shape:  # one batch for every member
+            x = np.broadcast_to(x, (self.stack_size,) + x.shape)
+        body = x.shape[lead + 1:]
         if first.kind == "fc":
-            if math.prod(x.shape[1:]) != first.in_features:
+            if math.prod(body) != first.in_features:
                 raise ShapeError(
-                    f"layer 0 (fc): expected {first.in_features} features, got {x.shape[1:]}"
+                    f"layer 0 (fc): expected {first.in_features} features, got {body}"
                 )
-        elif x.shape[1:] != first.in_shape:
+        elif body != first.in_shape:
             raise ShapeError(
-                f"layer 0 ({first.kind}): expected input {first.in_shape}, got {x.shape[1:]}"
+                f"layer 0 ({first.kind}): expected input {first.in_shape}, got {body}"
             )
         for lay in self.layers:
             try:
                 x = lay.forward(x, ctx)
             except ValueError:  # sign_binarize refuses non-finite values
-                if np.isfinite(x).all() and all(
-                        np.isfinite(p.value).all() for p in lay.params().values()):
+                bad = self._nonfinite(x, *(p.value for p in lay.params().values()))
+                if not bad:
                     raise
                 raise NumericalError(f"non-finite values at the binarization in layer "
-                                     f"{lay.index} ({lay.kind})") from None
+                                     f"{lay.index} ({lay.kind})", members=bad) from None
         return x
 
+    def _nonfinite(self, *arrays) -> list:
+        """Members ([0] for a single net) with a non-finite value in any of ``arrays``."""
+        k = self.stack_size or 1
+        bad = np.zeros(k, bool)
+        for a in arrays:
+            bad |= ~np.isfinite(a.reshape(k, -1)).all(axis=1)
+        return np.flatnonzero(bad).tolist()
+
     def predict(self, x, **kw) -> np.ndarray:
-        return np.argmax(self.forward(x, **kw), axis=1)
+        return np.argmax(self.forward(x, **kw), axis=-1)
 
     # ------------------------------------------------------------ backward
 
@@ -192,37 +207,64 @@ class Network:
             if arr is not None:
                 np.copyto(arr, items[name])
 
-    def clone(self) -> "Network":
+    def _arrays(self):
+        """(holder, attribute) of every parameter value and buffer, in state order."""
+        for lay in self.layers:
+            yield from ((p, "value") for p in lay.params().values())
+            yield from ((lay, key) for key in lay.buffers())
+
+    def _copy(self, pick) -> "Network":
         dup = Network.from_config(self.config, seed=0, dtype=self.dtype, init="zeros")
-        for (*_, src), (*_, dst) in zip(self._state(), dup._state()):
-            if dst is not None:
-                np.copyto(dst, src)
+        for (dst, d), (src, s) in zip(dup._arrays(), self._arrays()):
+            np.copyto(getattr(dst, d), pick(getattr(src, s)))
         return dup
+
+    def clone(self) -> "Network":
+        return self._copy(lambda a: a)
+
+    @classmethod
+    def stack(cls, nets) -> "Network":
+        """One network holding ``nets`` (one config) as members along a new
+        leading axis of every parameter and buffer."""
+        dup = cls.from_config(nets[0].config, seed=0, dtype=nets[0].dtype, init="zeros")
+        for (obj, attr), *srcs in zip(dup._arrays(), *(n._arrays() for n in nets)):
+            setattr(obj, attr, np.stack([getattr(o, a) for o, a in srcs]))
+        dup.stack_size = len(nets)
+        return dup
+
+    def unstack(self) -> list:
+        """The stacked members as separate networks."""
+        return [self._copy(lambda a, k=k: a[k]) for k in range(self.stack_size)]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy_grad(probs, labels):
-    """Mean softmax cross-entropy over the batch and its logit gradient."""
-    n = len(labels)
+    """Mean softmax cross-entropy over the batch (per member of a stack) and its logit gradient."""
+    n = labels.shape[-1]
     w = np.full(n, 1.0 / n)  # 1/n weights, not .mean(), which rounds differently
-    picked = probs[np.arange(n), labels]
-    loss = float(-(w * np.log(np.maximum(picked, 1e-300))).sum())
+    at = np.arange(labels.size), labels.reshape(-1)  # each row's label, over all members
+    picked = probs.reshape(-1, probs.shape[-1])[at].reshape(labels.shape)
+    loss = -(w * np.log(np.maximum(picked, 1e-300))).sum(axis=-1)
     dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
+    dlogits.reshape(-1, probs.shape[-1])[at] -= 1.0
     dlogits *= w[:, None]
     return loss, dlogits
 
 
+def eval_logits(net: Network, images) -> np.ndarray:
+    """Eval-mode logits ([K, N, C] for a stack), 512 rows per forward to bound memory."""
+    batch = 512
+    return np.concatenate([net.forward(images[lo : lo + batch])
+                           for lo in range(0, len(images), batch)], axis=-2)
+
+
 def accuracy(net: Network, images, labels) -> float:
-    hits = 0
-    batch = 512  # rows per forward, which bounds its memory
-    for lo in range(0, len(labels), batch):
-        pred = net.predict(images[lo : lo + batch])
-        hits += int((pred == labels[lo : lo + batch]).sum())
-    return hits / len(labels)
+    """Fraction of argmax hits (one per member for a stack)."""
+    hits = eval_logits(net, images).argmax(axis=-1) == labels
+    return np.count_nonzero(hits, axis=-1) / len(labels)

@@ -294,11 +294,8 @@ def test_exit_codes():
 
 
 def test_console_entrypoint_smoke(tmp_path):
-    out = subprocess.run(
-        [sys.executable, "-m", "binn.cli", "analyze", "b-table", "--sigmas", "1.0",
-         "--seed", "0", "--out", str(tmp_path)],
-        capture_output=True, text=True,
-    )
+    out = _run_cli(["analyze", "b-table", "--sigmas", "1.0", "--seed", "0",
+                    "--out", str(tmp_path)])
     assert out.returncode == 0
     assert "1.0" in out.stdout
 

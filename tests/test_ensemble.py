@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binn import datio, ensemble, nn
+from binn.nn import train as nn_train
 from binn.errors import DataError, EnsembleError, NumericalError
 
 
@@ -287,29 +288,42 @@ def test_boosting_beats_best_single_on_xor():
     assert boosted > best_single
 
 
+def _inject_divergence(monkeypatch, fail_at):
+    """Count member trainings (every member of a stacked ``train_network``
+    call) and make ``fail_at(call, step)`` pick the stack members whose step
+    raises NumericalError, as a non-finite loss would; returns the counts."""
+    real_train, real_step = ensemble.train_network, nn_train.backward_and_step
+    calls = {"n": 0, "call": 0, "step": 0}
+
+    def counted(net, *a, **kw):
+        calls["n"] += net.stack_size
+        calls["call"] += 1
+        calls["step"] = 0
+        return real_train(net, *a, **kw)
+
+    def flaky(net, *a, **kw):
+        calls["step"] += 1
+        members = fail_at(calls["call"], calls["step"])
+        if members:
+            raise NumericalError("synthetic divergence", members=members)
+        return real_step(net, *a, **kw)
+
+    monkeypatch.setattr(ensemble, "train_network", counted)
+    monkeypatch.setattr(nn_train, "backward_and_step", flaky)
+    return calls
+
+
 def test_member_divergence_retries_once_then_fails(monkeypatch):
     (tr, te) = blob_task(seed=12)
     cfg = small_cfg()
-    real = ensemble.train_member
-    calls = {"n": 0}
-
-    def flaky(*a, **kw):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise NumericalError("synthetic divergence")
-        return real(*a, **kw)
-
-    monkeypatch.setattr(ensemble, "train_member", flaky)
+    calls = _inject_divergence(monkeypatch, lambda call, step: [0] if call == 1 else [])
     model, _ = ensemble.train_bagging(
         cfg, tr.images, tr.labels, k=1, seed=12,
         spec=ensemble.MemberTrainSpec(epochs=1, batch_size=32),
     )
     assert calls["n"] == 2 and len(model.members) == 1
 
-    def always_bad(*a, **kw):
-        raise NumericalError("synthetic divergence")
-
-    monkeypatch.setattr(ensemble, "train_member", always_bad)
+    _inject_divergence(monkeypatch, lambda call, step: [0])
     with pytest.raises(NumericalError):
         ensemble.train_bagging(
             cfg, tr.images, tr.labels, k=1, seed=12,
@@ -320,16 +334,9 @@ def test_member_divergence_retries_once_then_fails(monkeypatch):
 @pytest.mark.parametrize("train", [ensemble.train_bagging, ensemble.train_boosting])
 def test_retried_member_records_fallback_seed(monkeypatch, tmp_path, train):
     (tr, te) = blob_task(seed=12)
-    real = ensemble.train_member
-    calls = {"n": 0}
-
-    def flaky(*a, **kw):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise NumericalError("synthetic divergence")
-        return real(*a, **kw)
-
-    monkeypatch.setattr(ensemble, "train_member", flaky)
+    # member 1's first step: in the bag's stack of two, or in boosting's second round
+    at = (1, [1]) if train is ensemble.train_bagging else (2, [0])
+    _inject_divergence(monkeypatch, lambda call, step: at[1] if (call, step) == (at[0], 1) else [])
     model, _ = train(small_cfg(), tr.images, tr.labels, k=2, seed=12, spec=SPEC_FAST)
     want = [[12, 0], [12, 1, 0xEE7]]
     assert model.member_seeds == want
@@ -340,17 +347,10 @@ def test_retried_member_records_fallback_seed(monkeypatch, tmp_path, train):
 
 def test_retried_member_leaves_no_stale_ensemble_records(monkeypatch):
     (tr, te) = blob_task(seed=12)
-    real = ensemble.train_network
-    calls = {"n": 0}
-
-    def flaky(net, *a, **kw):
-        calls["n"] += 1
-        if calls["n"] == 2:  # member 1's first attempt: two epochs, then a divergence
-            real(net, *a, **{**kw, "epochs": 2})
-            raise NumericalError("synthetic divergence")
-        return real(net, *a, **kw)
-
-    monkeypatch.setattr(ensemble, "train_network", flaky)
+    steps = math.ceil(len(tr) / 32)  # per epoch
+    # member 1 of the stack of three: two epochs, then a divergence
+    calls = _inject_divergence(
+        monkeypatch, lambda call, step: [1] if (call, step) == (1, 2 * steps + 1) else [])
     _, info = ensemble.train_bagging(
         small_cfg(), tr.images, tr.labels, k=3, seed=12,
         spec=ensemble.MemberTrainSpec(epochs=4, batch_size=32),
@@ -359,6 +359,39 @@ def test_retried_member_leaves_no_stale_ensemble_records(monkeypatch):
     assert calls["n"] == 4
     epochs = sum(len(h.test_accuracy) for h in info["histories"])
     assert epochs == 12 and len(info["ensemble_accuracy"]) == epochs
+
+
+@pytest.mark.parametrize("variant", ["AB", "DNN"])  # a NaN at a binarization, or in the loss
+def test_stacked_member_divergence_leaves_the_others_unchanged(monkeypatch, variant):
+    # dropout and batchnorm: the failed step's generator draws and running
+    # stats must be undone for the two members that go on
+    (tr, te) = blob_task(seed=13)
+    cfg = nn.mlp_config((1, 1, 2), [16, 16], 3, variant=variant, dropout=0.2)
+    spec = ensemble.MemberTrainSpec(epochs=3, batch_size=32)
+    kw = dict(k=3, seed=13, spec=spec, eval_images=te.images, eval_labels=te.labels,
+              track_ensemble_accuracy=True)
+    clean, clean_info = ensemble.train_bagging(cfg, tr.images, tr.labels, **kw)
+    real_step = nn_train.backward_and_step
+    steps = {"n": 0}
+
+    def poisoned(net, *a, **k):
+        steps["n"] += 1
+        if net.stack_size == 3 and steps["n"] == math.ceil(len(tr) / 32) + 3:  # mid epoch 2
+            net.layers[-1].w.value[1, 0, 0] = np.nan  # member 1's last fc: a real NaN
+        return real_step(net, *a, **k)
+
+    monkeypatch.setattr(nn_train, "backward_and_step", poisoned)
+    model, info = ensemble.train_bagging(cfg, tr.images, tr.labels, **kw)
+    assert model.member_seeds == [[13, 0], [13, 1, 0xEE7], [13, 2]]
+    for ki in (0, 2):
+        assert datio.checkpoint_bytes(model.members[ki]) == datio.checkpoint_bytes(
+            clean.members[ki])
+        assert info["histories"][ki].train_loss == clean_info["histories"][ki].train_loss
+    alone, _ = ensemble.train_member(
+        cfg, tr.images, tr.labels, u=np.full(len(tr), 1.0 / len(tr)),
+        seed_seq=np.random.SeedSequence([13, 1, 0xEE7]), spec=spec)
+    assert datio.checkpoint_bytes(model.members[1]) == datio.checkpoint_bytes(alone)
+    assert len(info["ensemble_accuracy"]) == 9
 
 
 def test_all_members_rejected_fails_with_report(monkeypatch):

@@ -10,6 +10,7 @@ the step, or to its order, changes them. The config text that
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -57,6 +58,15 @@ GOLDEN_NIN = {
 GOLDEN_METRICS = {
     "bag": "12ebbdf2fc46010b75c30e8c4cc82b644d46b46c48a127b030a0d02b17b5a5a9",
     "boost": "456796389499049451defa42141a789d29a621592c9cd5dbe11af3d03724af7b",
+}
+
+# sha256 of the manifest's member checkpoint hashes and of metrics.csv of a
+# tracked bag-3; the NIN reaches conv, pooling, dropout and float products
+GOLDEN_BAG = {
+    "mlp-DNN": ("adaa3ab37dbc1c21d674aca4b5107c8d40f2855acbdfedb43bf17adf6712a270",
+                "d89db3fb042b0a2eae0f5c25ddac717486142378f049f29652ec08e8f3cd0631"),
+    "nin-x0.1": ("1e2b00f90c16a1e29de274f70b2e767013ffc78a97f4a2ed8f396c0daf38a91a",
+                 "88b1ee45b57969c3fe131050dbd6e32c0274ec229a0bc562f86891e643a1fc81"),
 }
 
 GOLDEN_CONFIG_TEXT = {
@@ -146,6 +156,29 @@ def test_ensemble_metrics_bits(tmp_path, strategy):
     assert rc == 0
     got = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
     assert got == GOLDEN_METRICS[strategy]
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_BAG))
+def test_bagged_member_and_metrics_bits(tmp_path, name):
+    if name == "mlp-DNN":
+        cfg = mlp_config((1, 8, 8), [16], 4, variant="DNN")
+        # 600 eval rows, which the eval forwards split at 512
+        flags = ["--data-n", "2400", "--epochs", "3", "--image-size", "8"]
+    else:
+        cfg = nin_config(width_scale=0.1, classes=4, input_shape=(1, 32, 32))
+        flags = ["--data-n", "96", "--epochs", "2", "--image-size", "32", "--batch-size", "16"]
+    path = tmp_path / "member.cfg"
+    path.write_text(nn.config_to_text(cfg))
+    out = tmp_path / "bag"
+    rc = main(["ensemble", "train", "--config", str(path), "--strategy", "bag", "--k", "3",
+               "--seed", "4", "--lr", "5e-3", "--data", "blobs-img", "--data-classes", "4",
+               "--data-noise", "0.08", "--data-seed", "2", "--train-frac", "0.75",
+               "--out", str(out), *flags])
+    assert rc == 0
+    members = json.loads((out / "manifest.json").read_text())["members"]
+    got = (hashlib.sha256(",".join(members).encode()).hexdigest(),
+           hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest())
+    assert got == GOLDEN_BAG[name]
 
 
 @pytest.mark.parametrize("arch,variant", list(GOLDEN_CONFIG_TEXT))

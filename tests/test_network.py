@@ -350,3 +350,53 @@ def test_nin_config_finds_its_table_from_any_directory(tmp_path):
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == nn.config_hash(nin_config())
+
+
+# ------------------------------------------------------------ stacking
+
+# conv -> KIND -> fc on [2, 8, 8] inputs: every layer kind between two weighted layers
+STACK_KINDS = {
+    "fc-float": nn.layer("fc", out=6),
+    "fc-binary": nn.layer("fc", out=6, wbits=1, abits=1),
+    "conv-float": nn.layer("conv", out=3, kernel=3, pad=1),
+    "conv-binary": nn.layer("conv", out=3, kernel=3, pad=1, wbits=1, abits=1),
+    "conv-kbit": nn.layer("conv", out=3, kernel=2, stride=2, wbits=2, abits=2),
+    "batchnorm": nn.layer("batchnorm"),
+    "relu": nn.layer("relu"),
+    "binact": nn.layer("binact"),
+    "quantact": nn.layer("quantact", bits=3),
+    "maxpool": nn.layer("maxpool", kernel=3, stride=2, pad=1),
+    "avgpool": nn.layer("avgpool", kernel=2),
+    "dropout": nn.layer("dropout", p=0.4),
+}
+
+
+@pytest.mark.parametrize("opt_name", ["adam", "sgd"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(STACK_KINDS))
+def test_stacked_members_match_their_nets_bit_for_bit(kind, k, opt_name):
+    cfg = nn.NetworkConfig(name="stack", input_shape=(2, 8, 8), classes=3, layers=(
+        nn.layer("conv", out=4, kernel=3, pad=1), STACK_KINDS[kind], nn.layer("fc", out=3)))
+    nets = [nn.Network.from_config(cfg, seed=10 + i) for i in range(k)]
+    gen = np.random.default_rng(k)
+    x = gen.uniform(-1.5, 1.5, (k, 5, 2, 8, 8)).astype(np.float32)
+    y = gen.integers(0, 3, (k, 5))
+    shared = gen.uniform(-1.5, 1.5, (7, 2, 8, 8)).astype(np.float32)
+
+    def step(net, xb, yb, rng):
+        opt = nn.make_optimizer(opt_name, net.parameters(), 0.05)
+        logits = net.forward(xb, train=True, rng=rng)
+        _, dlogits = nn.cross_entropy_grad(nn.softmax(logits), yb)
+        net.zero_grad()
+        gx = net.backward(dlogits.astype(np.float32))
+        opt.step()
+        net.clip_binary_shadows()
+        return logits, gx, net.forward(shared)
+
+    stack = nn.Network.stack(nets)
+    got = step(stack, x, y, [np.random.default_rng(i) for i in range(k)])
+    for i, (net, member) in enumerate(zip(nets, stack.unstack())):
+        want = step(net, x[i], y[i], np.random.default_rng(i))
+        for g, w in zip(got, want):
+            assert g[i].tobytes() == w.tobytes()
+        assert datio.checkpoint_bytes(member) == datio.checkpoint_bytes(net)
