@@ -1,9 +1,10 @@
 """Bagging and boosting of weak binary networks.
 
 Members share one NetworkConfig. Independent-mode bagged members train in
-lockstep as one stacked network (``Network.stack``): each keeps its own
-init, bootstrap, permutation and dropout streams, and its checkpoint bytes
-equal those of training it alone. Boosting and warm restart depend on the
+lockstep as stacked networks (``Network.stack``), as many per stack as
+keep its activations within _STACK_BYTES: each keeps its own init,
+bootstrap, permutation and dropout streams, and its checkpoint bytes equal
+those of training it alone. Boosting and warm restart depend on the
 previous member, so each of their rounds trains a stack of one.
 Aggregation is read-only.
 """
@@ -21,11 +22,12 @@ import numpy as np
 from . import datio
 from .errors import DataError, EnsembleError, NumericalError
 from .nn.config import NetworkConfig, config_hash, config_to_text, parse_config
-from .nn.network import Network, softmax
+from .nn.network import EVAL_ROWS, Network, softmax
 from .nn.optim import make_optimizer
 from .nn.train import train_network
 
 ALPHA_CAP = math.log(1e6)  # perfect members get a finite vote
+_STACK_BYTES = 64 << 20  # layer inputs one lockstep stack of bagged members may hold
 
 
 @dataclass
@@ -80,11 +82,11 @@ def bagging_sample(dataset_size: int, u: np.ndarray, rng) -> np.ndarray:
 
 def train_members(config: NetworkConfig, images, labels, *, u: np.ndarray, seed_seqs,
                   spec: MemberTrainSpec, eval_images=None, eval_labels=None,
-                  init_from: Network | None = None) -> list:
+                  init_from: Network | None = None, keep_logits=False) -> list:
     """Train one weak network per seed sequence under the sampling
     distribution u, all in lockstep as one stack; returns a (net, history)
-    per member, with net None and ``history.error`` set for a member whose
-    training went non-finite.
+    per member. Raises NumericalError if any member's training goes
+    non-finite.
 
     Reweighting is on sampling probabilities: each member draws a fresh
     bootstrap multiset of M examples from u.
@@ -102,16 +104,26 @@ def train_members(config: NetworkConfig, images, labels, *, u: np.ndarray, seed_
     opt = make_optimizer(spec.optimizer, stack.parameters(), spec.lr)
     hists = train_network(stack, images, labels, epochs=spec.epochs, batch_size=spec.batch_size,
                           optimizer=opt, rng=rngs, eval_images=eval_images,
-                          eval_labels=eval_labels, sample=np.stack(samples))
-    return [(None if h.error else net, h) for net, h in zip(stack.unstack(), hists)]
+                          eval_labels=eval_labels, sample=np.stack(samples),
+                          keep_logits=keep_logits)
+    return list(zip(stack.unstack(), hists))
 
 
 def train_member(config: NetworkConfig, images, labels, *, seed_seq, **kw):
-    """``train_members`` for one member: (net, history), or its NumericalError raised."""
+    """``train_members`` for one member: (net, history)."""
     ((net, hist),) = train_members(config, images, labels, seed_seqs=[seed_seq], **kw)
-    if hist.error:
-        raise hist.error
     return net, hist
+
+
+def _lockstep_groups(config: NetworkConfig, k: int, batch_size: int, eval_images) -> list:
+    """Member index ranges that train as one stack each: as many members as
+    keep every layer's input for one step's or one eval forward's rows
+    within _STACK_BYTES."""
+    net = Network.from_config(config, init="zeros")
+    rows = max(batch_size, min(EVAL_ROWS, 0 if eval_images is None else len(eval_images)))
+    row_bytes = sum(math.prod(lay.in_shape) for lay in net.layers) * np.dtype(net.dtype).itemsize
+    size = max(1, _STACK_BYTES // (rows * row_bytes))
+    return [range(lo, min(k, lo + size)) for lo in range(0, k, size)]
 
 
 def adaboost_round(current_u: np.ndarray, member_predictions, labels, class_count: int):
@@ -167,9 +179,11 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
                   ) -> tuple[EnsembleModel, dict]:
     """The member loop shared by bagging and boosting.
 
-    Independent bagging trains all k members in lockstep up front; otherwise
-    each round trains one member on a bootstrap drawn from u. A member that
-    went non-finite retrains alone once, from the fallback stream
+    Independent bagging trains its members in lockstep stacks up front
+    (``_lockstep_groups``); otherwise each round trains one member on a
+    bootstrap drawn from u. A stack that went non-finite leaves its members
+    to train alone, which gives each the bits it had in the stack; a member
+    that went non-finite alone retrains once, from the fallback stream
     [seed, k, 0xEE7]. Bagging then keeps u and gives the member alpha 1;
     boosting applies ``adaboost_round`` and skips a rejected member. Each
     round's epochs then add to the ensemble accuracy stream from their
@@ -189,20 +203,24 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
     ensemble_acc = []
     track = track_ensemble_accuracy and eval_images is not None
     kept_probs = []  # the kept members' softmax outputs on eval_images
-    common = dict(spec=spec, eval_images=eval_images, eval_labels=eval_labels)
-    stacked = []
+    common = dict(spec=spec, eval_images=eval_images, eval_labels=eval_labels,
+                  keep_logits=track)
+    stacked = {}
     if strategy == "bagging" and mode == "independent":
-        stacked = train_members(config, images, labels, u=u, **common,
-                                seed_seqs=[member_seed(seed, ki) for ki in range(k)])
+        for group in _lockstep_groups(config, k, spec.batch_size, eval_images):
+            try:
+                stacked.update(zip(group, train_members(
+                    config, images, labels, u=u, **common,
+                    seed_seqs=[member_seed(seed, ki) for ki in group])))
+            except NumericalError:
+                pass  # the group's members train alone below
     prev = None
     for ki in range(k):
         seed_used = [int(seed), ki]
         kw = dict(u=u, init_from=prev if mode == "warm_restart" else None, **common)
         try:
-            net, hist = stacked[ki] if stacked else train_member(
+            net, hist = stacked.get(ki) or train_member(
                 config, images, labels, seed_seq=member_seed(seed, ki), **kw)
-            if net is None:
-                raise hist.error
         except NumericalError:
             seed_used.append(0xEE7)
             net, hist = train_member(config, images, labels,

@@ -14,12 +14,7 @@ class ShapeError(BinnError):
 
 
 class NumericalError(BinnError):
-    """Training or evaluation produced non-finite values (exit 3); ``members``
-    lists the stacked members that did ([0] for a single network)."""
-
-    def __init__(self, message="", members=(0,)):
-        super().__init__(message)
-        self.members = list(members)
+    """Training or evaluation produced non-finite values (exit 3)."""
 
 
 class EnsembleError(BinnError):

@@ -123,20 +123,12 @@ class Network:
             try:
                 x = lay.forward(x, ctx)
             except ValueError:  # sign_binarize refuses non-finite values
-                bad = self._nonfinite(x, *(p.value for p in lay.params().values()))
-                if not bad:
+                if np.isfinite(x).all() and all(
+                        np.isfinite(p.value).all() for p in lay.params().values()):
                     raise
                 raise NumericalError(f"non-finite values at the binarization in layer "
-                                     f"{lay.index} ({lay.kind})", members=bad) from None
+                                     f"{lay.index} ({lay.kind})") from None
         return x
-
-    def _nonfinite(self, *arrays) -> list:
-        """Members ([0] for a single net) with a non-finite value in any of ``arrays``."""
-        k = self.stack_size or 1
-        bad = np.zeros(k, bool)
-        for a in arrays:
-            bad |= ~np.isfinite(a.reshape(k, -1)).all(axis=1)
-        return np.flatnonzero(bad).tolist()
 
     def predict(self, x, **kw) -> np.ndarray:
         return np.argmax(self.forward(x, **kw), axis=-1)
@@ -257,11 +249,13 @@ def cross_entropy_grad(probs, labels):
     return loss, dlogits
 
 
+EVAL_ROWS = 512  # rows per eval forward, which bounds its memory
+
+
 def eval_logits(net: Network, images) -> np.ndarray:
-    """Eval-mode logits ([K, N, C] for a stack), 512 rows per forward to bound memory."""
-    batch = 512
-    return np.concatenate([net.forward(images[lo : lo + batch])
-                           for lo in range(0, len(images), batch)], axis=-2)
+    """Eval-mode logits ([K, N, C] for a stack), EVAL_ROWS rows per forward."""
+    return np.concatenate([net.forward(images[lo : lo + EVAL_ROWS])
+                           for lo in range(0, len(images), EVAL_ROWS)], axis=-2)
 
 
 def accuracy(net: Network, images, labels) -> float:

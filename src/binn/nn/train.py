@@ -15,8 +15,7 @@ from .network import Network, cross_entropy_grad, eval_logits, softmax
 class TrainHistory:
     train_loss: list = field(default_factory=list)
     test_accuracy: list = field(default_factory=list)
-    eval_logits: list = field(default_factory=list)  # [N, C] per epoch, given an eval set
-    error: NumericalError | None = None  # why a stacked member dropped out
+    eval_logits: list = field(default_factory=list)  # [N, C] per epoch, if kept
 
 
 def backward_and_step(net: Network, batch, labels, optimizer, *, rng=None):
@@ -26,19 +25,18 @@ def backward_and_step(net: Network, batch, labels, optimizer, *, rng=None):
     shadows are then clipped into [-1, 1] (BinaryNet); a layer with 1-bit
     weights derives its scales from them in each forward, which uses the
     exact dense +/-1 product. Returns the loss, one per member for a stack.
-    Raises NumericalError, naming the members, on a non-finite loss or on
-    non-finite values at a binarization.
+    Raises NumericalError on a non-finite loss or on non-finite values at a
+    binarization.
     """
     logits = net.forward(batch, train=True, rng=rng)
     probs = softmax(logits)
     loss, dlogits = cross_entropy_grad(probs, labels)
     if not math.isfinite(loss.sum()):  # each member's loss is at most ~690
-        bad = np.flatnonzero(~np.isfinite(loss)).tolist()
-        lg = logits.reshape((-1,) + logits.shape[-2:])[bad[0]]
+        lg = logits.reshape((-1,) + logits.shape[-2:])[np.argmin(np.isfinite(loss))]
         row = int(np.argmin(np.isfinite(lg).all(axis=1)))
         raise NumericalError(
             f"non-finite loss {loss}; first bad batch row {row}, "
-            f"logits range [{np.nanmin(lg)}, {np.nanmax(lg)}]", members=bad,
+            f"logits range [{np.nanmin(lg)}, {np.nanmax(lg)}]"
         )
     net.zero_grad()
     net.backward(dlogits.astype(net.dtype))
@@ -48,16 +46,15 @@ def backward_and_step(net: Network, batch, labels, optimizer, *, rng=None):
 
 
 def train_network(net: Network, images, labels, *, epochs, batch_size, optimizer, rng,
-                  eval_images=None, eval_labels=None, sample=None):
+                  eval_images=None, eval_labels=None, sample=None, keep_logits=False):
     """Mini-batch training for exactly ``epochs`` epochs.
 
-    Each epoch records its mean train loss and, given an eval set, the
-    logits of its one eval forward and the test accuracy from them. A
-    stack of K members (``net.stack_size``) takes K generators as ``rng`` and
-    a [K, n] index array ``sample`` (member k trains on images[sample[k]])
-    and returns K histories. A member whose step raises NumericalError keeps
-    it in its history; the step is undone and rerun with that member zeroed
-    from then on, so the others go on bit for bit. A single net re-raises.
+    Each epoch records its mean train loss and, given an eval set, the test
+    accuracy from its one eval forward, whose logits it also keeps when
+    ``keep_logits``. A stack of K members (``net.stack_size``) takes K
+    generators as ``rng`` and a [K, n] index array ``sample`` (member k
+    trains on images[sample[k]]) and returns K histories. A non-finite step
+    or eval forward raises NumericalError, whichever member caused it.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(np.random.SeedSequence(int(rng)))
@@ -66,39 +63,22 @@ def train_network(net: Network, images, labels, *, epochs, batch_size, optimizer
     n = sample.shape[-1]
     hists = [TrainHistory() for _ in rngs]
     lead = () if net.stack_size is None else (net.stack_size,)
-    dead = []  # stacked members whose training failed
     for _ in range(epochs):
         rows = np.stack([s[r.permutation(n)] for s, r in zip(sample, rngs)])
         total = np.zeros(len(rngs))
-        lo = batches = 0
-        while lo < n and len(dead) < len(rngs):
+        batches = 0
+        for lo in range(0, n, batch_size):
             idx = rows[:, lo : lo + batch_size].reshape(lead + (-1,))
-            # what a failed step rebinds before it raises: buffers and generator states
-            saved = [(o, a, getattr(o, a)) for o, a in net._arrays()] + [
-                (r.bit_generator, "state", r.bit_generator.state) for r in rngs
-            ] if len(rngs) > 1 else []
-            try:
-                total += backward_and_step(net, images[idx], labels[idx], optimizer,
-                                           rng=rngs if lead else rngs[0])
-                lo, batches = lo + batch_size, batches + 1
-            except NumericalError as e:
-                if not lead:
-                    raise
-                for obj, attr, val in saved:
-                    setattr(obj, attr, val)
-                for i in e.members:
-                    hists[i].error = e
-                dead = sorted({*dead, *e.members})
-            for obj, attr in net._arrays() if dead else ():
-                getattr(obj, attr)[dead] = 0  # keeps the failed members finite
-        if len(dead) == len(rngs):
-            break
+            total += backward_and_step(net, images[idx], labels[idx], optimizer,
+                                       rng=rngs if lead else rngs[0])
+            batches += 1
         for hist, loss in zip(hists, total):
             hist.train_loss.append(float(loss / max(1, batches)))
         if eval_images is not None:
             logits = eval_logits(net, eval_images).reshape(len(rngs), len(eval_labels), -1)
             for hist, lg in zip(hists, logits):
-                hist.eval_logits.append(lg)
+                if keep_logits:
+                    hist.eval_logits.append(lg)
                 hits = np.count_nonzero(lg.argmax(axis=-1) == eval_labels)
                 hist.test_accuracy.append(hits / len(eval_labels))
     return hists if lead else hists[0]

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -288,42 +290,41 @@ def test_boosting_beats_best_single_on_xor():
     assert boosted > best_single
 
 
-def _inject_divergence(monkeypatch, fail_at):
-    """Count member trainings (every member of a stacked ``train_network``
-    call) and make ``fail_at(call, step)`` pick the stack members whose step
-    raises NumericalError, as a non-finite loss would; returns the counts."""
-    real_train, real_step = ensemble.train_network, nn_train.backward_and_step
-    calls = {"n": 0, "call": 0, "step": 0}
+def _inject_divergence(monkeypatch, diverges):
+    """Make every training of a member whose seed entropy satisfies
+    ``diverges`` run two epochs and then raise NumericalError, in a lockstep
+    stack or alone, as a real divergence would; count the member trainings
+    outside a stack (``train_member`` calls) and return the counts."""
+    real_members, real_member = ensemble.train_members, ensemble.train_member
+    calls = {"n": 0}
 
-    def counted(net, *a, **kw):
-        calls["n"] += net.stack_size
-        calls["call"] += 1
-        calls["step"] = 0
-        return real_train(net, *a, **kw)
+    def flaky(*a, seed_seqs, spec, **kw):
+        if not any(diverges(s.entropy) for s in seed_seqs):
+            return real_members(*a, seed_seqs=seed_seqs, spec=spec, **kw)
+        real_members(*a, seed_seqs=seed_seqs, spec=replace(spec, epochs=min(2, spec.epochs)),
+                     **kw)
+        raise NumericalError("synthetic divergence")
 
-    def flaky(net, *a, **kw):
-        calls["step"] += 1
-        members = fail_at(calls["call"], calls["step"])
-        if members:
-            raise NumericalError("synthetic divergence", members=members)
-        return real_step(net, *a, **kw)
+    def counted(*a, **kw):
+        calls["n"] += 1
+        return real_member(*a, **kw)
 
-    monkeypatch.setattr(ensemble, "train_network", counted)
-    monkeypatch.setattr(nn_train, "backward_and_step", flaky)
+    monkeypatch.setattr(ensemble, "train_members", flaky)
+    monkeypatch.setattr(ensemble, "train_member", counted)
     return calls
 
 
 def test_member_divergence_retries_once_then_fails(monkeypatch):
     (tr, te) = blob_task(seed=12)
     cfg = small_cfg()
-    calls = _inject_divergence(monkeypatch, lambda call, step: [0] if call == 1 else [])
+    calls = _inject_divergence(monkeypatch, lambda entropy: entropy == [12, 0])
     model, _ = ensemble.train_bagging(
         cfg, tr.images, tr.labels, k=1, seed=12,
         spec=ensemble.MemberTrainSpec(epochs=1, batch_size=32),
     )
     assert calls["n"] == 2 and len(model.members) == 1
 
-    _inject_divergence(monkeypatch, lambda call, step: [0])
+    _inject_divergence(monkeypatch, lambda entropy: True)
     with pytest.raises(NumericalError):
         ensemble.train_bagging(
             cfg, tr.images, tr.labels, k=1, seed=12,
@@ -334,9 +335,7 @@ def test_member_divergence_retries_once_then_fails(monkeypatch):
 @pytest.mark.parametrize("train", [ensemble.train_bagging, ensemble.train_boosting])
 def test_retried_member_records_fallback_seed(monkeypatch, tmp_path, train):
     (tr, te) = blob_task(seed=12)
-    # member 1's first step: in the bag's stack of two, or in boosting's second round
-    at = (1, [1]) if train is ensemble.train_bagging else (2, [0])
-    _inject_divergence(monkeypatch, lambda call, step: at[1] if (call, step) == (at[0], 1) else [])
+    _inject_divergence(monkeypatch, lambda entropy: entropy == [12, 1])
     model, _ = train(small_cfg(), tr.images, tr.labels, k=2, seed=12, spec=SPEC_FAST)
     want = [[12, 0], [12, 1, 0xEE7]]
     assert model.member_seeds == want
@@ -347,10 +346,8 @@ def test_retried_member_records_fallback_seed(monkeypatch, tmp_path, train):
 
 def test_retried_member_leaves_no_stale_ensemble_records(monkeypatch):
     (tr, te) = blob_task(seed=12)
-    steps = math.ceil(len(tr) / 32)  # per epoch
-    # member 1 of the stack of three: two epochs, then a divergence
-    calls = _inject_divergence(
-        monkeypatch, lambda call, step: [1] if (call, step) == (1, 2 * steps + 1) else [])
+    # member 1's first attempt: two epochs, then a divergence
+    calls = _inject_divergence(monkeypatch, lambda entropy: entropy == [12, 1])
     _, info = ensemble.train_bagging(
         small_cfg(), tr.images, tr.labels, k=3, seed=12,
         spec=ensemble.MemberTrainSpec(epochs=4, batch_size=32),
@@ -361,25 +358,41 @@ def test_retried_member_leaves_no_stale_ensemble_records(monkeypatch):
     assert epochs == 12 and len(info["ensemble_accuracy"]) == epochs
 
 
-@pytest.mark.parametrize("variant", ["AB", "DNN"])  # a NaN at a binarization, or in the loss
-def test_stacked_member_divergence_leaves_the_others_unchanged(monkeypatch, variant):
-    # dropout and batchnorm: the failed step's generator draws and running
-    # stats must be undone for the two members that go on
+@pytest.mark.parametrize("variant, at", [
+    ("AB", "step"),  # a NaN at a binarization in a training step
+    ("DNN", "step"),  # a NaN in the loss
+    ("AB", "eval"),  # a NaN that the epoch's eval forward meets first
+])
+def test_stacked_member_divergence_leaves_the_others_unchanged(monkeypatch, variant, at):
+    # member 1's last fc weights turn NaN wherever it trains, in the stack of
+    # three or alone: before a step in mid epoch 2, or after epoch 1's last step
     (tr, te) = blob_task(seed=13)
     cfg = nn.mlp_config((1, 1, 2), [16, 16], 3, variant=variant, dropout=0.2)
     spec = ensemble.MemberTrainSpec(epochs=3, batch_size=32)
     kw = dict(k=3, seed=13, spec=spec, eval_images=te.images, eval_labels=te.labels,
               track_ensemble_accuracy=True)
     clean, clean_info = ensemble.train_bagging(cfg, tr.images, tr.labels, **kw)
-    real_step = nn_train.backward_and_step
-    steps = {"n": 0}
+    real_members, real_step = ensemble.train_members, nn_train.backward_and_step
+    steps = math.ceil(len(tr) / 32)  # per epoch
+    when = steps + 3 if at == "step" else steps
+    member = {"at": None, "step": 0}
+
+    def watched(*a, seed_seqs, **k):
+        entropies = [s.entropy for s in seed_seqs]
+        member.update(at=entropies.index([13, 1]) if [13, 1] in entropies else None, step=0)
+        return real_members(*a, seed_seqs=seed_seqs, **k)
 
     def poisoned(net, *a, **k):
-        steps["n"] += 1
-        if net.stack_size == 3 and steps["n"] == math.ceil(len(tr) / 32) + 3:  # mid epoch 2
-            net.layers[-1].w.value[1, 0, 0] = np.nan  # member 1's last fc: a real NaN
-        return real_step(net, *a, **k)
+        member["step"] += 1
+        hit = member["at"] is not None and member["step"] == when
+        if hit and at == "step":
+            net.layers[-1].w.value[member["at"], 0, 0] = np.nan
+        loss = real_step(net, *a, **k)
+        if hit and at == "eval":
+            net.layers[-1].w.value[member["at"], 0, 0] = np.nan
+        return loss
 
+    monkeypatch.setattr(ensemble, "train_members", watched)
     monkeypatch.setattr(nn_train, "backward_and_step", poisoned)
     model, info = ensemble.train_bagging(cfg, tr.images, tr.labels, **kw)
     assert model.member_seeds == [[13, 0], [13, 1, 0xEE7], [13, 2]]
@@ -392,6 +405,23 @@ def test_stacked_member_divergence_leaves_the_others_unchanged(monkeypatch, vari
         seed_seq=np.random.SeedSequence([13, 1, 0xEE7]), spec=spec)
     assert datio.checkpoint_bytes(model.members[1]) == datio.checkpoint_bytes(alone)
     assert len(info["ensemble_accuracy"]) == 9
+
+
+def test_bagging_peak_memory_does_not_grow_with_k():
+    # one NIN-x0.1 member's 64-row eval forward alone nears the stack budget,
+    # so each member trains in a stack of its own and k adds no activations
+    ds = datio.make_blob_images(128, 3, seed=2, size=32)
+    cfg = nn.nin_config(variant="AB", width_scale=0.1, classes=3, input_shape=(1, 32, 32))
+    peaks = []
+    for k in (1, 3):
+        tracemalloc.start()
+        ensemble.train_bagging(cfg, ds.images[:64], ds.labels[:64], k=k, seed=2,
+                               spec=ensemble.MemberTrainSpec(epochs=1, batch_size=32),
+                               eval_images=ds.images[64:], eval_labels=ds.labels[64:],
+                               track_ensemble_accuracy=True)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0]
 
 
 def test_all_members_rejected_fails_with_report(monkeypatch):
