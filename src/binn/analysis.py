@@ -2,9 +2,9 @@
 
 Covers the input-perturbation robustness metrics (expected squared change
 of the output distribution for random networks, squared error-rate change
-for trained ones), training-oscillation tracking, numerical evaluation of
-the sign-flip variance factor B, and Monte-Carlo verification of the
-one-layer and multi-layer output-variation bounds.
+for trained ones), training-oscillation tracking, the sign-flip variance
+factor B in closed form, B(sigma) = (4/pi) arctan(sigma), and Monte-Carlo
+verification of the one-layer and multi-layer output-variation bounds.
 
 The theorem checks and ``monte_carlo_b`` draw each chunk of trials from its
 own RNG stream, derived from (seed, chunk index); the robustness estimators
@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate
 
 from .nn.network import Network, softmax
 
@@ -129,27 +128,16 @@ def variance_with_se(samples: np.ndarray) -> tuple[float, float]:
 def compute_b(sigma: float) -> float:
     """Variance factor of sign(x + dx) - sign(x) for x ~ N(0,1), dx ~ N(0, sigma^2).
 
-    The difference takes values in {-2, 0, +2}; its variance is
-    4 * (Pr(+2) + Pr(-2)) = 8 * Pr(+2) by symmetry. Pr(+2) is evaluated by
-    2-D adaptive quadrature of the joint density over a truncated domain
-    (|x|, |dx| <= 8 max(1, sigma)); absolute error stays well under 0.005.
+    The difference takes values in {-2, 0, +2} and has mean 0, so its
+    variance is B = 4 Pr(flip), with flip meaning sign(x + dx) != sign(x).
+    x and x + dx are jointly normal with correlation rho = 1/sqrt(1 + sigma^2),
+    and Sheppard's orthant formula gives Pr(flip) = arccos(rho)/pi =
+    arctan(sigma)/pi. So B = (4/pi) arctan(sigma), which tends to 2 as
+    sigma grows.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    t = 8.0 * max(1.0, sigma)
-    inv = 1.0 / (math.sqrt(2 * math.pi))
-    inv_s = 1.0 / (math.sqrt(2 * math.pi) * sigma)
-
-    def density(dx, x):
-        return inv * math.exp(-0.5 * x * x) * inv_s * math.exp(-0.5 * (dx / sigma) ** 2)
-
-    # the integrand only lives where both |x| and dx are O(sigma); shrinking
-    # the domain to 50 sigma discards at most a Phi-bar(50) tail, keeping the
-    # adaptive sampler on the sharp inner Gaussian for small sigma
-    x_lo = -min(t, 50.0 * sigma)
-    dx_hi = lambda x: max(min(t, 50.0 * sigma), -x)
-    p2, _ = integrate.dblquad(density, x_lo, 0.0, lambda x: -x, dx_hi)
-    return 8.0 * p2
+    return 4.0 / math.pi * math.atan(sigma)
 
 
 def compute_r(sigma: float) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from . import datio
 from .errors import DataError, EnsembleError, NumericalError
 from .nn.config import NetworkConfig, config_hash, config_to_text, parse_config
-from .nn.network import EVAL_ROWS, Network, softmax
+from .nn.network import EVAL_ROWS, Network, eval_logits, softmax
 from .nn.optim import make_optimizer
 from .nn.train import train_network
 
@@ -233,7 +233,10 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
                 cb(logits)
         alpha = 1.0
         if strategy == "boosting":
-            alpha, u, err, rejected = adaboost_round(u, net.predict(images), labels, config.classes)
+            # EVAL_ROWS rows per forward, so the kept member holds at most that
+            # many rows of layer inputs rather than the whole training set's
+            pred = eval_logits(net, images).argmax(axis=-1)
+            alpha, u, err, rejected = adaboost_round(u, pred, labels, config.classes)
             rounds.append({"round": ki, "err": err, "alpha": alpha, "rejected": rejected})
             if rejected:
                 continue

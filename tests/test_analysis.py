@@ -12,18 +12,25 @@ def closed_form_b(sigma):
     """Independent oracle: orthant probability of the bivariate normal.
 
     x and x+dx are jointly normal with correlation 1/sqrt(1+sigma^2); the
-    flip probability is arccos(rho)/pi, and B = 4 * Pr(flip).
+    flip probability is arccos(rho)/pi, and B = 4 * Pr(flip). arccos(rho) is
+    taken as 2 arcsin(sqrt((1 - rho)/2)) with 1 - rho formed without
+    cancellation, so the oracle keeps full precision as rho tends to 1
+    (math.acos(rho) is off by 4e-11 relative at sigma = 0.001).
     """
-    rho = 1.0 / math.sqrt(1.0 + sigma * sigma)
-    return 4.0 * math.acos(rho) / math.pi
+    s = math.sqrt(1.0 + sigma * sigma)
+    one_minus_rho = sigma * sigma / (s * (1.0 + s))
+    return 8.0 * math.asin(math.sqrt(one_minus_rho / 2.0)) / math.pi
 
 
 # ------------------------------------------------------------------ B factor
 
 
-@pytest.mark.parametrize("sigma", [1.5, 1.0, 0.5, 0.1, 0.01, 0.001])
+@pytest.mark.parametrize("sigma", [1.5, 1.0, 0.5, 0.1, 0.01, 0.001, 30.0, 1e3, 1e6])
 def test_compute_b_matches_closed_form(sigma):
-    assert analysis.compute_b(sigma) == pytest.approx(closed_form_b(sigma), abs=2e-4)
+    b = analysis.compute_b(sigma)
+    assert b == pytest.approx(closed_form_b(sigma), rel=1e-12)
+    # B tends to 2: 2 - B = (4/pi) arctan(1/sigma) lies in (0, 4/(pi sigma))
+    assert 0.0 < 2.0 - b < 4.0 / (math.pi * sigma)
 
 
 def test_compute_b_reference_values():
@@ -36,6 +43,11 @@ def test_compute_b_reference_values():
 def test_compute_b_monte_carlo_cross_check():
     mc = analysis.monte_carlo_b(0.5, trials=2_000_000, seed=1)
     assert abs(mc.mean - analysis.compute_b(0.5)) <= 4 * mc.stderr
+
+
+def test_compute_b_monte_carlo_cross_check_large_sigma():
+    mc = analysis.monte_carlo_b(1000.0, trials=2_000_000, seed=1)
+    assert abs(mc.mean - analysis.compute_b(1000.0)) <= 4 * mc.stderr
 
 
 def test_compute_b_monotone_on_grid():
@@ -101,7 +113,8 @@ def test_theorem1_zero_single_variance_gives_nan_ratio():
 
 def test_theorem1_theorem2_golden_bits():
     # the regime rows and theorem 2 are frozen from the all-at-once
-    # implementation; the bagged rows from the raw-bit member draw. Neither
+    # implementation; the bagged rows from the raw-bit member draw. The
+    # B-derived predictions and bounds come from the closed-form B. Neither
     # trial count is a multiple of the chunk or of any sub-block size.
     rep = analysis.verify_theorem1(100, 0.8, 0.5, k_values=(3, 5), trials=9000, seed=4)
     got = [repr(st) for st in rep.regimes.values()]
@@ -110,14 +123,14 @@ def test_theorem1_theorem2_golden_bits():
         "RegimeStat(measured=16.15732865674885, stderr=0.24375651098433873, "
         "predicted=16.000000000000004)",
         "RegimeStat(measured=38.41454290409176, stderr=0.5987743602509383, "
-        "predicted=37.78140611851091)",
+        "predicted=37.78140611851092)",
         "RegimeStat(measured=24.807554673873693, stderr=0.36580677034521786, predicted=25.0)",
         "RegimeStat(measured=60.298741292242354, stderr=0.8928552752035346, "
-        "predicted=59.03344706017328)",
+        "predicted=59.0334470601733)",
         "RegimeStat(measured=19.855967398298027, stderr=0.3072739797097219, "
-        "predicted=19.677815686724426)",
+        "predicted=19.677815686724433)",
         "RegimeStat(measured=11.744439039399438, stderr=0.1823816516101238, "
-        "predicted=11.806689412034656)",
+        "predicted=11.806689412034661)",
         "0.9878796956340066",
         "0.973854411195678",
     ]
@@ -125,13 +138,13 @@ def test_theorem1_theorem2_golden_bits():
     assert {k: repr(v) for k, v in rep.regimes.items()} == {
         "real": "{'bound': 3.0252599999999994, 'mean_measured': 1.4768286590894353, "
                 "'satisfied_fraction': 0.9146666666666666, 'satisfied_se': 0.007213485313658744}",
-        "act_bin": "{'bound': 12.473964348476946, 'mean_measured': 2.4979543018310726, "
+        "act_bin": "{'bound': 12.473964348476924, 'mean_measured': 2.4979543018310726, "
                    "'satisfied_fraction': 0.9993333333333333, "
                    "'satisfied_se': 0.0006664444073950753}",
         "weight_bin": "{'bound': 12.6, 'mean_measured': 5.8362824452255575, "
                       "'satisfied_fraction': 0.9993333333333333, "
                       "'satisfied_se': 0.0006664444073950753}",
-        "both_bin": "{'bound': 51.95320428353581, 'mean_measured': 4.987733333333334, "
+        "both_bin": "{'bound': 51.95320428353572, 'mean_measured': 4.987733333333334, "
                     "'satisfied_fraction': 1.0, 'satisfied_se': 0.0}",
     }
 

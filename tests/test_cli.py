@@ -199,7 +199,7 @@ def test_perturb_monotone_on_sigma_grid(tmp_path, cfg_file):
 
 def test_analyze_b_table_matches_reference(tmp_path):
     out = tmp_path / "bt"
-    rc = main(["analyze", "b-table", "--sigmas", "1.0,0.5", "--seed", "0",
+    rc = main(["analyze", "b-table", "--sigmas", "1.0,0.5,1000", "--seed", "0",
                "--out", str(out)])
     assert rc == 0
     rows = read_csv(out / "b_table.csv")
@@ -208,6 +208,18 @@ def test_analyze_b_table_matches_reference(tmp_path):
     assert vals[1.0][0] == pytest.approx(1.0, abs=1e-3)
     assert vals[1.0][1] == 1.0
     assert vals[0.5][0] == pytest.approx(0.59, abs=0.01)
+    assert vals[1000.0][0] == pytest.approx(1.998726760879678, rel=1e-12)
+
+
+def test_analyze_theorem2_large_sigma_binarized_bounds_hold(tmp_path):
+    # at sigma 1000 a sign flips with probability ~1/2, so B is ~2, not ~0
+    rc = main(["analyze", "theorem2", "--widths", "8,8,1", "--trials", "200", "--sigma", "1000",
+               "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = {r[0]: r for r in read_csv(tmp_path / "theorem2.csv")[1:]}
+    for reg in ("act_bin", "both_bin"):
+        assert float(rows[reg][2]) == pytest.approx(2.0 * 8 * 8, rel=1e-3)
+        assert rows[reg][6] == "1", rows[reg]
 
 
 def test_analyze_theorem_commands_quick(tmp_path):
@@ -300,11 +312,24 @@ def test_console_entrypoint_smoke(tmp_path):
     assert "1.0" in out.stdout
 
 
-def _run_cli(args):
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; importing scipy.integrate was most
+    # of every CLI process's start-up time and memory
+    out = _run_python(["-c", "import sys, binn.cli; "
+                             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def _run_python(args):
+    """A fresh interpreter with this checkout's src on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(binn.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "binn.cli", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _run_cli(args):
+    return _run_python(["-m", "binn.cli", *args])
 
 
 @pytest.fixture(scope="module")

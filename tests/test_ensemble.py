@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from binn import datio, ensemble, nn
 from binn.nn import train as nn_train
+from binn.nn.network import EVAL_ROWS
 from binn.errors import DataError, EnsembleError, NumericalError
 
 
@@ -424,13 +425,32 @@ def test_bagging_peak_memory_does_not_grow_with_k():
     assert peaks[1] < 1.2 * peaks[0]
 
 
+def test_boosted_members_keep_no_training_set_activations():
+    # AdaBoost's training-set predictions run EVAL_ROWS rows per forward, so
+    # what a kept member retains does not grow with the training set
+    cfg = nn.mlp_config((1, 8, 8), [256, 256], 4, variant="AB")
+    rng = np.random.default_rng(0)
+    retained = []
+    for n in (2 * EVAL_ROWS, 6 * EVAL_ROWS):
+        x = rng.standard_normal((n, 1, 8, 8)).astype(np.float32)
+        y = rng.integers(0, 4, n)
+        tracemalloc.start()
+        model, _ = ensemble.train_boosting(cfg, x, y, k=2, seed=0,
+                                           spec=ensemble.MemberTrainSpec(epochs=1, batch_size=256))
+        retained.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.stop()
+        assert len(model.members) == 2
+        del model
+    assert retained[1] < 1.25 * retained[0], retained
+
+
 def test_all_members_rejected_fails_with_report(monkeypatch):
     (tr, te) = blob_task(seed=6)
     cfg = small_cfg()
 
     class AlwaysWrong:
-        def predict(self, images):
-            return np.full(len(images), 1, dtype=np.int64)
+        def forward(self, images):  # logits whose argmax is class 1 for every row
+            return np.tile(np.float32([0.0, 1.0, 0.0]), (len(images), 1))
 
         def clone(self):
             return self
