@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import subprocess
@@ -88,9 +87,7 @@ def _write_manifest(out_dir, argv, started, run):
         "outputs": sorted(str(o) for o in run["outputs"]),
     }
     path = os.path.join(out_dir, "run-manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    datio.write_json(manifest, path)
     return path
 
 
@@ -118,11 +115,12 @@ def _load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_config(fh.read())
-    except (OSError, UnicodeDecodeError) as e:
+    except UnicodeDecodeError as e:
         raise DataError(f"cannot read config {path}: {e}") from None
 
 
-def _load_dataset(args) -> tuple[datio.Dataset, datio.Dataset]:
+def _load_dataset(args, classes) -> tuple[datio.Dataset, datio.Dataset]:
+    """The (train, test) split of --data; a label at or above ``classes`` is a DataError."""
     kind = args.data
     if kind == "blobs":
         ds = datio.make_toy(datio.ToySpec(
@@ -142,19 +140,15 @@ def _load_dataset(args) -> tuple[datio.Dataset, datio.Dataset]:
         paths = args.data_path.split(",") if args.data_path else []
         if not 1 <= len(paths) <= 2:
             raise DataError("--data idx needs --data-path IMAGES[,LABELS]")
-        try:
-            ds = datio.load_idx(*paths, class_count=args.data_classes)
-        except OSError as e:
-            raise DataError(str(e)) from None
+        ds = datio.load_idx(*paths, class_count=args.data_classes)
     elif kind == "cifar10":
         if not args.data_path:
             raise DataError("--data cifar10 needs --data-path FILE")
-        try:
-            ds = datio.load_cifar10_bin(args.data_path)
-        except OSError as e:
-            raise DataError(str(e)) from None
+        ds = datio.load_cifar10_bin(args.data_path)
     else:
         raise DataError(f"unknown dataset kind {kind!r}")
+    if len(ds) and ds.labels.max() >= classes:
+        raise DataError(f"label {ds.labels.max()} is beyond the model's {classes} classes")
     # a positive --train-frac asks for training examples; every command tests on the rest
     n_train = int(len(ds) * args.train_frac)
     if n_train == 0 < args.train_frac or n_train == len(ds):
@@ -206,7 +200,7 @@ def _load_model(path):
 
 def cmd_train(args):
     cfg = _load_config(args.config)
-    train, test = _load_dataset(args)
+    train, test = _load_dataset(args, cfg.classes)
     net, hist = ensemble.train_member(
         cfg, train.images, train.labels,
         u=np.full(len(train), 1.0 / len(train)),
@@ -231,7 +225,7 @@ def cmd_train(args):
 
 def cmd_ensemble_train(args):
     cfg = _load_config(args.config)
-    train, test = _load_dataset(args)
+    train, test = _load_dataset(args, cfg.classes)
     spec = _member_spec(args)
     mode = {"indep": "independent", "warm": "warm_restart"}[args.mode]
     kw = dict(
@@ -268,7 +262,7 @@ def cmd_ensemble_train(args):
 
 def cmd_eval(args):
     model = _load_model(args.checkpoint)
-    _, test = _load_dataset(args)
+    _, test = _load_dataset(args, model.config.classes)
     if hasattr(model, "members"):
         pred = model.predict(test.images, rule=args.rule)
     else:
@@ -287,7 +281,7 @@ def cmd_eval(args):
 
 def cmd_perturb(args):
     model = _load_model(args.checkpoint)
-    _, test = _load_dataset(args)
+    _, test = _load_dataset(args, model.config.classes)
     rows = []
     for s2 in args.sigma2:
         spec = analysis.PerturbationSpec(
@@ -467,7 +461,7 @@ def main(argv=None) -> int:
     try:
         _write_manifest(args.out, argv, started, args.func(args))
         return 0
-    except (DataError, ShapeError) as e:
+    except (OSError, DataError, ShapeError) as e:  # OSError: a file it cannot read or write
         sys.stderr.write(f"data error: {e}\n")
         return 2
     except (NumericalError, EnsembleError) as e:

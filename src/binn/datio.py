@@ -7,6 +7,7 @@ linearly from [0, 255] onto [-1, 1]; both endpoints are exact.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -297,6 +298,13 @@ def save_checkpoint(net: Network, path) -> None:
         fh.write(checkpoint_bytes(net))
 
 
+def write_json(obj, path) -> None:
+    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def load_checkpoint_bytes(blob: bytes) -> Network:
     return _load_container(blob, CHECKPOINT_MAGIC)
 
@@ -346,12 +354,10 @@ def load_packed_bytes(blob: bytes) -> Network:
 
 
 def load_network(path) -> Network:
-    """Read a float checkpoint or a packed export, whichever the file holds."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as e:
-        raise DataError(f"cannot read checkpoint {path}: {e}") from None
+    """Read a float checkpoint or a packed export, whichever the file holds.
+    Raises OSError if the file cannot be read, DataError if its bytes are rejected."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
     if blob[:4] == PACKED_MAGIC:
         return load_packed_bytes(blob)
     return load_checkpoint_bytes(blob)

@@ -233,8 +233,7 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
                 cb(logits)
         alpha = 1.0
         if strategy == "boosting":
-            # EVAL_ROWS rows per forward, so the kept member holds at most that
-            # many rows of layer inputs rather than the whole training set's
+            # eval_logits keeps no layer inputs, so a kept member holds its weights alone
             pred = eval_logits(net, images).argmax(axis=-1)
             alpha, u, err, rejected = adaboost_round(u, pred, labels, config.classes)
             rounds.append({"round": ki, "err": err, "alpha": alpha, "rejected": rejected})
@@ -328,9 +327,7 @@ def save_ensemble(model: EnsembleModel, out_dir) -> dict:
         "config_hash": config_hash(model.config),
         "config": config_to_text(model.config),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    datio.write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return manifest
 
 
@@ -360,12 +357,13 @@ def _check_manifest(manifest):
 
 
 def load_ensemble(out_dir) -> EnsembleModel:
-    path = os.path.join(out_dir, "manifest.json")
-    try:
-        with open(path, encoding="utf-8") as fh:
+    """Read a ``save_ensemble`` directory. Raises OSError if a file cannot be read,
+    DataError if its bytes are rejected, a member's config included."""
+    with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
+        try:
             manifest = json.load(fh)
-    except (OSError, ValueError) as e:  # ValueError: not UTF-8 or not JSON
-        raise DataError(f"cannot read ensemble manifest: {e}") from None
+        except ValueError as e:  # not UTF-8 or not JSON
+            raise DataError(f"cannot read ensemble manifest: {e}") from None
     if not isinstance(manifest, dict):
         raise DataError("ensemble manifest is not a JSON object")
     if manifest.get("format_version") != datio.FORMAT_VERSION:
@@ -375,18 +373,17 @@ def load_ensemble(out_dir) -> EnsembleModel:
     if missing:
         raise DataError(f"ensemble manifest lacks {missing}")
     _check_manifest(manifest)
+    cfg = parse_config(manifest["config"])
     members = []
     for h in manifest["members"]:
         fpath = os.path.join(out_dir, f"member-{h[:16]}.ckpt")
-        try:
-            with open(fpath, "rb") as fh:
-                blob = fh.read()
-        except OSError as e:
-            raise DataError(f"cannot read ensemble member: {e}") from None
+        with open(fpath, "rb") as fh:
+            blob = fh.read()
         if hashlib.sha256(blob).hexdigest() != h:
             raise DataError(f"member checkpoint {fpath} fails its content hash")
         members.append(datio.load_checkpoint_bytes(blob))
-    cfg = parse_config(manifest["config"])
+        if members[-1].config != cfg:
+            raise DataError(f"member checkpoint {fpath} holds a config other than the manifest's")
     return EnsembleModel(
         members=members,
         alphas=np.asarray(manifest["alphas"], dtype=np.float64),

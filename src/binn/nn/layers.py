@@ -148,6 +148,12 @@ class Layer:
     def backward(self, dy):
         raise NotImplementedError
 
+    def forget(self):
+        """Drop what the last forward kept for backward: every instance
+        attribute whose name starts with an underscore."""
+        for key in [k for k in vars(self) if k.startswith("_")]:
+            delattr(self, key)
+
 
 class _WeightedLayer(Layer):
     """Shared machinery for fc/conv: precision flags, shadow weights, scales."""

@@ -253,9 +253,13 @@ EVAL_ROWS = 512  # rows per eval forward, which bounds its memory
 
 
 def eval_logits(net: Network, images) -> np.ndarray:
-    """Eval-mode logits ([K, N, C] for a stack), EVAL_ROWS rows per forward."""
-    return np.concatenate([net.forward(images[lo : lo + EVAL_ROWS])
-                           for lo in range(0, len(images), EVAL_ROWS)], axis=-2)
+    """Eval-mode logits ([K, N, C] for a stack), EVAL_ROWS rows per forward;
+    the net keeps none of their layer inputs."""
+    logits = np.concatenate([net.forward(images[lo : lo + EVAL_ROWS])
+                             for lo in range(0, len(images), EVAL_ROWS)], axis=-2)
+    for lay in net.layers:
+        lay.forget()
+    return logits
 
 
 def accuracy(net: Network, images, labels) -> float:

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -334,8 +336,8 @@ def _run_cli(args):
 
 @pytest.fixture(scope="module")
 def cli_paths(tmp_path_factory):
-    """A config, a trained ensemble dir, two broken copies of it, and a
-    packed export missing its output layer's scale."""
+    """A config, a trained ensemble dir, broken copies of it, and a packed
+    export missing its output layer's scale."""
     root = tmp_path_factory.mktemp("paths")
     cfg = root / "net.cfg"
     cfg.write_text(CFG_TEXT)
@@ -360,6 +362,12 @@ def cli_paths(tmp_path_factory):
         ("rule-median", {"rule": "median"}),
         ("config-int", {"config": 5}),
     ]}
+    # a 3-class member swapped into the 4-class bag, under its own content hash
+    three = nn.Network.from_config(nn.mlp_config((1, 8, 8), [32], 3, variant="SB"), seed=0)
+    blob = datio.checkpoint_bytes(three)
+    h = hashlib.sha256(blob).hexdigest()
+    paths["member-3-class"] = edited("member-3-class", members=[manifest["members"][0], h])
+    (paths["member-3-class"] / f"member-{h[:16]}.ckpt").write_bytes(blob)
     no_alphas = shutil.copytree(ens, root / "no-alphas")
     del manifest["alphas"]
     (no_alphas / "manifest.json").write_text(json.dumps(manifest))
@@ -422,6 +430,12 @@ def cli_paths(tmp_path_factory):
     (["eval", "--checkpoint", "{alphas-nan}"], 2, "'alphas'"),
     (["eval", "--checkpoint", "{rule-median}"], 2, "'rule'"),
     (["eval", "--checkpoint", "{config-int}"], 2, "'config'"),
+    (["eval", "--checkpoint", "{member-3-class}"], 2, "config other than the manifest's"),
+    (["train", "--config", "{cfg}", "--seed", "0", "--data-classes", "10"], 2,
+     "beyond the model's 4 classes"),
+    (["eval", "--checkpoint", "{ens}", "--data-classes", "10"], 2, "beyond the model's 4 classes"),
+    (["perturb", "--checkpoint", "{ens}", "--seed", "0", "--trials", "2", "--data-classes", "10"],
+     2, "beyond the model's 4 classes"),
 ], ids=["sigma2-text", "k-values-text", "k-values-repeated", "widths-empty", "sigmas-semicolon", "k-zero",
         "eval-train-frac-1", "train-train-frac-0", "missing-member", "manifest-no-alphas",
         "empty-train-split", "sigmas-negative", "theorem1-trials-0", "widths-two",
@@ -431,12 +445,55 @@ def cli_paths(tmp_path_factory):
         "seed-negative", "data-seed-negative", "theorem2-seed-negative", "config-not-utf8",
         "manifest-not-utf8", "manifest-members-int", "manifest-alphas-text",
         "manifest-alphas-short", "manifest-alphas-zero", "manifest-alphas-nan",
-        "manifest-rule-median", "manifest-config-int"])
+        "manifest-rule-median", "manifest-config-int", "member-other-config",
+        "train-labels-beyond-classes", "eval-labels-beyond-classes",
+        "perturb-labels-beyond-classes"])
 def test_malformed_invocations_exit_cleanly(tmp_path, cli_paths, argv, code, flag):
     out = _run_cli([cli_paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")])
     assert out.returncode == code, out.stderr
     assert "Traceback" not in out.stderr
     assert flag in out.stderr
+
+
+def _leaf_commands(parser, words=()):
+    """The words of every runnable subcommand under ``parser``, and its parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(words, parser)]
+    return [leaf for name, p in subs[0].choices.items()
+            for leaf in _leaf_commands(p, words + (name,))]
+
+
+_LEAF_COMMANDS = dict(_leaf_commands(cli.build_parser()))
+# a value for each required option, and small work for the options that size it
+_REQUIRED = {"--config": "{cfg}", "--checkpoint": "{ckpt}", "--seed": "0", "--strategy": "bag",
+             "--k": "1"}
+_SMALL = {"--epochs": "1", "--data-n": "64", "--trials": "2", "--fan-in": "4",
+          "--widths": "4,4,1", "--inner": "2", "--k-values": "2", "--sigma2": "0.01",
+          "--sigmas": "1.0"}
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["out-is-a-file", "out-below-a-file"])
+@pytest.mark.parametrize("words", list(_LEAF_COMMANDS), ids=" ".join)
+def test_every_command_exits_2_on_an_out_it_cannot_create(tmp_path, words, below):
+    cfg = tmp_path / "ab.cfg"
+    cfg.write_text(nn.config_to_text(nn.mlp_config((1, 8, 8), [16], 4, variant="AB")))
+    ckpt = tmp_path / "ab.ckpt"
+    datio.save_checkpoint(nn.Network.from_config(nn.parse_config(cfg.read_text()), seed=0), ckpt)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = str(afile / below) if below else str(afile)
+    argv = list(words)
+    for action in _LEAF_COMMANDS[words]._actions:
+        flag = action.option_strings[0] if action.option_strings else None
+        if action.required and flag != "--out":
+            argv += [flag, _REQUIRED[flag].format(cfg=cfg, ckpt=ckpt)]
+        elif flag in _SMALL:
+            argv += [flag, _SMALL[flag]]
+    res = _run_cli(argv + ["--out", out])
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert out in res.stderr
 
 
 def test_git_describe_ignores_process_cwd(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -5,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binn import datio, ensemble, nn
@@ -426,8 +427,8 @@ def test_bagging_peak_memory_does_not_grow_with_k():
 
 
 def test_boosted_members_keep_no_training_set_activations():
-    # AdaBoost's training-set predictions run EVAL_ROWS rows per forward, so
-    # what a kept member retains does not grow with the training set
+    # eval forwards keep no layer inputs, so AdaBoost's training-set
+    # predictions leave a kept member with its weights alone
     cfg = nn.mlp_config((1, 8, 8), [256, 256], 4, variant="AB")
     rng = np.random.default_rng(0)
     retained = []
@@ -440,6 +441,8 @@ def test_boosted_members_keep_no_training_set_activations():
         retained.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.stop()
         assert len(model.members) == 2
+        weights = sum(arr.nbytes for m in model.members for _, arr in m.state_items())
+        assert retained[-1] < weights + (128 << 10), (retained, weights)
         del model
     assert retained[1] < 1.25 * retained[0], retained
 
@@ -449,6 +452,8 @@ def test_all_members_rejected_fails_with_report(monkeypatch):
     cfg = small_cfg()
 
     class AlwaysWrong:
+        layers = ()  # no layer inputs for eval_logits to drop
+
         def forward(self, images):  # logits whose argmax is class 1 for every row
             return np.tile(np.float32([0.0, 1.0, 0.0]), (len(images), 1))
 
@@ -497,13 +502,18 @@ def test_ensemble_save_load_roundtrip(tmp_path):
 
 @pytest.fixture(scope="module")
 def saved_bag2(tmp_path_factory):
+    """A saved 3-class bag of two, plus the hash of a 4-class member
+    checkpoint stored beside its members."""
     (tr, te) = blob_task(seed=8)
     model, _ = ensemble.train_bagging(
         small_cfg(), tr.images, tr.labels, k=2, seed=8,
         spec=ensemble.MemberTrainSpec(epochs=1, batch_size=32),
     )
     d = tmp_path_factory.mktemp("bag2")
-    return d, ensemble.save_ensemble(model, d), te.images
+    blob = datio.checkpoint_bytes(nn.Network.from_config(small_cfg(classes=4), seed=0))
+    other = hashlib.sha256(blob).hexdigest()
+    (d / f"member-{other[:16]}.ckpt").write_bytes(blob)
+    return d, ensemble.save_ensemble(model, d), te.images, other
 
 
 _JSON = st.recursive(
@@ -518,14 +528,21 @@ _JSON = st.recursive(
 @given(key=st.sampled_from(["format_version", "members", "config", "alphas", "rule",
                             "strategy", "mode", "seed", "member_seeds"]),
        value=_JSON | st.lists(st.floats() | st.integers(), min_size=2, max_size=2)
-       | st.sampled_from(["hard", "soft", "bagging", "boosting", "independent", "warm_restart"]))
-def test_load_ensemble_returns_a_model_or_raises_data_error(saved_bag2, key, value):
-    d, manifest, images = saved_bag2
-    (d / "manifest.json").write_text(json.dumps({**manifest, key: value}))
+       | st.sampled_from(["hard", "soft", "bagging", "boosting", "independent", "warm_restart"]),
+       swap=st.booleans())
+@example(key="seed", value=0, swap=True)
+def test_load_ensemble_returns_a_model_or_raises_data_error(saved_bag2, key, value, swap):
+    # swap: the second member is the 4-class checkpoint, which the manifest's config is not
+    d, manifest, images, other = saved_bag2
+    members = [manifest["members"][0], other] if swap else manifest["members"]
+    (d / "manifest.json").write_text(json.dumps({**manifest, "members": members, key: value}))
     try:
         model = ensemble.load_ensemble(d)
-    except DataError:
+    except DataError as e:
+        if swap and key in ("seed", "member_seeds"):  # keys that load_ensemble takes as they are
+            assert other[:16] in str(e)
         return
+    assert not swap
     assert np.isfinite(ensemble.aggregate(model, images).probs).all()
 
 
