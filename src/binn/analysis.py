@@ -27,7 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .nn.network import Network, softmax
+from .ensemble import _lockstep_groups
+from .nn.network import Network, eval_logits, softmax
 
 _CHUNK = 4096
 _BLOCK_VALUES = _CHUNK * 64  # float64 values per sub-block temporary (2 MB)
@@ -390,10 +391,20 @@ def verify_theorem2(
 # --------------------------------------------------------------- robustness
 
 
-def _mean_probs(model, images, **forward_kw) -> np.ndarray:
-    """Unweighted mean of the members' softmax outputs; a Network is one member."""
-    members = model.members if hasattr(model, "members") else [model]
-    return np.stack([softmax(m.forward(images, **forward_kw)) for m in members]).mean(axis=0)
+def _mean_probs(model, images) -> np.ndarray:
+    """Unweighted mean of the members' softmax outputs; a Network is one member.
+
+    Members run as stacks (``Network.stack``) sized like lockstep training's,
+    so a small ensemble costs one forward per eval chunk, not one per member;
+    every member's logits equal its own forward's bit for bit."""
+    if not hasattr(model, "members"):
+        return softmax(eval_logits(model, images))
+    members, probs = model.members, []
+    for group in _lockstep_groups(model.config, len(members), 1, images):
+        net = members[group[0]] if len(group) == 1 else Network.stack(
+            [members[i] for i in group])
+        probs.append(softmax(eval_logits(net, images)).reshape(len(group), len(images), -1))
+    return np.concatenate(probs).mean(axis=0)
 
 
 def _estimate(values, trials) -> MonteCarloEstimate:
@@ -444,9 +455,10 @@ def robustness_random(
         raise ValueError("weight_samples must be >= 1")
 
     def out(net, x):
-        if output == "logits":
-            return net.forward(x, bn_batch_stats=True).astype(np.float64)
-        return _mean_probs(net, x, bn_batch_stats=True)
+        # batch statistics: one forward over the whole batch, not eval_logits' chunks
+        logits = net.forward(x, bn_batch_stats=True)
+        net.forget()
+        return logits.astype(np.float64) if output == "logits" else softmax(logits)
 
     per_sample = []
     for s in range(weight_samples):

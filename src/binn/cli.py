@@ -92,8 +92,7 @@ def _write_manifest(out_dir, argv, started, run):
 
 
 def _write_csv(out_dir, name, header, rows):
-    """Write ``name`` in ``out_dir``, creating the directory; returns the path."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write ``name`` in ``out_dir``; returns the path."""
     path = os.path.join(out_dir, name)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -208,7 +207,6 @@ def cmd_train(args):
         spec=_member_spec(args),
         eval_images=test.images, eval_labels=test.labels,
     )
-    os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "checkpoint.ckpt")
     datio.save_checkpoint(net, ckpt)
     rows = [
@@ -355,7 +353,6 @@ def cmd_export(args):
         raise DataError("network has no binary layers to pack")
     float_blob = datio.checkpoint_bytes(model)
     packed_blob = datio.packed_export_bytes(model)
-    os.makedirs(args.out, exist_ok=True)
     ppath = os.path.join(args.out, "model.pbin")
     with open(ppath, "wb") as fh:
         fh.write(packed_blob)
@@ -459,6 +456,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     try:
+        os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before the work
         _write_manifest(args.out, argv, started, args.func(args))
         return 0
     except (OSError, DataError, ShapeError) as e:  # OSError: a file it cannot read or write

@@ -288,7 +288,7 @@ def aggregate(model: EnsembleModel, images, rule=None) -> AggregateResult:
     rule = rule or model.rule
     if rule not in ("hard", "soft"):
         raise ValueError(f"rule must be hard or soft, got {rule!r}")
-    mp = np.stack([softmax(m.forward(images)) for m in model.members])  # [K, B, C]
+    mp = np.stack([softmax(eval_logits(m, images)) for m in model.members])  # [K, B, C]
     alphas = np.asarray(model.alphas, dtype=np.float64)
     w = alphas / alphas.sum()
     probs = np.tensordot(w, mp, axes=1)

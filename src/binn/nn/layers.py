@@ -20,6 +20,12 @@ rebuilds its patch matrix in backward rather than keeping it from forward
 (k*k times the input's size, held until the backward). No float operation
 or its order differs from the plain formulas.
 
+A forward keeps only what its backward reads (the names in ``_kept``), in
+the narrowest exact form: a sub-32-bit fc/conv keeps its quantized input
+and a bool |x| <= 1 mask, not a float copy of ``x``; dropout keeps a bool
+mask. ``Network.backward`` drops each layer's share once that layer's
+backward has read it, and ``predict``/``eval_logits`` after the forward.
+
 A stack of K networks (``Network.stack``) gives every parameter, buffer
 and activation a leading member axis. Each layer runs it through the same
 code, indexing from the last axes, by broadcasting and per-slice
@@ -132,6 +138,7 @@ class Layer:
     kind = "layer"
     index = -1
     in_shape: tuple[int, ...] = ()
+    _kept: tuple[str, ...] = ()  # what a forward keeps for backward
 
     def params(self) -> dict:
         return {}
@@ -149,14 +156,16 @@ class Layer:
         raise NotImplementedError
 
     def forget(self):
-        """Drop what the last forward kept for backward: every instance
-        attribute whose name starts with an underscore."""
-        for key in [k for k in vars(self) if k.startswith("_")]:
-            delattr(self, key)
+        """Drop what the last forward kept for backward (the names in ``_kept``)."""
+        state = self.__dict__
+        for key in self._kept:
+            state.pop(key, None)
 
 
 class _WeightedLayer(Layer):
     """Shared machinery for fc/conv: precision flags, shadow weights, scales."""
+
+    _kept = ("_xq", "_ste", "_scale", "_wmat", "_signs_only")
 
     def __init__(self, weight_bits, act_bits, dtype):
         if weight_bits != 32 and weight_bits != 1 and not 2 <= weight_bits <= 8:
@@ -207,6 +216,17 @@ class _WeightedLayer(Layer):
             return sign_binarize(self.w.value) * scale.reshape(shape)
         return quantize_k_bit(self.w.value, self.weight_bits)
 
+    def _quantize(self, x, ctx):
+        """The product's input at the activation precision. Keeps it for the
+        weight gradient and, below 32 bits, the bool |x| <= 1 straight-through
+        mask for the input gradient, in place of a float copy of ``x``."""
+        self._xq = quantize_activation(x, self.act_bits, ctx.surrogate)
+        self._ste = None if self.act_bits == 32 else np.abs(x) <= 1.0
+        return self._xq
+
+    def _input_grad(self, dxq):
+        return dxq if self._ste is None else dxq * self._ste
+
     def _product(self, cols, ctx):
         """Input rows [*members, N, fan_in] times the effective weights, plus
         bias: [*members, N, out].
@@ -244,6 +264,7 @@ class _WeightedLayer(Layer):
 class Linear(_WeightedLayer):
     kind = "fc"
     _wdim = 2  # w is [out, in]
+    _kept = _WeightedLayer._kept + ("_orig_shape",)
 
     def __init__(
         self,
@@ -269,18 +290,14 @@ class Linear(_WeightedLayer):
     def forward(self, x, ctx):
         self._orig_shape = x.shape
         xin = x.reshape(x.shape[:self.w.value.ndim - 1] + (-1,))
-        xq = quantize_activation(xin, self.act_bits, ctx.surrogate)
-        self._xin, self._xq = xin, xq
-        return self._product(xq, ctx)
+        return self._product(self._quantize(xin, ctx), ctx)
 
     def backward(self, dy):
         w_eff = self._backward_weight()
         self.w.add_grad(dy.swapaxes(-1, -2) @ self._xq)
         if self.b is not None:
-            self.b.add_grad(dy.sum(axis=-2))
-        dxq = dy @ w_eff
-        dx = dxq if self.act_bits == 32 else ste_backward(dxq, self._xin)
-        return dx.reshape(self._orig_shape)
+            self.b.add_grad(np.add.reduce(dy, axis=-2))
+        return self._input_grad(dy @ w_eff).reshape(self._orig_shape)
 
 
 def _scatter_windows(grad_at, in_shape, k, stride, padding, dtype):
@@ -334,8 +351,7 @@ class Conv2d(_WeightedLayer):
         return (self.out_channels, ho, wo)
 
     def forward(self, x, ctx):
-        xq = quantize_activation(x, self.act_bits, ctx.surrogate)
-        self._xin, self._xq = x, xq
+        xq = self._quantize(x, ctx)
         cols, ho, wo = bitcore._im2col(xq, self.kernel, self.stride, self.padding, self.pad_value)
         cols = cols.reshape(x.shape[:-4] + (-1, cols.shape[-1]))
         # the [B, F, H', W'] view of the product, not a contiguous copy: batchnorm
@@ -354,18 +370,19 @@ class Conv2d(_WeightedLayer):
         del cols
         w_eff = self._backward_weight()
         if self.b is not None:
-            self.b.add_grad(dy.sum(axis=(-4, -2, -1)))
+            self.b.add_grad(np.add.reduce(dy, axis=(-4, -2, -1)))
         # the column gradient as [C, k, k, B, H', W']: each offset's slice is
         # contiguous in H' and W', so the scatter-adds read it in order
         d6 = w_eff.swapaxes(-1, -2) @ dy_cols.swapaxes(-1, -2)
         d6 = d6.reshape(lead + (-1, k, k, b, ho, wo))
         dxq = _scatter_windows(lambda i, j: d6[..., i, j, :, :, :].swapaxes(-4, -3),
-                               self._xin.shape, k, self.stride, self.padding, dy.dtype)
-        return dxq if self.act_bits == 32 else ste_backward(dxq, self._xin)
+                               self._xq.shape, k, self.stride, self.padding, dy.dtype)
+        return self._input_grad(dxq)
 
 
 class BatchNorm(Layer):
     kind = "batchnorm"
+    _kept = ("_xhat", "_inv", "_axes", "_batch_stats", "_n")
 
     def __init__(self, num_features, *, eps=1e-4, momentum=0.1, dtype=np.float32):
         self.num_features = int(num_features)
@@ -391,29 +408,35 @@ class BatchNorm(Layer):
     def forward(self, x, ctx):
         lead = self.gamma.value.ndim - 1  # member axes before the batch axis
         axes = tuple(i for i in range(lead, x.ndim) if i != lead + 1)
+        bs = self._bshape(x.ndim)
+        n = x.size // self.gamma.value.size  # values per feature
         use_batch = ctx.train or ctx.bn_batch_stats
         if use_batch:
-            mean = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, mean=mean)  # np.var's own mean, computed once
-            mean = mean.reshape(var.shape)
+            # the steps of numpy's own mean and var, with one x - mean buffer
+            # for both the variance and xhat
+            mean = np.add.reduce(x, axis=axes, keepdims=True)
+            np.true_divide(mean, np.intp(n), out=mean, casting="unsafe")
+            xhat = np.subtract(x, mean)
+            buf = np.square(xhat)
+            var = np.add.reduce(buf, axis=axes)
+            np.true_divide(var, np.intp(n), out=var, casting="unsafe")
             if ctx.train:
-                n = x.size // var.size
                 unbiased = var * n / (n - 1) if n > 1 else var
                 m = self.momentum
-                self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(self.dtype)
-                self.running_var = ((1 - m) * self.running_var + m * unbiased).astype(self.dtype)
+                self.running_mean = ((1 - m) * self.running_mean
+                                     + m * mean.reshape(var.shape)).astype(self.dtype, copy=False)
+                self.running_var = ((1 - m) * self.running_var
+                                    + m * unbiased).astype(self.dtype, copy=False)
         else:
-            mean, var = self.running_mean, self.running_var
-        bs = self._bshape(x.ndim)
+            var, buf = self.running_var, None
+            xhat = np.subtract(x, self.running_mean.reshape(bs))
         inv = 1.0 / np.sqrt(var + self.eps)
-        # (x - mean) * inv and gamma * xhat + beta in one full-size buffer each;
-        # a buffer takes x's memory layout, so later reductions sum in the same order
-        xhat = np.subtract(x, mean.reshape(bs))
+        # (x - mean) * inv and gamma * xhat + beta in place; a buffer takes x's
+        # memory layout, so later reductions sum in the same order
         xhat *= inv.reshape(bs)
         self._xhat, self._inv, self._axes = xhat, inv, axes
-        self._batch_stats = use_batch
-        self._n = x.size // self.gamma.value.size
-        y = np.multiply(self.gamma.value.reshape(bs), xhat)
+        self._batch_stats, self._n = use_batch, n
+        y = np.multiply(self.gamma.value.reshape(bs), xhat, out=buf)
         y += self.beta.value.reshape(bs)
         return y
 
@@ -421,15 +444,15 @@ class BatchNorm(Layer):
         bs = self._bshape(dy.ndim)
         xhat, inv, axes = self._xhat, self._inv, self._axes
         prod = np.multiply(dy, xhat)
-        self.gamma.add_grad(prod.sum(axis=axes))
-        self.beta.add_grad(dy.sum(axis=axes))
+        self.gamma.add_grad(np.add.reduce(prod, axis=axes))
+        self.beta.add_grad(np.add.reduce(dy, axis=axes))
         dxhat = np.multiply(dy, self.gamma.value.reshape(bs))
         if not self._batch_stats:
             dxhat *= inv.reshape(bs)
             return dxhat
         n = self._n
-        s1 = dxhat.sum(axis=axes).reshape(bs)
-        s2 = np.multiply(dxhat, xhat, out=prod).sum(axis=axes).reshape(bs)
+        s1 = np.add.reduce(dxhat, axis=axes).reshape(bs)
+        s2 = np.add.reduce(np.multiply(dxhat, xhat, out=prod), axis=axes).reshape(bs)
         # (inv / n) * (n * dxhat - s1 - xhat * s2), in two full-size buffers
         dxhat *= n
         dxhat -= s1
@@ -440,10 +463,14 @@ class BatchNorm(Layer):
 
 class ReLU(Layer):
     kind = "relu"
+    _kept = ("_mask",)
 
     def forward(self, x, ctx):
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        # kept in C order, the layout every gradient arrives in: a bool mask
+        # read across a conv output's channel-last strides costs ~10x more
+        self._mask = np.ascontiguousarray(mask)
+        return x * mask
 
     def backward(self, dy):
         return dy * self._mask
@@ -453,6 +480,7 @@ class QuantAct(Layer):
     """Standalone k-bit activation quantization with the straight-through gradient."""
 
     kind = "quantact"
+    _kept = ("_xin",)
 
     def __init__(self, bits):
         if not 2 <= int(bits) <= 8:
@@ -477,6 +505,8 @@ class BinaryAct(QuantAct):
 
 
 class _Pool(Layer):
+    _kept = ("_in_shape",)
+
     def __init__(self, kernel, stride=None, padding=0):
         self.kernel = int(kernel)
         self.stride = int(stride) if stride is not None else int(kernel)
@@ -505,6 +535,7 @@ class _Pool(Layer):
 
 class MaxPool(_Pool):
     kind = "maxpool"
+    _kept = _Pool._kept + ("_arg",)
 
     def forward(self, x, ctx):
         win = self._windows(x, pad_value=-np.inf)
@@ -542,29 +573,31 @@ class AvgPool(_Pool):
 
 class Dropout(Layer):
     kind = "dropout"
+    _kept = ("_keep",)
 
     def __init__(self, p):
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout p must be in [0, 1), got {p}")
         self.p = float(p)
 
+    def _scaled(self, x):
+        """x * keep * 1 / (1 - p), the scale in x's dtype: the bits of
+        x * (keep * scale), from the bool mask instead of a float one."""
+        y = x * self._keep
+        y *= x.dtype.type(1) / (1.0 - self.p)
+        return y
+
     def forward(self, x, ctx):
         if not ctx.train or self.p == 0.0:
-            self._scaled_mask = None
+            self._keep = None
             return x
         if ctx.rng is None:
             raise ValueError("dropout in training mode needs an rng for determinism")
         rngs = ctx.rng if isinstance(ctx.rng, list) else None  # one per stacked member
         # the float64 draws are a temporary, freed before the full-size buffers below
-        keep = (np.stack([r.random(x.shape[1:]) for r in rngs]) if rngs
-                else ctx.rng.random(x.shape)) >= self.p
-        # the bool keep mask times 1 / (1 - p) in the input dtype: one operator
-        scale = x.dtype.type(1) / (1.0 - self.p)
-        self._scaled_mask = keep * scale
-        return x * self._scaled_mask
+        self._keep = (np.stack([r.random(x.shape[1:]) for r in rngs]) if rngs
+                      else ctx.rng.random(x.shape)) >= self.p
+        return self._scaled(x)
 
     def backward(self, dy):
-        if self._scaled_mask is None:
-            return dy
-        return dy * self._scaled_mask
-
+        return dy if self._keep is None else self._scaled(dy)

@@ -131,18 +131,28 @@ class Network:
         return x
 
     def predict(self, x, **kw) -> np.ndarray:
-        return np.argmax(self.forward(x, **kw), axis=-1)
+        """Argmax labels of one forward, whose layer inputs are then dropped."""
+        logits = self.forward(x, **kw)
+        self.forget()
+        return np.argmax(logits, axis=-1)
+
+    def forget(self):
+        """Drop what every layer kept from the last forward for backward."""
+        for lay in self.layers:
+            lay.forget()
 
     # ------------------------------------------------------------ backward
 
     def backward(self, dlogits) -> np.ndarray:
         """Accumulate parameter grads; returns the gradient w.r.t. the input.
 
-        Keeps no per-layer input gradient: each is freed once the layer below
-        has used it, so none outlives the call into the next forward."""
+        Each layer drops what its forward kept right after its backward has
+        read it, and no per-layer input gradient outlives the layer below, so
+        nothing from this step sits under the next forward."""
         dy = np.asarray(dlogits, dtype=self.dtype)
         for lay in reversed(self.layers):
             dy = lay.backward(dy)
+            lay.forget()
         return dy
 
     # ---------------------------------------------------------- bookkeeping
@@ -231,9 +241,9 @@ class Network:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def cross_entropy_grad(probs, labels):
@@ -242,7 +252,7 @@ def cross_entropy_grad(probs, labels):
     w = np.full(n, 1.0 / n)  # 1/n weights, not .mean(), which rounds differently
     at = np.arange(labels.size), labels.reshape(-1)  # each row's label, over all members
     picked = probs.reshape(-1, probs.shape[-1])[at].reshape(labels.shape)
-    loss = -(w * np.log(np.maximum(picked, 1e-300))).sum(axis=-1)
+    loss = -np.add.reduce(w * np.log(np.maximum(picked, 1e-300)), axis=-1)
     dlogits = probs.copy()
     dlogits.reshape(-1, probs.shape[-1])[at] -= 1.0
     dlogits *= w[:, None]
@@ -254,12 +264,12 @@ EVAL_ROWS = 512  # rows per eval forward, which bounds its memory
 
 def eval_logits(net: Network, images) -> np.ndarray:
     """Eval-mode logits ([K, N, C] for a stack), EVAL_ROWS rows per forward;
-    the net keeps none of their layer inputs."""
-    logits = np.concatenate([net.forward(images[lo : lo + EVAL_ROWS])
-                             for lo in range(0, len(images), EVAL_ROWS)], axis=-2)
-    for lay in net.layers:
-        lay.forget()
-    return logits
+    each forward's layer inputs are dropped before the next."""
+    chunks = []
+    for lo in range(0, len(images), EVAL_ROWS):
+        chunks.append(net.forward(images[lo : lo + EVAL_ROWS]))
+        net.forget()
+    return np.concatenate(chunks, axis=-2)
 
 
 def accuracy(net: Network, images, labels) -> float:

@@ -31,7 +31,7 @@ def backward_and_step(net: Network, batch, labels, optimizer, *, rng=None):
     logits = net.forward(batch, train=True, rng=rng)
     probs = softmax(logits)
     loss, dlogits = cross_entropy_grad(probs, labels)
-    if not math.isfinite(loss.sum()):  # each member's loss is at most ~690
+    if not math.isfinite(np.add.reduce(loss)):  # each member's loss is at most ~690
         lg = logits.reshape((-1,) + logits.shape[-2:])[np.argmin(np.isfinite(loss))]
         row = int(np.argmin(np.isfinite(lg).all(axis=1)))
         raise NumericalError(

@@ -475,7 +475,13 @@ _SMALL = {"--epochs": "1", "--data-n": "64", "--trials": "2", "--fan-in": "4",
 
 @pytest.mark.parametrize("below", ["", "sub"], ids=["out-is-a-file", "out-below-a-file"])
 @pytest.mark.parametrize("words", list(_LEAF_COMMANDS), ids=" ".join)
-def test_every_command_exits_2_on_an_out_it_cannot_create(tmp_path, words, below):
+def test_every_command_exits_2_on_an_out_it_cannot_create(tmp_path, monkeypatch, capsys,
+                                                         words, below):
+    # the command itself never runs: main creates --out before dispatch
+    called = []
+    func = _LEAF_COMMANDS[words].get_default("func")
+    monkeypatch.setattr(cli, func.__name__,
+                        lambda args: called.append(args) or {"seeds": {}, "outputs": []})
     cfg = tmp_path / "ab.cfg"
     cfg.write_text(nn.config_to_text(nn.mlp_config((1, 8, 8), [16], 4, variant="AB")))
     ckpt = tmp_path / "ab.ckpt"
@@ -490,10 +496,9 @@ def test_every_command_exits_2_on_an_out_it_cannot_create(tmp_path, words, below
             argv += [flag, _REQUIRED[flag].format(cfg=cfg, ckpt=ckpt)]
         elif flag in _SMALL:
             argv += [flag, _SMALL[flag]]
-    res = _run_cli(argv + ["--out", out])
-    assert res.returncode == 2, res.stderr
-    assert "Traceback" not in res.stderr
-    assert out in res.stderr
+    assert main(argv + ["--out", out]) == 2
+    assert out in capsys.readouterr().err
+    assert called == []
 
 
 def test_git_describe_ignores_process_cwd(tmp_path, monkeypatch):

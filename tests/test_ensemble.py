@@ -136,6 +136,9 @@ class _FixedNet:
     def forward(self, images):
         return np.tile(self._logits, (len(images), 1))
 
+    def forget(self):  # keeps no layer inputs for eval_logits to drop
+        pass
+
 
 def fixed_model(prob_rows, alphas=None, rule="soft"):
     members = [_FixedNet(p) for p in prob_rows]
@@ -447,15 +450,35 @@ def test_boosted_members_keep_no_training_set_activations():
     assert retained[1] < 1.25 * retained[0], retained
 
 
+def test_ensemble_predict_keeps_no_member_activations():
+    # members run eval_logits' 512-row forwards and drop each one's layer
+    # inputs; one whole-batch forward per member left ~43 MB behind here
+    cfg = nn.mlp_config((1, 8, 8), [256, 256], 4, variant="AB")
+    x = np.random.default_rng(0).standard_normal((4 * EVAL_ROWS, 1, 8, 8)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        members = [nn.Network.from_config(cfg, seed=i) for i in range(3)]
+        model = ensemble.EnsembleModel(members=members, alphas=np.ones(3), rule="soft",
+                                       strategy="bagging", training_mode="independent",
+                                       config=cfg)
+        model.predict(x)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    weights = sum(arr.nbytes for m in members for _, arr in m.state_items())
+    assert retained < weights + (128 << 10), (retained, weights)
+
+
 def test_all_members_rejected_fails_with_report(monkeypatch):
     (tr, te) = blob_task(seed=6)
     cfg = small_cfg()
 
     class AlwaysWrong:
-        layers = ()  # no layer inputs for eval_logits to drop
-
         def forward(self, images):  # logits whose argmax is class 1 for every row
             return np.tile(np.float32([0.0, 1.0, 0.0]), (len(images), 1))
+
+        def forget(self):  # keeps no layer inputs for eval_logits to drop
+            pass
 
         def clone(self):
             return self
