@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ensemble import _lockstep_groups
+from .ensemble import member_probs
 from .nn.network import Network, eval_logits, softmax
 
 _CHUNK = 4096
@@ -392,19 +392,10 @@ def verify_theorem2(
 
 
 def _mean_probs(model, images) -> np.ndarray:
-    """Unweighted mean of the members' softmax outputs; a Network is one member.
-
-    Members run as stacks (``Network.stack``) sized like lockstep training's,
-    so a small ensemble costs one forward per eval chunk, not one per member;
-    every member's logits equal its own forward's bit for bit."""
+    """Unweighted mean of the members' softmax outputs; a Network is one member."""
     if not hasattr(model, "members"):
         return softmax(eval_logits(model, images))
-    members, probs = model.members, []
-    for group in _lockstep_groups(model.config, len(members), 1, images):
-        net = members[group[0]] if len(group) == 1 else Network.stack(
-            [members[i] for i in group])
-        probs.append(softmax(eval_logits(net, images)).reshape(len(group), len(images), -1))
-    return np.concatenate(probs).mean(axis=0)
+    return member_probs(model, images).mean(axis=0)
 
 
 def _estimate(values, trials) -> MonteCarloEstimate:

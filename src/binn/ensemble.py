@@ -279,6 +279,19 @@ def train_boosting(config: NetworkConfig, images, labels, **kw) -> tuple[Ensembl
     return _train_rounds("boosting", config, images, labels, **kw)
 
 
+def member_probs(model: EnsembleModel, images) -> np.ndarray:
+    """[K, N, C] softmax outputs of the members, from eval_logits over stacks
+    of members sized like lockstep training's (``_lockstep_groups``): a small
+    ensemble costs one forward per eval chunk, not one per member, and keeps
+    no layer inputs; every member's values equal its own forward's bit for bit."""
+    members, probs = model.members, []
+    for group in _lockstep_groups(model.config, len(members), 1, images):
+        net = members[group[0]] if len(group) == 1 else Network.stack(
+            [members[i] for i in group])
+        probs.append(softmax(eval_logits(net, images)).reshape(len(group), len(images), -1))
+    return np.concatenate(probs)
+
+
 def aggregate(model: EnsembleModel, images, rule=None) -> AggregateResult:
     """Combine member outputs; ties break deterministically to the lowest class.
 
@@ -288,7 +301,7 @@ def aggregate(model: EnsembleModel, images, rule=None) -> AggregateResult:
     rule = rule or model.rule
     if rule not in ("hard", "soft"):
         raise ValueError(f"rule must be hard or soft, got {rule!r}")
-    mp = np.stack([softmax(eval_logits(m, images)) for m in model.members])  # [K, B, C]
+    mp = member_probs(model, images)  # [K, B, C]
     alphas = np.asarray(model.alphas, dtype=np.float64)
     w = alphas / alphas.sum()
     probs = np.tensordot(w, mp, axes=1)

@@ -22,9 +22,10 @@ or its order differs from the plain formulas.
 
 A forward keeps only what its backward reads (the names in ``_kept``), in
 the narrowest exact form: a sub-32-bit fc/conv keeps its quantized input
-and a bool |x| <= 1 mask, not a float copy of ``x``; dropout keeps a bool
-mask. ``Network.backward`` drops each layer's share once that layer's
-backward has read it, and ``predict``/``eval_logits`` after the forward.
+and, in training, a bool |x| <= 1 mask, not a float copy of ``x``;
+dropout keeps a bool mask. ``Network.backward`` drops each layer's share
+once that layer's backward has read it, and ``predict``/``eval_logits``
+after the forward.
 
 A stack of K networks (``Network.stack``) gives every parameter, buffer
 and activation a leading member axis. Each layer runs it through the same
@@ -165,7 +166,7 @@ class Layer:
 class _WeightedLayer(Layer):
     """Shared machinery for fc/conv: precision flags, shadow weights, scales."""
 
-    _kept = ("_xq", "_ste", "_scale", "_wmat", "_signs_only")
+    _kept = ("_xq", "_ste", "_xin", "_scale", "_wmat", "_signs_only")
 
     def __init__(self, weight_bits, act_bits, dtype):
         if weight_bits != 32 and weight_bits != 1 and not 2 <= weight_bits <= 8:
@@ -218,14 +219,20 @@ class _WeightedLayer(Layer):
 
     def _quantize(self, x, ctx):
         """The product's input at the activation precision. Keeps it for the
-        weight gradient and, below 32 bits, the bool |x| <= 1 straight-through
-        mask for the input gradient, in place of a float copy of ``x``."""
+        weight gradient and, below 32 bits, what the straight-through input
+        gradient reads: in training the bool |x| <= 1 mask, in place of a
+        float copy of ``x``; in an eval forward, whose inputs predict and
+        eval_logits drop at once, ``x`` itself, so inference builds no mask."""
         self._xq = quantize_activation(x, self.act_bits, ctx.surrogate)
-        self._ste = None if self.act_bits == 32 else np.abs(x) <= 1.0
+        quantized = self.act_bits != 32
+        self._ste = np.abs(x) <= 1.0 if quantized and ctx.train else None
+        self._xin = x if quantized and not ctx.train else None
         return self._xq
 
     def _input_grad(self, dxq):
-        return dxq if self._ste is None else dxq * self._ste
+        if self._ste is not None:
+            return dxq * self._ste
+        return dxq if self._xin is None else ste_backward(dxq, self._xin)
 
     def _product(self, cols, ctx):
         """Input rows [*members, N, fan_in] times the effective weights, plus

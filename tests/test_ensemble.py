@@ -127,25 +127,21 @@ def test_adaboost_empty_predictions():
 # -------------------------------------------------------------- aggregation
 
 
-class _FixedNet:
-    """Stub member with fixed logits for aggregation fixtures."""
-
-    def __init__(self, probs):
-        self._logits = np.log(np.asarray(probs, dtype=np.float64))
-
-    def forward(self, images):
-        return np.tile(self._logits, (len(images), 1))
-
-    def forget(self):  # keeps no layer inputs for eval_logits to drop
-        pass
-
-
 def fixed_model(prob_rows, alphas=None, rule="soft"):
-    members = [_FixedNet(p) for p in prob_rows]
+    """Members whose logits are log(p) for every row: one float64 fc with
+    zero weights and bias log(p), on one-feature inputs."""
+    classes = len(prob_rows[0])
+    cfg = nn.NetworkConfig(name="fixed", input_shape=(1,), classes=classes,
+                           layers=(nn.layer("fc", out=classes),))
+    members = []
+    for p in prob_rows:
+        net = nn.Network.from_config(cfg, init="zeros", dtype=np.float64)
+        net.layers[0].b.value[:] = np.log(np.asarray(p, dtype=np.float64))
+        members.append(net)
     a = np.ones(len(members)) if alphas is None else np.asarray(alphas, float)
     return ensemble.EnsembleModel(
         members=members, alphas=a, rule=rule, strategy="bagging",
-        training_mode="independent", config=None,
+        training_mode="independent", config=cfg,
     )
 
 
