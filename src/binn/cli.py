@@ -227,23 +227,16 @@ def cmd_ensemble_train(args):
     spec = _member_spec(args)
     mode = {"indep": "independent", "warm": "warm_restart"}[args.mode]
     kw = dict(
-        k=args.k, mode=mode, seed=args.seed, spec=spec,
+        k=args.k, mode=mode, seed=args.seed, spec=spec, rule=args.rule,
         eval_images=test.images, eval_labels=test.labels,
-        track_ensemble_accuracy=True,
     )
     fit = ensemble.train_bagging if args.strategy == "bag" else ensemble.train_boosting
     model, info = fit(cfg, train.images, train.labels, **kw)
-    model.rule = args.rule
     ensemble.save_ensemble(model, args.out)
-    rows = []
-    ens_acc = info["ensemble_accuracy"]
-    i = 0
-    for mi, hist in enumerate(info["histories"]):
-        for e in range(len(hist.train_loss)):
-            ens_col = ens_acc[i] if i < len(ens_acc) else ""
-            rows.append((mi, e, hist.train_loss[e],
-                         hist.test_accuracy[e] if hist.test_accuracy else "", ens_col))
-            i += 1
+    ens_acc = iter(info["ensemble_accuracy"])  # None (no member kept yet) writes ""
+    rows = [(mi, e, loss, acc, next(ens_acc))
+            for mi, hist in enumerate(info["histories"])
+            for e, (loss, acc) in enumerate(zip(hist.train_loss, hist.test_accuracy))]
     metrics = _write_csv(
         args.out, "metrics.csv",
         ["member", "epoch", "train_loss", "test_accuracy", "ensemble_test_accuracy"],

@@ -82,7 +82,7 @@ def bagging_sample(dataset_size: int, u: np.ndarray, rng) -> np.ndarray:
 
 def train_members(config: NetworkConfig, images, labels, *, u: np.ndarray, seed_seqs,
                   spec: MemberTrainSpec, eval_images=None, eval_labels=None,
-                  init_from: Network | None = None, keep_logits=False) -> list:
+                  init_from: Network | None = None) -> list:
     """Train one weak network per seed sequence under the sampling
     distribution u, all in lockstep as one stack; returns a (net, history)
     per member. Raises NumericalError if any member's training goes
@@ -104,8 +104,7 @@ def train_members(config: NetworkConfig, images, labels, *, u: np.ndarray, seed_
     opt = make_optimizer(spec.optimizer, stack.parameters(), spec.lr)
     hists = train_network(stack, images, labels, epochs=spec.epochs, batch_size=spec.batch_size,
                           optimizer=opt, rng=rngs, eval_images=eval_images,
-                          eval_labels=eval_labels, sample=np.stack(samples),
-                          keep_logits=keep_logits)
+                          eval_labels=eval_labels, sample=np.stack(samples))
     return list(zip(stack.unstack(), hists))
 
 
@@ -160,22 +159,22 @@ def adaboost_round(current_u: np.ndarray, member_predictions, labels, class_coun
     return alpha, new, err, False
 
 
-def _ensemble_epoch_tracker(trained, labels, record):
-    """Callback factory: records the test accuracy of the kept members' summed
-    softmax outputs (``trained``) plus the live member's, from its eval logits."""
+def _ensemble_epoch_tracker(kept, labels, record, *, alphas, rule):
+    """Callback factory for one round's member-epochs: records the accuracy of
+    ``_combine`` over ``kept`` (the kept members' last-epoch softmax outputs)
+    and, if ``alphas`` weighs it too, the live member's; None if there are none."""
 
     def cb(logits):
-        probs = softmax(logits)
-        for p in trained:
-            probs = probs + p
-        record.append(float((probs.argmax(axis=1) == labels).mean()))
+        probs = kept + [softmax(logits)] if len(alphas) > len(kept) else kept
+        record.append(float((_combine(np.stack(probs), alphas, rule)[2] == labels).mean())
+                      if probs else None)
 
     return cb
 
 
 def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
                   mode: str = "independent", seed: int = 0, spec: MemberTrainSpec | None = None,
-                  eval_images=None, eval_labels=None, track_ensemble_accuracy: bool = False,
+                  eval_images=None, eval_labels=None, rule: str = "soft",
                   ) -> tuple[EnsembleModel, dict]:
     """The member loop shared by bagging and boosting.
 
@@ -186,13 +185,16 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
     that went non-finite alone retrains once, from the fallback stream
     [seed, k, 0xEE7]. Bagging then keeps u and gives the member alpha 1;
     boosting applies ``adaboost_round`` and skips a rejected member. Each
-    round's epochs then add to the ensemble accuracy stream from their
-    recorded eval logits.
+    member-epoch on eval data then records in ``info["ensemble_accuracy"]``
+    the ``rule`` accuracy of the kept members plus the live one unless it was
+    rejected (None while no member is kept).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if mode not in ("independent", "warm_restart"):
         raise ValueError(f"mode must be independent or warm_restart, got {mode!r}")
+    if rule not in ("hard", "soft"):
+        raise ValueError(f"rule must be hard or soft, got {rule!r}")
     spec = spec or MemberTrainSpec()
     u = np.full(len(labels), 1.0 / len(labels))
     members = []
@@ -201,10 +203,8 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
     histories = []
     rounds = []
     ensemble_acc = []
-    track = track_ensemble_accuracy and eval_images is not None
     kept_probs = []  # the kept members' softmax outputs on eval_images
-    common = dict(spec=spec, eval_images=eval_images, eval_labels=eval_labels,
-                  keep_logits=track)
+    common = dict(spec=spec, eval_images=eval_images, eval_labels=eval_labels)
     stacked = {}
     if strategy == "bagging" and mode == "independent":
         for group in _lockstep_groups(config, k, spec.batch_size, eval_images):
@@ -227,22 +227,22 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
                                      seed_seq=np.random.SeedSequence(seed_used), **kw)
         prev = net
         histories.append(hist)
-        if track:
-            cb = _ensemble_epoch_tracker(kept_probs, eval_labels, ensemble_acc)
-            for logits in hist.eval_logits:
-                cb(logits)
-        alpha = 1.0
+        alpha, rejected = 1.0, False
         if strategy == "boosting":
             # eval_logits keeps no layer inputs, so a kept member holds its weights alone
             pred = eval_logits(net, images).argmax(axis=-1)
             alpha, u, err, rejected = adaboost_round(u, pred, labels, config.classes)
             rounds.append({"round": ki, "err": err, "alpha": alpha, "rejected": rejected})
-            if rejected:
-                continue
+        cb = _ensemble_epoch_tracker(kept_probs, eval_labels, ensemble_acc,
+                                     alphas=alphas + ([] if rejected else [alpha]), rule=rule)
+        for logits in hist.eval_logits:
+            cb(logits)
+        if rejected:
+            continue
         members.append(net)
         alphas.append(alpha)
         seeds_used.append(seed_used)
-        if track and hist.eval_logits:
+        if hist.eval_logits:
             kept_probs.append(softmax(hist.eval_logits[-1]))
     if not members:
         raise EnsembleError(
@@ -251,7 +251,7 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
     model = EnsembleModel(
         members=members,
         alphas=np.asarray(alphas),
-        rule="soft",
+        rule=rule,
         strategy=strategy,
         training_mode=mode,
         config=config,
@@ -265,7 +265,7 @@ def train_bagging(config: NetworkConfig, images, labels, **kw) -> tuple[Ensemble
     """K members on independent bootstrap resamples; alpha_k = 1 for all.
 
     Keywords as ``_train_rounds``: k, mode, seed, spec, eval_images,
-    eval_labels, track_ensemble_accuracy.
+    eval_labels, rule.
     """
     return _train_rounds("bagging", config, images, labels, **kw)
 
@@ -292,25 +292,31 @@ def member_probs(model: EnsembleModel, images) -> np.ndarray:
     return np.concatenate(probs)
 
 
-def aggregate(model: EnsembleModel, images, rule=None) -> AggregateResult:
-    """Combine member outputs; ties break deterministically to the lowest class.
+def _combine(mp: np.ndarray, alphas, rule: str):
+    """(probs, votes, labels) of [K, N, C] member softmax outputs; ties break
+    deterministically to the lowest class.
 
     soft: probabilities averaged with renormalized alpha weights;
     hard: alpha-weighted votes on member argmax labels.
     """
-    rule = rule or model.rule
     if rule not in ("hard", "soft"):
         raise ValueError(f"rule must be hard or soft, got {rule!r}")
-    mp = member_probs(model, images)  # [K, B, C]
-    alphas = np.asarray(model.alphas, dtype=np.float64)
+    alphas = np.asarray(alphas, dtype=np.float64)
     w = alphas / alphas.sum()
     probs = np.tensordot(w, mp, axes=1)
     probs = probs / probs.sum(axis=1, keepdims=True)
-    member_labels = mp.argmax(axis=2)  # [K, B]
+    member_labels = mp.argmax(axis=2)  # [K, N]
     votes = np.zeros(probs.shape)
     for ki in range(mp.shape[0]):
         votes[np.arange(votes.shape[0]), member_labels[ki]] += w[ki]
     labels = votes.argmax(axis=1) if rule == "hard" else probs.argmax(axis=1)
+    return probs, votes, labels
+
+
+def aggregate(model: EnsembleModel, images, rule=None) -> AggregateResult:
+    """``_combine`` of the members' outputs on images under rule (default the model's)."""
+    mp = member_probs(model, images)  # [K, B, C]
+    probs, votes, labels = _combine(mp, model.alphas, rule or model.rule)
     return AggregateResult(member_probs=mp, probs=probs, labels=labels, votes=votes)
 
 

@@ -15,7 +15,7 @@ from .network import Network, cross_entropy_grad, eval_logits, softmax
 class TrainHistory:
     train_loss: list = field(default_factory=list)
     test_accuracy: list = field(default_factory=list)
-    eval_logits: list = field(default_factory=list)  # [N, C] per epoch, if kept
+    eval_logits: list = field(default_factory=list)  # [N, C] per epoch, given an eval set
 
 
 def backward_and_step(net: Network, batch, labels, optimizer, *, rng=None):
@@ -46,15 +46,15 @@ def backward_and_step(net: Network, batch, labels, optimizer, *, rng=None):
 
 
 def train_network(net: Network, images, labels, *, epochs, batch_size, optimizer, rng,
-                  eval_images=None, eval_labels=None, sample=None, keep_logits=False):
+                  eval_images=None, eval_labels=None, sample=None):
     """Mini-batch training for exactly ``epochs`` epochs.
 
-    Each epoch records its mean train loss and, given an eval set, the test
-    accuracy from its one eval forward, whose logits it also keeps when
-    ``keep_logits``. A stack of K members (``net.stack_size``) takes K
-    generators as ``rng`` and a [K, n] index array ``sample`` (member k
-    trains on images[sample[k]]) and returns K histories. A non-finite step
-    or eval forward raises NumericalError, whichever member caused it.
+    Each epoch records its mean train loss and, given an eval set, the
+    logits of its one eval forward and the test accuracy they give. A stack
+    of K members (``net.stack_size``) takes K generators as ``rng`` and a
+    [K, n] index array ``sample`` (member k trains on images[sample[k]]) and
+    returns K histories. A non-finite step or eval forward raises
+    NumericalError, whichever member caused it.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(np.random.SeedSequence(int(rng)))
@@ -77,8 +77,7 @@ def train_network(net: Network, images, labels, *, epochs, batch_size, optimizer
         if eval_images is not None:
             logits = eval_logits(net, eval_images).reshape(len(rngs), len(eval_labels), -1)
             for hist, lg in zip(hists, logits):
-                if keep_logits:
-                    hist.eval_logits.append(lg)
+                hist.eval_logits.append(lg)
                 hits = np.count_nonzero(lg.argmax(axis=-1) == eval_labels)
                 hist.test_accuracy.append(hits / len(eval_labels))
     return hists if lead else hists[0]

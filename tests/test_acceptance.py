@@ -76,7 +76,6 @@ def toy_c7c8():
         bag, info = ensemble.train_bagging(
             MEMBER_CFG, tr.images, tr.labels, k=5, mode="independent", seed=s,
             spec=SPEC25, eval_images=te.images, eval_labels=te.labels,
-            track_ensemble_accuracy=True,
         )
         out[s] = dict(
             net=net, bag=bag, te=te,

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binn import datio, ensemble, nn
+from binn.cli import main
 from binn.nn import train as nn_train
 from binn.nn.network import EVAL_ROWS
 from binn.errors import DataError, EnsembleError, NumericalError
@@ -352,7 +354,7 @@ def test_retried_member_leaves_no_stale_ensemble_records(monkeypatch):
     _, info = ensemble.train_bagging(
         small_cfg(), tr.images, tr.labels, k=3, seed=12,
         spec=ensemble.MemberTrainSpec(epochs=4, batch_size=32),
-        eval_images=te.images, eval_labels=te.labels, track_ensemble_accuracy=True,
+        eval_images=te.images, eval_labels=te.labels,
     )
     assert calls["n"] == 4
     epochs = sum(len(h.test_accuracy) for h in info["histories"])
@@ -370,8 +372,7 @@ def test_stacked_member_divergence_leaves_the_others_unchanged(monkeypatch, vari
     (tr, te) = blob_task(seed=13)
     cfg = nn.mlp_config((1, 1, 2), [16, 16], 3, variant=variant, dropout=0.2)
     spec = ensemble.MemberTrainSpec(epochs=3, batch_size=32)
-    kw = dict(k=3, seed=13, spec=spec, eval_images=te.images, eval_labels=te.labels,
-              track_ensemble_accuracy=True)
+    kw = dict(k=3, seed=13, spec=spec, eval_images=te.images, eval_labels=te.labels)
     clean, clean_info = ensemble.train_bagging(cfg, tr.images, tr.labels, **kw)
     real_members, real_step = ensemble.train_members, nn_train.backward_and_step
     steps = math.ceil(len(tr) / 32)  # per epoch
@@ -418,8 +419,7 @@ def test_bagging_peak_memory_does_not_grow_with_k():
         tracemalloc.start()
         ensemble.train_bagging(cfg, ds.images[:64], ds.labels[:64], k=k, seed=2,
                                spec=ensemble.MemberTrainSpec(epochs=1, batch_size=32),
-                               eval_images=ds.images[64:], eval_labels=ds.labels[64:],
-                               track_ensemble_accuracy=True)
+                               eval_images=ds.images[64:], eval_labels=ds.labels[64:])
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] < 1.2 * peaks[0]
@@ -489,6 +489,75 @@ def test_all_members_rejected_fails_with_report(monkeypatch):
             cfg, tr.images, labels, k=2, seed=6,
             spec=ensemble.MemberTrainSpec(epochs=0),
         )
+
+
+# ------------------------------------------------- ensemble accuracy stream
+
+
+def _stream_run(train, rule="soft", mode="independent"):
+    tr, te = blob_task(seed=3, classes=4, noise=0.3)
+    model, info = train(small_cfg(4), tr.images, tr.labels, k=4, seed=3, mode=mode, rule=rule,
+                        spec=ensemble.MemberTrainSpec(epochs=3, batch_size=32, lr=3e-3),
+                        eval_images=te.images, eval_labels=te.labels)
+    ends = np.cumsum([len(h.test_accuracy) for h in info["histories"]]) - 1
+    return model, info, te, ends
+
+
+def _accuracy(model, te, rule, j):
+    """aggregate's accuracy over the model's first j members."""
+    sub = replace(model, members=model.members[:j], alphas=model.alphas[:j])
+    return float((ensemble.aggregate(sub, te.images, rule).labels == te.labels).mean())
+
+
+@pytest.mark.parametrize("train, rule, mode", [
+    (ensemble.train_bagging, "soft", "independent"),
+    (ensemble.train_bagging, "hard", "independent"),
+    (ensemble.train_boosting, "soft", "independent"),
+    (ensemble.train_boosting, "hard", "independent"),
+    (ensemble.train_boosting, "soft", "warm_restart"),
+])
+def test_ensemble_stream_equals_the_model_at_each_kept_round(train, rule, mode):
+    model, info, te, ends = _stream_run(train, rule, mode)
+    stream = info["ensemble_accuracy"]
+    assert model.rule == rule
+    assert len(stream) == ends[-1] + 1 == 4 * 3
+    kept = [r["round"] for r in info["rounds"] if not r["rejected"]] or range(4)
+    assert len(kept) == len(model.members)
+    for j, r in enumerate(kept):
+        assert stream[ends[r]] == _accuracy(model, te, rule, j + 1)
+
+
+@pytest.mark.parametrize("reject", [0, 1])
+def test_rejected_round_reports_the_ensemble_without_it(monkeypatch, tmp_path, reject):
+    real = ensemble.adaboost_round
+    calls = []
+
+    def rejecting(u, pred, labels, classes):
+        calls.append(None)
+        alpha, new_u, err, rejected = real(u, pred, labels, classes)
+        return (alpha, u, err, True) if len(calls) - 1 == reject else (alpha, new_u, err, rejected)
+
+    monkeypatch.setattr(ensemble, "adaboost_round", rejecting)
+    model, info, te, ends = _stream_run(ensemble.train_boosting)
+    stream = info["ensemble_accuracy"]
+    assert info["rounds"][reject]["rejected"] and len(model.members) == 3
+    rejected_epochs = stream[ends[reject] - 2 : ends[reject] + 1]
+    if reject == 0:
+        assert rejected_epochs == [None] * 3
+        assert stream[ends[1]] == _accuracy(model, te, "soft", 1)
+        cfg = tmp_path / "member.cfg"
+        cfg.write_text(nn.config_to_text(nn.mlp_config((1, 8, 8), [32], 4, variant="SB")))
+        calls.clear()
+        assert main(["ensemble", "train", "--config", str(cfg), "--strategy", "boost",
+                     "--k", "2", "--seed", "5", "--epochs", "2", "--lr", "5e-3",
+                     "--data", "blobs-img", "--data-n", "400", "--data-classes", "4",
+                     "--data-noise", "0.08", "--data-seed", "6",
+                     "--out", str(tmp_path / "boost")]) == 0
+        with open(tmp_path / "boost" / "metrics.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[4] for r in rows[:2]] == ["", ""] and all(r[4] for r in rows[2:])
+    else:
+        assert rejected_epochs == [stream[ends[0]]] * 3 == [_accuracy(model, te, "soft", 1)] * 3
 
 
 def test_warm_restart_byte_identical_across_reruns(tmp_path):

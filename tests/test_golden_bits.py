@@ -57,7 +57,7 @@ GOLDEN_NIN = {
 
 GOLDEN_METRICS = {
     "bag": "12ebbdf2fc46010b75c30e8c4cc82b644d46b46c48a127b030a0d02b17b5a5a9",
-    "boost": "456796389499049451defa42141a789d29a621592c9cd5dbe11af3d03724af7b",
+    "boost": "d5794f1e91dd957fe19da6e3254e5e6d07b3c5b5c5b084911640f4bf039ea379",
 }
 
 # sha256 of the manifest's member checkpoint hashes and of metrics.csv of a
@@ -143,8 +143,7 @@ def test_nin_forward_and_input_grad_bits(variant):
     assert got == GOLDEN_NIN[variant]
 
 
-@pytest.mark.parametrize("strategy", ["bag", "boost"])
-def test_ensemble_metrics_bits(tmp_path, strategy):
+def _ensemble_train(tmp_path, strategy, *flags):
     cfg = tmp_path / "member.cfg"
     cfg.write_text(nn.config_to_text(mlp_config((1, 8, 8), [8], 4, variant="AB")))
     out = tmp_path / strategy
@@ -152,10 +151,22 @@ def test_ensemble_metrics_bits(tmp_path, strategy):
                "--k", "3", "--seed", "5", "--epochs", "6", "--lr", "5e-3",
                "--data", "blobs-img", "--data-n", "800", "--data-classes", "4",
                "--data-noise", "0.08", "--data-seed", "6", "--train-frac", "0.75",
-               "--out", str(out)])
+               "--out", str(out), *flags])
     assert rc == 0
-    got = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
+    return out / "metrics.csv"
+
+
+@pytest.mark.parametrize("strategy", ["bag", "boost"])
+def test_ensemble_metrics_bits(tmp_path, strategy):
+    got = hashlib.sha256(_ensemble_train(tmp_path, strategy).read_bytes()).hexdigest()
     assert got == GOLDEN_METRICS[strategy]
+
+
+def test_hard_boost_stream_ends_at_the_printed_accuracy(tmp_path, capsys):
+    metrics = _ensemble_train(tmp_path, "boost", "--rule", "hard")
+    printed = capsys.readouterr().out.split("test_accuracy=")[1].split()[0]
+    last = metrics.read_text().splitlines()[-1].split(",")[-1]
+    assert f"{float(last):.4f}" == printed
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_BAG))

@@ -50,7 +50,7 @@ def test_tracer_spans_tracked_ensemble_training(monkeypatch):
     tr, te = datio.split_dataset(ds, 120)
     cfg = mlp_config((1, 8, 8), [8], 3, variant="AB")
     kw = dict(k=2, seed=1, spec=ensemble.MemberTrainSpec(epochs=2, batch_size=32),
-              eval_images=te.images, eval_labels=te.labels, track_ensemble_accuracy=True)
+              eval_images=te.images, eval_labels=te.labels)
     with spans.instrument(spans.Tracer("tier1")) as tr_:
         _, bag = ensemble.train_bagging(cfg, tr.images, tr.labels, **kw)
         _, boost = ensemble.train_boosting(cfg, tr.images, tr.labels, **kw)
@@ -60,5 +60,10 @@ def test_tracer_spans_tracked_ensemble_training(monkeypatch):
     assert summary["nn.train_step"]["calls"] == 3 * 2 * 4
     assert summary["ensemble.tracker"]["calls"] == 8
     assert len(bag["ensemble_accuracy"]) == len(boost["ensemble_accuracy"]) == 4
+    # the wrapped tracker records the streams an uninstrumented run records
+    assert bag["ensemble_accuracy"] == ensemble.train_bagging(
+        cfg, tr.images, tr.labels, **kw)[1]["ensemble_accuracy"]
+    assert boost["ensemble_accuracy"] == ensemble.train_boosting(
+        cfg, tr.images, tr.labels, **kw)[1]["ensemble_accuracy"]
     assert bound() == originals
     assert train.backward_and_step is originals[(train, "backward_and_step")]
