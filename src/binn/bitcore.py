@@ -68,17 +68,6 @@ def _tail_mask(bit_len: int) -> np.uint64:
     return np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def _bits_to_words(bits: np.ndarray) -> np.ndarray:
-    """Pack a flat uint8 0/1 array into uint64 words (little-endian bits)."""
-    if bits.size == 0:
-        return np.zeros(0, dtype=np.uint64)
-    raw = np.packbits(bits, bitorder="little")
-    pad = _word_count(bits.size) * 8 - raw.size
-    if pad:
-        raw = np.concatenate([raw, np.zeros(pad, dtype=np.uint8)])
-    return raw.view("<u8").astype(np.uint64, copy=False)
-
-
 def _words_to_bits(words: np.ndarray, bit_len: int) -> np.ndarray:
     if bit_len == 0:
         return np.zeros(0, dtype=np.uint8)
@@ -94,10 +83,10 @@ def pack(values) -> PackedBitTensor:
         if not finite.all():
             idx = np.unravel_index(int(np.argmin(finite)), arr.shape)
             raise ValueError(f"non-finite element at index {tuple(int(i) for i in idx)}")
-    bits = (arr >= 0).astype(np.uint8).reshape(-1)
+    bits = (arr >= 0).astype(np.uint8).reshape(1, -1)
     return PackedBitTensor(
         shape=tuple(int(d) for d in arr.shape),
-        words=_bits_to_words(bits),
+        words=_pack_rows(bits)[0],
         bit_len=int(arr.size),
     )
 

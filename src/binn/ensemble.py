@@ -75,8 +75,6 @@ def bagging_sample(dataset_size: int, u: np.ndarray, rng) -> np.ndarray:
     total = probs.sum()
     if total <= 0:
         raise ValueError("degenerate sample weights: all zero")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(np.random.SeedSequence(int(rng)))
     return rng.choice(len(probs), size=dataset_size, replace=True, p=probs / total)
 
 
@@ -117,7 +115,9 @@ def train_member(config: NetworkConfig, images, labels, *, seed_seq, **kw):
 def _lockstep_groups(config: NetworkConfig, k: int, batch_size: int, eval_images) -> list:
     """Member index ranges that train as one stack each: as many members as
     keep every layer's input for one step's or one eval forward's rows
-    within _STACK_BYTES."""
+    within _STACK_BYTES, but at least one. So the budget does not bound a
+    large member's forward: a NIN-x0.5 member trains in a stack of one, and
+    its 512-row eval forward keeps ~1.7 GB (3.37 MB of layer inputs per row)."""
     net = Network.from_config(config, init="zeros")
     rows = max(batch_size, min(EVAL_ROWS, 0 if eval_images is None else len(eval_images)))
     row_bytes = sum(math.prod(lay.in_shape) for lay in net.layers) * np.dtype(net.dtype).itemsize
@@ -166,7 +166,7 @@ def _ensemble_epoch_tracker(kept, labels, record, *, alphas, rule):
 
     def cb(logits):
         probs = kept + [softmax(logits)] if len(alphas) > len(kept) else kept
-        record.append(float((_combine(np.stack(probs), alphas, rule)[2] == labels).mean())
+        record.append(float((_combine(np.stack(probs), alphas, rule).labels == labels).mean())
                       if probs else None)
 
     return cb
@@ -292,8 +292,8 @@ def member_probs(model: EnsembleModel, images) -> np.ndarray:
     return np.concatenate(probs)
 
 
-def _combine(mp: np.ndarray, alphas, rule: str):
-    """(probs, votes, labels) of [K, N, C] member softmax outputs; ties break
+def _combine(mp: np.ndarray, alphas, rule: str) -> AggregateResult:
+    """The ensemble answer from [K, N, C] member softmax outputs; ties break
     deterministically to the lowest class.
 
     soft: probabilities averaged with renormalized alpha weights;
@@ -310,14 +310,12 @@ def _combine(mp: np.ndarray, alphas, rule: str):
     for ki in range(mp.shape[0]):
         votes[np.arange(votes.shape[0]), member_labels[ki]] += w[ki]
     labels = votes.argmax(axis=1) if rule == "hard" else probs.argmax(axis=1)
-    return probs, votes, labels
+    return AggregateResult(member_probs=mp, probs=probs, labels=labels, votes=votes)
 
 
 def aggregate(model: EnsembleModel, images, rule=None) -> AggregateResult:
     """``_combine`` of the members' outputs on images under rule (default the model's)."""
-    mp = member_probs(model, images)  # [K, B, C]
-    probs, votes, labels = _combine(mp, model.alphas, rule or model.rule)
-    return AggregateResult(member_probs=mp, probs=probs, labels=labels, votes=votes)
+    return _combine(member_probs(model, images), model.alphas, rule or model.rule)
 
 
 # ----------------------------------------------------------- persistence

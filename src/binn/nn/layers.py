@@ -21,8 +21,8 @@ rebuilds its patch matrix in backward rather than keeping it from forward
 or its order differs from the plain formulas.
 
 A forward keeps only what its backward reads (the names in ``_kept``), in
-the narrowest exact form: a sub-32-bit fc/conv keeps its quantized input
-and, in training, a bool |x| <= 1 mask, not a float copy of ``x``;
+the narrowest exact form: every sub-32-bit fc/conv forward keeps its
+quantized input and a bool |x| <= 1 mask, not a float copy of ``x``;
 dropout keeps a bool mask. ``Network.backward`` drops each layer's share
 once that layer's backward has read it, and ``predict``/``eval_logits``
 after the forward.
@@ -35,6 +35,7 @@ code, indexing from the last axes, by broadcasting and per-slice
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,9 +167,9 @@ class Layer:
 class _WeightedLayer(Layer):
     """Shared machinery for fc/conv: precision flags, shadow weights, scales."""
 
-    _kept = ("_xq", "_ste", "_xin", "_scale", "_wmat", "_signs_only")
+    _kept = ("_xq", "_ste", "_scale", "_wmat", "_signs_only")
 
-    def __init__(self, weight_bits, act_bits, dtype):
+    def __init__(self, shape, weight_bits, act_bits, bias, rng, dtype, init):
         if weight_bits != 32 and weight_bits != 1 and not 2 <= weight_bits <= 8:
             raise ValueError(f"weight_bits must be 1, 2..8 or 32, got {weight_bits}")
         if act_bits != 32 and act_bits != 1 and not 2 <= act_bits <= 8:
@@ -176,16 +177,14 @@ class _WeightedLayer(Layer):
         self.weight_bits = int(weight_bits)
         self.act_bits = int(act_bits)
         self.dtype = dtype
+        self.w = Param(_init_weights(shape, math.prod(shape[1:]), rng, dtype, init))
+        self.b = Param(np.zeros(shape[0], dtype)) if bias else None
 
     def params(self):
         out = {"w": self.w}
         if self.b is not None:
             out["b"] = self.b
         return out
-
-    @property
-    def fan_in(self) -> int:
-        return int(self.w.value[0].size)
 
     def _rows(self, arr):
         """``arr`` [*members, out, ...] (``w``'s shape) as [*members, out, fan_in]."""
@@ -219,20 +218,15 @@ class _WeightedLayer(Layer):
 
     def _quantize(self, x, ctx):
         """The product's input at the activation precision. Keeps it for the
-        weight gradient and, below 32 bits, what the straight-through input
-        gradient reads: in training the bool |x| <= 1 mask, in place of a
-        float copy of ``x``; in an eval forward, whose inputs predict and
-        eval_logits drop at once, ``x`` itself, so inference builds no mask."""
+        weight gradient and, below 32 bits, the bool |x| <= 1 mask that the
+        straight-through input gradient reads, in place of a float copy of
+        ``x``, in every forward."""
         self._xq = quantize_activation(x, self.act_bits, ctx.surrogate)
-        quantized = self.act_bits != 32
-        self._ste = np.abs(x) <= 1.0 if quantized and ctx.train else None
-        self._xin = x if quantized and not ctx.train else None
+        self._ste = np.abs(x) <= 1.0 if self.act_bits != 32 else None
         return self._xq
 
     def _input_grad(self, dxq):
-        if self._ste is not None:
-            return dxq * self._ste
-        return dxq if self._xin is None else ste_backward(dxq, self._xin)
+        return dxq if self._ste is None else dxq * self._ste
 
     def _product(self, cols, ctx):
         """Input rows [*members, N, fan_in] times the effective weights, plus
@@ -285,11 +279,10 @@ class Linear(_WeightedLayer):
         dtype=np.float32,
         init="kaiming",
     ):
-        super().__init__(weight_bits, act_bits, dtype)
+        super().__init__((out_features, in_features), weight_bits, act_bits, bias, rng, dtype,
+                         init)
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        self.w = Param(_init_weights((out_features, in_features), in_features, rng, dtype, init))
-        self.b = Param(np.zeros(out_features, dtype)) if bias else None
 
     def out_shape(self, in_shape):
         return (self.out_features,)
@@ -339,17 +332,13 @@ class Conv2d(_WeightedLayer):
         dtype=np.float32,
         init="kaiming",
     ):
-        super().__init__(weight_bits, act_bits, dtype)
+        super().__init__((out_channels, in_channels, kernel, kernel), weight_bits, act_bits,
+                         bias, rng, dtype, init)
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
         self.kernel = int(kernel)
         self.stride = int(stride)
         self.padding = int(padding)
-        fan_in = in_channels * kernel * kernel
-        self.w = Param(
-            _init_weights((out_channels, in_channels, kernel, kernel), fan_in, rng, dtype, init)
-        )
-        self.b = Param(np.zeros(out_channels, dtype)) if bias else None
 
     def out_shape(self, in_shape):
         c, h, w = in_shape

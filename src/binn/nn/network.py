@@ -130,11 +130,9 @@ class Network:
                                      f"{lay.index} ({lay.kind})") from None
         return x
 
-    def predict(self, x, **kw) -> np.ndarray:
-        """Argmax labels of one forward, whose layer inputs are then dropped."""
-        logits = self.forward(x, **kw)
-        self.forget()
-        return np.argmax(logits, axis=-1)
+    def predict(self, x) -> np.ndarray:
+        """Argmax labels of ``eval_logits``, which keeps no layer inputs."""
+        return eval_logits(self, x).argmax(axis=-1)
 
     def forget(self):
         """Drop what every layer kept from the last forward for backward."""

@@ -56,8 +56,6 @@ def train_network(net: Network, images, labels, *, epochs, batch_size, optimizer
     returns K histories. A non-finite step or eval forward raises
     NumericalError, whichever member caused it.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(np.random.SeedSequence(int(rng)))
     rngs = rng if isinstance(rng, list) else [rng]
     sample = np.arange(len(labels))[None] if sample is None else np.asarray(sample)
     n = sample.shape[-1]

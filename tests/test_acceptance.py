@@ -372,7 +372,8 @@ def test_c09_bootstrap_coverage():
     fractions = []
     for seed in range(20):
         u = np.full(10_000, 1.0 / 10_000)
-        idx = ensemble.bagging_sample(10_000, u, rng=seed)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        idx = ensemble.bagging_sample(10_000, u, rng=rng)
         frac = len(np.unique(idx)) / 10_000
         assert abs(frac - 0.632) <= 0.02, (seed, frac)
         fractions.append(frac)
@@ -390,8 +391,8 @@ def test_c10_export_size_and_equivalence():
     cfg = nn.mlp_config((1, 8, 8), [512, 512], 4, variant="AB", batchnorm=False, bias=False)
     net = nn.Network.from_config(cfg, seed=101)
     opt = nn.Adam(net.parameters(), lr=5e-3)
-    nn.train_network(net, tr.images, tr.labels, epochs=2, batch_size=64,
-                     optimizer=opt, rng=101)
+    nn.train_network(net, tr.images, tr.labels, epochs=2, batch_size=64, optimizer=opt,
+                     rng=np.random.default_rng(np.random.SeedSequence(101)))
     float_blob = datio.checkpoint_bytes(net)
     packed_blob = datio.packed_export_bytes(net)
     ratio = len(float_blob) / len(packed_blob)

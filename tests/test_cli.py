@@ -120,13 +120,16 @@ def test_eval_untrained_near_chance(tmp_path, cfg_file):
     assert sum(int(r[2]) for r in conf[1:]) == n
 
 
-def test_ensemble_k1_equals_train(tmp_path, cfg_file):
+@pytest.mark.parametrize("k", ["1", "3"])
+def test_train_equals_bag_member_0(tmp_path, cfg_file, k):
+    # binn train --seed S trains member 0 of a bag at seed S, alone or in a
+    # lockstep stack: a bootstrap resample drawn from uniform weights
     single = tmp_path / "single"
     main(["train", "--config", cfg_file, "--seed", "7", "--epochs", "2",
           "--out", str(single)] + data_flags())
     ens = tmp_path / "ens"
     rc = main(["ensemble", "train", "--config", cfg_file, "--strategy", "bag",
-               "--k", "1", "--mode", "indep", "--rule", "soft", "--seed", "7",
+               "--k", k, "--mode", "indep", "--rule", "soft", "--seed", "7",
                "--epochs", "2", "--out", str(ens)] + data_flags())
     assert rc == 0
     manifest = json.loads((ens / "manifest.json").read_text())

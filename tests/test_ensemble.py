@@ -32,32 +32,36 @@ def small_cfg(classes=3, variant="SB"):
 # ------------------------------------------------------------ bagging_sample
 
 
+def _seeded(n):
+    return np.random.default_rng(np.random.SeedSequence(n))
+
+
 def test_bagging_sample_one_hot():
     u = np.array([0.0, 1.0, 0.0])
-    idx = ensemble.bagging_sample(50, u, rng=0)
+    idx = ensemble.bagging_sample(50, u, rng=_seeded(0))
     assert (idx == 1).all()
 
 
 def test_bagging_sample_balanced_frequencies():
-    idx = ensemble.bagging_sample(100_000, np.array([0.5, 0.5]), rng=1)
+    idx = ensemble.bagging_sample(100_000, np.array([0.5, 0.5]), rng=_seeded(1))
     freq = (idx == 0).mean()
     assert abs(freq - 0.5) <= 0.01
 
 
 def test_bagging_sample_bootstrap_coverage_single_seed():
     u = np.full(10_000, 1.0 / 10_000)
-    idx = ensemble.bagging_sample(10_000, u, rng=2)
+    idx = ensemble.bagging_sample(10_000, u, rng=_seeded(2))
     distinct = len(np.unique(idx)) / 10_000
     assert abs(distinct - (1 - 1 / math.e)) <= 0.02
 
 
 def test_bagging_sample_errors_and_reproducibility():
     with pytest.raises(ValueError, match="degenerate"):
-        ensemble.bagging_sample(10, np.zeros(4), rng=0)
+        ensemble.bagging_sample(10, np.zeros(4), rng=_seeded(0))
     with pytest.raises(ValueError):
-        ensemble.bagging_sample(0, np.ones(4) / 4, rng=0)
-    a = ensemble.bagging_sample(100, np.ones(7) / 7, rng=42)
-    b = ensemble.bagging_sample(100, np.ones(7) / 7, rng=42)
+        ensemble.bagging_sample(0, np.ones(4) / 4, rng=_seeded(0))
+    a = ensemble.bagging_sample(100, np.ones(7) / 7, rng=_seeded(42))
+    b = ensemble.bagging_sample(100, np.ones(7) / 7, rng=_seeded(42))
     assert np.array_equal(a, b)
 
 

@@ -7,6 +7,13 @@ gradient after a train-mode and an eval-mode forward. A speed-up of the
 training step must leave them unchanged; any change to a float operation of
 the step, or to its order, changes them. The config text that
 ``nin_config`` and ``mlp_config`` emit is pinned the same way.
+
+Three NIN DNN digests assume OpenBLAS's default thread count:
+``test_checkpoint_bits_after_steps[nin-DNN-adam]``, ``[nin-DNN-sgd]`` and
+``test_nin_forward_and_input_grad_bits[DNN]`` differ under
+``OPENBLAS_NUM_THREADS=1``, because a float32 conv GEMM sums in an order
+that depends on the thread count. The binary variants' +/-1 products are
+exact integers, so their digests hold at any thread count.
 """
 
 import hashlib

@@ -225,7 +225,7 @@ def test_conv_dense_product_equals_packed_kernel(channels, stride, padding, bias
 def test_scale_invariant_exact_recompute():
     rng = np.random.default_rng(7)
     lay = nn.Conv2d(4, 6, 3, weight_bits=1, act_bits=1, rng=rng)
-    f = lay.fan_in
+    f = lay.w.value[0].size
     recomputed = np.abs(lay.w.value.reshape(6, -1)).sum(axis=1, dtype=np.float64) / f
     assert np.allclose(lay.scale, recomputed, rtol=1e-6)
     assert lay.packed_weights == bitcore.pack(nn.sign_binarize(lay.w.value))

@@ -11,6 +11,7 @@ from binn import datio, nn
 from binn.errors import NumericalError, ShapeError
 from binn.nn import mlp_config, nin_config, parse_config, config_to_text
 from binn.nn.config import VARIANTS
+from binn.nn.network import EVAL_ROWS, eval_logits
 
 
 def toy_blobs_2class(n=400, seed=0, noise=0.25):
@@ -235,7 +236,8 @@ def test_train_network_history():
     net = nn.Network.from_config(cfg, seed=10)
     opt = nn.Adam(net.parameters(), lr=1e-2)
     hist = nn.train_network(net, xb, y, epochs=30, batch_size=32, optimizer=opt,
-                            rng=3, eval_images=xb, eval_labels=y)
+                            rng=np.random.default_rng(np.random.SeedSequence(3)),
+                            eval_images=xb, eval_labels=y)
     assert len(hist.train_loss) == len(hist.test_accuracy)
     assert len(hist.train_loss) == 30
 
@@ -249,7 +251,8 @@ def test_trained_net_checkpoint_reload_gives_identical_logits(variant):
     y = rng.integers(0, 3, 64)
     net = nn.Network.from_config(mlp_config((1, 1, 8), [16, 16], 3, variant=variant), seed=4)
     opt = nn.Adam(net.parameters(), lr=1e-2)
-    nn.train_network(net, x, y, epochs=3, batch_size=16, optimizer=opt, rng=4)
+    nn.train_network(net, x, y, epochs=3, batch_size=16, optimizer=opt,
+                     rng=np.random.default_rng(np.random.SeedSequence(4)))
     again = datio.load_checkpoint_bytes(datio.checkpoint_bytes(net))
     assert np.array_equal(net.forward(x), again.forward(x))
 
@@ -451,5 +454,27 @@ def test_layers_keep_no_arrays_after_backward_or_predict(kind):
     assert _kept_arrays(net) == []
     net.forward(x)
     assert _kept_arrays(net)  # an eval forward still keeps what backward reads
+    for lay in net.layers:  # the same straight-through mask as a training forward
+        if lay.kind in ("fc", "conv") and lay.act_bits != 32:
+            assert lay._ste.dtype == bool and "_xin" not in vars(lay), (lay.index, lay.kind)
     net.predict(x)
     assert _kept_arrays(net) == []
+
+
+def test_predict_memory_does_not_grow_with_rows():
+    # predict runs eval_logits' EVAL_ROWS-row forwards; one forward over all
+    # rows kept every layer's input for all of them at once
+    net = nn.Network.from_config(mlp_config((1, 8, 8), [256, 256], 4, variant="AB"), seed=0)
+    x = np.random.default_rng(0).standard_normal((4 * EVAL_ROWS, 1, 8, 8)).astype(np.float32)
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            return net.predict(rows), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _, one = peak(x[:EVAL_ROWS])
+    labels, four = peak(x)
+    assert four <= 1.25 * one, (four, one)
+    assert np.array_equal(labels, eval_logits(net, x).argmax(-1))
