@@ -1,8 +1,9 @@
 """Statistical investigations of binarized networks.
 
-Covers the input-perturbation robustness metrics (expected squared change
-of the output distribution for random networks, squared error-rate change
-for trained ones), training-oscillation tracking, the sign-flip variance
+Covers robustness, measured by one estimator (``_squared_changes``) of the
+squared change of a statistic under input or weight noise: a random
+network's softmax or logits, a trained model's member-mean softmax, or its
+error rate. Also training-oscillation tracking, the sign-flip variance
 factor B in closed form, B(sigma) = (4/pi) arctan(sigma), and Monte-Carlo
 verification of the one-layer and multi-layer output-variation bounds.
 
@@ -33,6 +34,7 @@ from .nn.network import Network, eval_logits, softmax
 _CHUNK = 4096
 _BLOCK_VALUES = _CHUNK * 64  # float64 values per sub-block temporary (2 MB)
 _MAX_WIDENED_TOL = 0.5  # a widened tolerance never passes a 100% error
+REGIMES = ("real", "act_bin", "weight_bin", "both_bin")  # of both theorems
 
 
 @dataclass(frozen=True)
@@ -141,12 +143,8 @@ def compute_b(sigma: float) -> float:
     return 4.0 / math.pi * math.atan(sigma)
 
 
-def compute_r(sigma: float) -> float:
-    return sigma * sigma
-
-
 def b_r_table(sigmas) -> list[dict]:
-    return [{"sigma": s, "b": compute_b(s), "r": compute_r(s)} for s in sigmas]
+    return [{"sigma": s, "b": compute_b(s), "r": s * s} for s in sigmas]
 
 
 def monte_carlo_b(sigma: float, trials: int = 10_000_000, seed: int = 0) -> MonteCarloEstimate:
@@ -201,9 +199,8 @@ def verify_theorem1(
             rel_tol = widened
 
     b = compute_b(sigma)
-    r = compute_r(sigma)
-    names = ("real", "act_bin", "weight_bin", "both_bin")
-    collected = {n: [] for n in names}
+    r = sigma * sigma
+    collected = {n: [] for n in REGIMES}
     bagged_collected = {k: [] for k in k_values}
     words = -(-fan_in // 64)  # raw 64-bit words per member row
 
@@ -240,7 +237,7 @@ def verify_theorem1(
         "both_bin": b * fan_in,
     }
     regimes = {}
-    for n in names:
+    for n in REGIMES:
         v, se = variance_with_se(np.concatenate(collected[n]))
         regimes[n] = RegimeStat(measured=v, stderr=se, predicted=predicted[n])
 
@@ -286,8 +283,6 @@ def verify_theorem1(
 
 
 # ------------------------------------------------------- multi-layer bounds
-
-THEOREM2_REGIMES = ("real", "act_bin", "weight_bin", "both_bin")
 
 
 def _stack_forward(ws, x, regime):
@@ -349,10 +344,12 @@ def verify_theorem2(
     widths = tuple(int(d) for d in widths)
     if len(widths) < 3:
         raise ValueError("need at least 2 layers (3 widths)")
+    if trials < 1 or inner < 1:
+        raise ValueError(f"trials and inner must be >= 1, got {trials} and {inner}")
     b = compute_b(sigma)
     results = {
         reg: {"bound": theorem2_bound(widths, sigma_w, sigma, b, reg), "satisfied": 0, "sum": 0.0}
-        for reg in THEOREM2_REGIMES
+        for reg in REGIMES
     }
     for m, rng in _chunks(trials, max(1, _CHUNK // max(1, inner // 8)), seed, 0x72):
         ws = [
@@ -361,12 +358,12 @@ def verify_theorem2(
         ]
         signed = [_sign(w) for w in ws]
         x = rng.standard_normal((m, inner, widths[0]))
-        v_hat = {reg: np.empty(m) for reg in THEOREM2_REGIMES}  # per-network variance
+        v_hat = {reg: np.empty(m) for reg in REGIMES}  # per-network variance
         # dx is the chunk's last draw, so drawing it per sub-block keeps the stream
         for lo, hi in _row_blocks(m, inner * max(widths)):
             xb = x[lo:hi]
             xd = xb + rng.normal(0.0, sigma, (hi - lo, inner, widths[0]))
-            for reg in THEOREM2_REGIMES:
+            for reg in REGIMES:
                 wb = [w[lo:hi] for w in (signed if reg in ("weight_bin", "both_bin") else ws)]
                 d = _stack_forward(wb, xd, reg) - _stack_forward(wb, xb, reg)
                 v_hat[reg][lo:hi] = (d * d).mean(axis=(1, 2))
@@ -405,24 +402,27 @@ def _estimate(values, trials) -> MonteCarloEstimate:
     return MonteCarloEstimate(mean=float(x.mean()), stderr=se, trials=trials)
 
 
-def _perturbed(model, images, spec: PerturbationSpec, rng, noise_shape):
-    """Yield one (model, images) pair per trial of ``spec``: the images plus one
-    N(0, sigma2) draw of ``noise_shape``, or the model with every member's weights noised.
+def _squared_changes(stat, model, images, spec: PerturbationSpec, rng, noise_shape) -> list:
+    """Each trial's squared change of ``stat(model, images)`` from its clean
+    value, summed over a row's classes and averaged over rows.
 
-    Weight noise is written into one copy of each member, made once, so a
-    yielded model is only valid until the next trial is drawn."""
+    A trial adds one N(0, sigma2) draw of ``noise_shape`` to the images, or
+    noises every member's weights in one clone per member, made once."""
+    s0 = stat(model, images)
     sigma = math.sqrt(spec.sigma2)
     if spec.target == "input":
-        for _ in range(spec.trials):
-            yield model, images + rng.normal(0.0, sigma, noise_shape).astype(np.float32)
-        return
-    members = model.members if hasattr(model, "members") else [model]
-    noisy = [m.clone() for m in members]
-    noisy_model = replace(model, members=noisy) if hasattr(model, "members") else noisy[0]
-    for _ in range(spec.trials):
-        for clean, dup in zip(members, noisy):
-            _with_weight_noise(dup, clean, rng, sigma)
-        yield noisy_model, images
+        def trial():
+            return stat(model, images + rng.normal(0.0, sigma, noise_shape).astype(np.float32))
+    else:
+        members = model.members if hasattr(model, "members") else [model]
+        noisy = [m.clone() for m in members]
+        noisy_model = replace(model, members=noisy) if hasattr(model, "members") else noisy[0]
+
+        def trial():
+            for clean, dup in zip(members, noisy):
+                _with_weight_noise(dup, clean, rng, sigma)
+            return stat(noisy_model, images)
+    return [((trial() - s0) ** 2).sum(axis=1).mean() for _ in range(spec.trials)]
 
 
 def robustness_random(
@@ -454,9 +454,7 @@ def robustness_random(
     per_sample = []
     for s in range(weight_samples):
         net = Network.from_config(netcfg, seed=_rng(spec.seed, 0xE1, s, 0), init="normal")
-        p0 = out(net, inputs)
-        trials = _perturbed(net, inputs, spec, _rng(spec.seed, 0xE2, s), inputs.shape[1:])
-        diffs = [((out(n, x) - p0) ** 2).sum(axis=1).mean() for n, x in trials]
+        diffs = _squared_changes(out, net, inputs, spec, _rng(spec.seed, 0xE2, s), inputs.shape[1:])
         per_sample.append(float(np.mean(diffs)))
     return _estimate(per_sample, weight_samples * spec.trials)
 
@@ -470,10 +468,6 @@ def _with_weight_noise(noisy: Network, clean: Network, rng, sigma) -> None:
             np.add(w, rng.normal(0.0, sigma, w.shape).astype(w.dtype), out=lay.w.value)
 
 
-def _error_rate(model, images, labels) -> float:
-    return float((model.predict(images) != np.asarray(labels)).mean())
-
-
 def output_change_trained(model, images, spec: PerturbationSpec) -> MonteCarloEstimate:
     """Squared change of a trained model's member-mean softmax under noise
     (the random-network metric at fixed trained weights); input noise is one
@@ -481,9 +475,8 @@ def output_change_trained(model, images, spec: PerturbationSpec) -> MonteCarloEs
     spec.validate()
     if len(images) == 0:
         raise ValueError("empty dataset")
-    p0 = _mean_probs(model, images)
-    trials = _perturbed(model, images, spec, _rng(spec.seed, 0xE4), images.shape[1:])
-    diffs = [((_mean_probs(m, x) - p0) ** 2).sum(axis=1).mean() for m, x in trials]
+    diffs = _squared_changes(_mean_probs, model, images, spec, _rng(spec.seed, 0xE4),
+                             images.shape[1:])
     return _estimate(diffs, spec.trials)
 
 
@@ -498,9 +491,12 @@ def robustness_trained(model, images, labels, spec: PerturbationSpec) -> MonteCa
     spec.validate()
     if len(labels) == 0:
         raise ValueError("empty dataset")
-    err0 = _error_rate(model, images, labels)
-    trials = _perturbed(model, images, spec, _rng(spec.seed, 0xE3), images.shape)
-    diffs = [(_error_rate(m, x, labels) - err0) ** 2 for m, x in trials]
+    labels = np.asarray(labels)
+
+    def error_rate(m, x):  # one row of one class
+        return np.array([[(m.predict(x) != labels).mean()]])
+
+    diffs = _squared_changes(error_rate, model, images, spec, _rng(spec.seed, 0xE3), images.shape)
     return _estimate(diffs, spec.trials)
 
 

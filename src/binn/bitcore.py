@@ -12,6 +12,7 @@ across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ class PackedBitTensor:
 
     def validate(self) -> None:
         """Raise ValueError if any structural invariant is broken."""
-        n = int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
+        n = math.prod(self.shape)
         if self.bit_len != n:
             raise ValueError(f"bit_len {self.bit_len} != prod(shape) {n}")
         expect = _word_count(self.bit_len)
@@ -59,13 +60,6 @@ class PackedBitTensor:
 
 def _word_count(bit_len: int) -> int:
     return (bit_len + WORD_BITS - 1) // WORD_BITS
-
-
-def _tail_mask(bit_len: int) -> np.uint64:
-    tail = bit_len % WORD_BITS
-    if tail:
-        return np.uint64((1 << tail) - 1)
-    return np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _words_to_bits(words: np.ndarray, bit_len: int) -> np.ndarray:
@@ -98,20 +92,11 @@ def unpack(t: PackedBitTensor, dtype=np.float32) -> np.ndarray:
 
 
 def xnor_dot(a: PackedBitTensor, b: PackedBitTensor) -> int:
-    """Signed dot product of two packed sign vectors.
-
-    Computed as 2 * popcount(XNOR(a, b) masked to n bits) - n, which equals
-    the sum of elementwise products over the +/-1 values.
-    """
+    """Signed dot product of two packed sign vectors: the one-row case of
+    the packed GEMM, 2 * popcount(XNOR(a, b) masked to n bits) - n."""
     if a.bit_len != b.bit_len:
         raise ValueError(f"length mismatch: {a.bit_len} vs {b.bit_len}")
-    n = a.bit_len
-    if n == 0:
-        return 0
-    x = np.invert(a.words ^ b.words)
-    x[-1] &= _tail_mask(n)
-    pop = int(np.bitwise_count(x).sum(dtype=np.int64))
-    return 2 * pop - n
+    return int(_xnor_gemm_words(a.words[None], b.words[None], a.bit_len)[0, 0])
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -133,14 +118,15 @@ def _xnor_gemm_words(aw: np.ndarray, bw: np.ndarray, n: int) -> np.ndarray:
     rb = bw.shape[0]
     if n == 0:
         return np.zeros((ra, rb), dtype=np.int64)
-    mask = _tail_mask(n)
+    tail = n % WORD_BITS
+    mask = np.uint64((1 << tail) - 1)  # clears the last word's padding bits past n
     out = np.empty((ra, rb), dtype=np.int64)
     # chunk rows of a to bound the [chunk, rb, words] intermediate
     chunk = max(1, (1 << 22) // max(1, rb * aw.shape[1]))
     for lo in range(0, ra, chunk):
         hi = min(ra, lo + chunk)
         x = np.invert(aw[lo:hi, None, :] ^ bw[None, :, :])
-        if n % WORD_BITS:
+        if tail:
             x[..., -1] &= mask
         pop = np.bitwise_count(x).sum(axis=-1, dtype=np.int64)
         out[lo:hi] = 2 * pop - n
@@ -243,11 +229,6 @@ def from_bytes(data: bytes) -> PackedBitTensor:
     off += 4 * rank
     bit_len = int(np.frombuffer(data, dtype="<u8", count=1, offset=off)[0])
     off += 8
-    n = 1
-    for d in shape:
-        n *= d
-    if bit_len != n:
-        raise DataError(f"bit_len {bit_len} inconsistent with dims {shape}")
     nwords = _word_count(bit_len)
     if len(data) != off + 8 * nwords:
         raise DataError("truncated PackedBitTensor payload")

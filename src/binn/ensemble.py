@@ -57,7 +57,6 @@ class EnsembleModel:
 
 @dataclass
 class AggregateResult:
-    member_probs: np.ndarray  # [K, B, C]
     probs: np.ndarray  # [B, C] soft aggregate, rows sum to 1
     labels: np.ndarray  # [B] under the requested rule
     votes: np.ndarray  # [B, C] alpha-weighted argmax votes
@@ -310,7 +309,7 @@ def _combine(mp: np.ndarray, alphas, rule: str) -> AggregateResult:
     for ki in range(mp.shape[0]):
         votes[np.arange(votes.shape[0]), member_labels[ki]] += w[ki]
     labels = votes.argmax(axis=1) if rule == "hard" else probs.argmax(axis=1)
-    return AggregateResult(member_probs=mp, probs=probs, labels=labels, votes=votes)
+    return AggregateResult(probs=probs, labels=labels, votes=votes)
 
 
 def aggregate(model: EnsembleModel, images, rule=None) -> AggregateResult:

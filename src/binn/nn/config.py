@@ -196,7 +196,6 @@ def mlp_config(
     batchnorm=True,
     bias=True,
     dropout=0.0,
-    name=None,
 ) -> NetworkConfig:
     """Fully-connected stack in the block order bn -> (binarize) -> fc -> relu."""
     widths = list(hidden) + [classes]
@@ -210,7 +209,7 @@ def mlp_config(
             if dropout > 0:
                 specs.append(layer("dropout", p=dropout))
     return NetworkConfig(
-        name=name or f"mlp-{variant.lower()}-{'-'.join(map(str, widths))}",
+        name=f"mlp-{variant.lower()}-{'-'.join(map(str, widths))}",
         input_shape=tuple(input_shape),
         classes=classes,
         layers=_with_variant(specs, variant, q),
@@ -224,7 +223,6 @@ def nin_config(
     width_scale=1.0,
     classes=10,
     input_shape=(3, 32, 32),
-    name=None,
 ) -> NetworkConfig:
     """The bundled ``configs/nin.cfg`` table with its conv depths scaled by
     width_scale (0.5/0.1 give Tiny/Nano sizes) and ``classes`` fc outputs.
@@ -242,7 +240,7 @@ def nin_config(
             params["out"] = classes
         specs.append(layer(spec.kind, **params))
     return NetworkConfig(
-        name=name or f"nin-{variant.lower()}-x{width_scale:g}",
+        name=f"nin-{variant.lower()}-x{width_scale:g}",
         input_shape=tuple(input_shape),
         classes=classes,
         layers=_with_variant(specs, variant, q),

@@ -216,6 +216,12 @@ def test_theorem2_needs_two_layers():
         analysis.verify_theorem2((8, 1), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("kw", [{"trials": 0}, {"inner": 0}])
+def test_theorem2_rejects_nonpositive_trials_or_inner(kw):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        analysis.verify_theorem2((8, 4, 1), 1.0, 1.0, **kw)
+
+
 # ------------------------------------------------------------- robustness
 
 
@@ -330,6 +336,47 @@ def test_output_change_one_member_bag_equals_its_member(target):
     b = analysis.output_change_trained(bag.members[0], te.images, spec)
     assert a.mean > 0
     assert (a.mean, a.stderr, a.trials) == (b.mean, b.stderr, b.trials)
+
+
+def test_robustness_estimator_golden_bits():
+    # frozen from the three estimators' own trial loops: a trained 64-8-4 AB
+    # network and a 3-member AB bag under input and weight noise, and random
+    # DNN/AB MLPs under input noise with softmax and logits outputs
+    from binn import datio, ensemble
+
+    tr, te = datio.split_dataset(datio.make_blob_images(300, 4, noise=0.1, seed=8), 240)
+    cfg = nn.mlp_config((1, 8, 8), [8], 4, variant="AB")
+    mspec = ensemble.MemberTrainSpec(epochs=3, batch_size=32)
+    net, _ = ensemble.train_member(cfg, tr.images, tr.labels, u=np.full(len(tr), 1.0 / len(tr)),
+                                   seed_seq=ensemble.member_seed(8, 0), spec=mspec)
+    bag, _ = ensemble.train_bagging(cfg, tr.images, tr.labels, k=3, seed=8, spec=mspec)
+    got = []
+    for model in (net, bag):
+        for target in ("input", "weights"):
+            spec = PerturbationSpec(target=target, sigma2=0.05, trials=5, seed=9)
+            got.append(repr(analysis.output_change_trained(model, te.images, spec)))
+            got.append(repr(analysis.robustness_trained(model, te.images, te.labels, spec)))
+    x = fixed_inputs(24, 3)
+    for variant in ("DNN", "AB"):
+        cfg = nn.mlp_config((1, 1, 8), [16], 3, variant=variant)
+        for output in ("softmax", "logits"):
+            spec = PerturbationSpec(sigma2=0.02, trials=4, seed=10)
+            got.append(repr(analysis.robustness_random(cfg, spec, 3, x, output=output)))
+    est = "MonteCarloEstimate(mean={}, stderr={}, trials={})".format
+    assert got == [
+        est(0.10708582738645929, 0.008954156424258508, 5),
+        est(0.002111111111111113, 0.0012927862531355674, 5),
+        est(0.40416937127090025, 0.05545702226294227, 5),
+        est(0.013500000000000002, 0.008509526252209168, 5),
+        est(0.029317686193429237, 0.0017972892139001592, 5),
+        est(0.0008333333333333326, 0.000456435464587637, 5),
+        est(0.1095752965864933, 0.0053942304022477575, 5),
+        est(0.04683333333333332, 0.011022073811724866, 5),
+        est(0.01840735045219927, 0.0029949224724155152, 12),
+        est(1.0067228445922074, 0.08574663325829468, 12),
+        est(0.23553354107311644, 0.029402334317572245, 12),
+        est(19.379772998343864, 3.312157578759829, 12),
+    ]
 
 
 def test_robustness_trained_zero_sigma_and_errors():

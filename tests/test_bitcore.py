@@ -237,6 +237,13 @@ def test_padding_corruption_is_masked_and_canonicalized():
         dirty.validate()
 
 
+def test_validate_counts_elements_without_wrapping():
+    # 2**32 * 2**32 wraps to 0 in int64, which would match bit_len 0
+    t = bitcore.PackedBitTensor((2**32, 2**32), np.zeros(0, np.uint64), 0)
+    with pytest.raises(ValueError, match="bit_len"):
+        t.validate()
+
+
 # -------------------------------------------------------------- serialization
 
 
