@@ -29,6 +29,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ensemble import member_probs
+from .errors import NumericalError
+from .nn.layers import sign_binarize
 from .nn.network import Network, eval_logits, softmax
 
 _CHUNK = 4096
@@ -99,19 +101,18 @@ def _chunks(trials, size, seed, tag):
         yield min(size, trials - lo), _rng(seed, tag, ci)
 
 
-def _sign(x):
-    """np.where(x >= 0, 1.0, -1.0), NaN -> -1; np.where with scalar branches is ~4x slower."""
-    s = (x >= 0).astype(np.float64)
-    s *= 2.0
-    s -= 1.0
-    return s
-
-
 def _row_blocks(m: int, row_values: int):
     """(lo, hi) bounds of consecutive sub-blocks of ``m`` rows of ``row_values``
     values each, at most ``_BLOCK_VALUES`` values (and at least one row) per block."""
     step = max(1, _BLOCK_VALUES // row_values)
     return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
+
+
+def _check_squares(**sigmas) -> None:
+    """NumericalError naming a sigma whose square overflows or underflows to 0."""
+    for name, s in sigmas.items():
+        if not 0.0 < s * s < math.inf:
+            raise NumericalError(f"{name} = {s:g} squares to {s * s:g}")
 
 
 def variance_with_se(samples: np.ndarray) -> tuple[float, float]:
@@ -154,7 +155,7 @@ def monte_carlo_b(sigma: float, trials: int = 10_000_000, seed: int = 0) -> Mont
     for m, rng in _chunks(trials, _CHUNK * 64, seed, 0xB0):
         x = rng.standard_normal(m)
         dx = rng.standard_normal(m) * sigma
-        g2 = (_sign(x + dx) - _sign(x)) ** 2
+        g2 = (sign_binarize(x + dx) - sign_binarize(x)) ** 2
         total += g2.sum()
         total_sq += (g2 * g2).sum()
     mean = total / trials
@@ -188,6 +189,7 @@ def verify_theorem1(
         raise ValueError(f"trials must be >= 2 to measure a variance, got {trials}")
     if any(k < 1 for k in k_values) or len(set(k_values)) != len(k_values):
         raise ValueError(f"k_values must be distinct integers >= 1, got {k_values}")
+    _check_squares(sigma_w=sigma_w, sigma=sigma)
     rel_tol = 0.05
     if trials < 10_000:
         widened = max(rel_tol, min(3.0 * math.sqrt(2.0 / trials), _MAX_WIDENED_TOL))
@@ -200,6 +202,17 @@ def verify_theorem1(
 
     b = compute_b(sigma)
     r = sigma * sigma
+    predicted = {
+        "real": fan_in * sigma_w**2 * sigma**2,
+        "act_bin": b * fan_in * sigma_w**2,
+        "weight_bin": fan_in * sigma**2,
+        "both_bin": b * fan_in,
+    }
+    thresholds = {
+        "b_over_r": b / r,
+        "inv_sigma_w2": 1.0 / sigma_w**2,
+        "b_over_r_sigma_w2": b / (r * sigma_w**2),
+    }
     collected = {n: [] for n in REGIMES}
     bagged_collected = {k: [] for k in k_values}
     words = -(-fan_in // 64)  # raw 64-bit words per member row
@@ -208,10 +221,10 @@ def verify_theorem1(
         w = rng.normal(0.0, sigma_w, (m, fan_in))
         x = rng.standard_normal((m, fan_in))
         dx = rng.normal(0.0, sigma, (m, fan_in))
-        gamma = _sign(x + dx) - _sign(x)
+        gamma = sign_binarize(x + dx) - sign_binarize(x)
         collected["real"].append((w * dx).sum(axis=1))
         collected["act_bin"].append((w * gamma).sum(axis=1))
-        sw = _sign(w)
+        sw = sign_binarize(w)
         collected["weight_bin"].append((sw * dx).sum(axis=1))
         collected["both_bin"].append((sw * gamma).sum(axis=1))
         for k in k_values:
@@ -230,12 +243,6 @@ def verify_theorem1(
                 member[lo:hi] = np.matmul(signs, gamma[lo:hi, :, None])[..., 0]
             bagged_collected[k].append(member.mean(axis=1))
 
-    predicted = {
-        "real": fan_in * sigma_w**2 * sigma**2,
-        "act_bin": b * fan_in * sigma_w**2,
-        "weight_bin": fan_in * sigma**2,
-        "both_bin": b * fan_in,
-    }
     regimes = {}
     for n in REGIMES:
         v, se = variance_with_se(np.concatenate(collected[n]))
@@ -249,11 +256,6 @@ def verify_theorem1(
         single = regimes["both_bin"].measured
         ratio[k] = v * k / single if single > 0 else math.nan
 
-    thresholds = {
-        "b_over_r": b / r,
-        "inv_sigma_w2": 1.0 / sigma_w**2,
-        "b_over_r_sigma_w2": b / (r * sigma_w**2),
-    }
     checks = []
     for k in k_values:
         predicted_better = k > thresholds["b_over_r_sigma_w2"]
@@ -293,10 +295,10 @@ def _stack_forward(ws, x, regime):
     last = len(ws) - 1
     for li, w in enumerate(ws):
         if regime in ("act_bin", "both_bin"):
-            h = _sign(h)
+            h = sign_binarize(h)
         h = np.matmul(h, w.transpose(0, 2, 1))
         if li != last and regime in ("real", "weight_bin"):
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     return h
 
 
@@ -346,6 +348,7 @@ def verify_theorem2(
         raise ValueError("need at least 2 layers (3 widths)")
     if trials < 1 or inner < 1:
         raise ValueError(f"trials and inner must be >= 1, got {trials} and {inner}")
+    _check_squares(sigma_w=sigma_w, sigma=sigma)
     b = compute_b(sigma)
     results = {
         reg: {"bound": theorem2_bound(widths, sigma_w, sigma, b, reg), "satisfied": 0, "sum": 0.0}
@@ -356,13 +359,14 @@ def verify_theorem2(
             rng.normal(0.0, sigma_w, (m, widths[li + 1], widths[li]))
             for li in range(len(widths) - 1)
         ]
-        signed = [_sign(w) for w in ws]
+        signed = [sign_binarize(w) for w in ws]
         x = rng.standard_normal((m, inner, widths[0]))
         v_hat = {reg: np.empty(m) for reg in REGIMES}  # per-network variance
         # dx is the chunk's last draw, so drawing it per sub-block keeps the stream
         for lo, hi in _row_blocks(m, inner * max(widths)):
             xb = x[lo:hi]
-            xd = xb + rng.normal(0.0, sigma, (hi - lo, inner, widths[0]))
+            xd = rng.normal(0.0, sigma, (hi - lo, inner, widths[0]))
+            xd += xb
             for reg in REGIMES:
                 wb = [w[lo:hi] for w in (signed if reg in ("weight_bin", "both_bin") else ws)]
                 d = _stack_forward(wb, xd, reg) - _stack_forward(wb, xb, reg)

@@ -140,12 +140,10 @@ def _load_dataset(args, classes) -> tuple[datio.Dataset, datio.Dataset]:
         if not 1 <= len(paths) <= 2:
             raise DataError("--data idx needs --data-path IMAGES[,LABELS]")
         ds = datio.load_idx(*paths, class_count=args.data_classes)
-    elif kind == "cifar10":
+    else:  # cifar10
         if not args.data_path:
             raise DataError("--data cifar10 needs --data-path FILE")
         ds = datio.load_cifar10_bin(args.data_path)
-    else:
-        raise DataError(f"unknown dataset kind {kind!r}")
     if len(ds) and ds.labels.max() >= classes:
         raise DataError(f"label {ds.labels.max()} is beyond the model's {classes} classes")
     # a positive --train-frac asks for training examples; every command tests on the rest
@@ -163,7 +161,7 @@ def _add_data_flags(p, trains=True):
     else:
         frac = _checked(float, lambda f: 0.0 <= f < 1.0, "a fraction in [0, 1)")
     p.add_argument("--data", default="blobs-img",
-                   help="blobs | blobs-img | rings | idx | cifar10")
+                   choices=["blobs", "blobs-img", "rings", "idx", "cifar10"])
     p.add_argument("--data-path", default=None, help="file path(s) for idx/cifar10")
     p.add_argument("--data-n", type=int, default=2000)
     p.add_argument("--data-classes", type=_POSITIVE_INT, default=4)
@@ -455,7 +453,7 @@ def main(argv=None) -> int:
     except (OSError, DataError, ShapeError) as e:  # OSError: a file it cannot read or write
         sys.stderr.write(f"data error: {e}\n")
         return 2
-    except (NumericalError, EnsembleError) as e:
+    except (NumericalError, EnsembleError, OverflowError) as e:  # e.g. a closed form's sigma_w**4
         sys.stderr.write(f"numerical failure: {e}\n")
         return 3
 

@@ -18,7 +18,6 @@ from .layers import (  # noqa: F401
     QuantAct,
     quantize_k_bit,
     sign_binarize,
-    ste_backward,
 )
 from .network import Network, accuracy, cross_entropy_grad, softmax  # noqa: F401
 from .optim import Adam, SGD, make_optimizer  # noqa: F401

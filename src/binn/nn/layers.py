@@ -5,12 +5,14 @@ weights multiplies sign(W) by its per-filter scale, the mean |W| of the
 shadow weights, computed from them on every forward (XNOR-Net), so no
 cached state can go stale. Every precision runs one forward product in
 float BLAS; for +/-1 inputs and weights it is the exact integer product
-times the scale, equal bit for bit to the packed XNOR kernels, which serve
-export and packed reload. Gradients reach the shadow weights straight
-through; activation binarization backpropagates with the |x| <= 1
-straight-through mask. Conv and pooling read one padded window view
-(``bitcore._windows``) and send gradients back through one scatter-add
-over the window offsets (``_scatter_windows``).
+times the scale, equal bit for bit to the packed XNOR kernels, which only
+the kernel-exactness checks run: export packs sign bits, and reload
+unpacks them into this dense path. Gradients reach the shadow weights
+straight through. fc/conv and binact/quantact quantize activations in one
+step (``_Quantizer``) and backpropagate with its |x| <= 1 straight-through
+mask. Conv and pooling read one padded window view (``bitcore._windows``)
+and send gradients back through one scatter-add over the window offsets
+(``_scatter_windows``).
 
 Memory and time go to full-size activations, so layers avoid copies that
 change no value: max pooling folds ``np.maximum`` over the window offsets
@@ -21,10 +23,10 @@ rebuilds its patch matrix in backward rather than keeping it from forward
 or its order differs from the plain formulas.
 
 A forward keeps only what its backward reads (the names in ``_kept``), in
-the narrowest exact form: every sub-32-bit fc/conv forward keeps its
-quantized input and a bool |x| <= 1 mask, not a float copy of ``x``;
-dropout keeps a bool mask. ``Network.backward`` drops each layer's share
-once that layer's backward has read it, and ``predict``/``eval_logits``
+the narrowest exact form: every sub-32-bit quantizing forward keeps a bool
+|x| <= 1 mask, not a float copy of ``x``, and fc/conv their quantized
+input; dropout keeps a bool mask. ``Network.backward`` drops each layer's
+share once that layer's backward has read it, and ``predict``/``eval_logits``
 after the forward.
 
 A stack of K networks (``Network.stack``) gives every parameter, buffer
@@ -92,37 +94,23 @@ def sign_binarize(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def ste_backward(upstream_grad: np.ndarray, x_at_forward: np.ndarray) -> np.ndarray:
-    """Straight-through gradient: pass upstream where |x| <= 1, else zero."""
-    up = np.asarray(upstream_grad)
-    x = np.asarray(x_at_forward)
-    if up.shape != x.shape:
-        raise ShapeError(f"gradient shape {up.shape} != activation shape {x.shape}")
-    return up * (np.abs(x) <= 1.0)
+def _checked_bits(name: str, bits, k_bit_only: bool = False) -> int:
+    """``bits`` as an int if it equals a precision the layers run: 1, 2..8 or
+    32, only 2..8 with ``k_bit_only``; else ValueError."""
+    if bits not in (range(2, 9) if k_bit_only else (1, *range(2, 9), 32)):
+        rule = "2..8" if k_bit_only else "1, 2..8 or 32"
+        raise ValueError(f"{name} must be {rule}, got {bits!r}")
+    return int(bits)
 
 
 def quantize_k_bit(x: np.ndarray, k: int) -> np.ndarray:
     """Uniform k-bit quantization of clip(x, -1, 1), round-half-up; idempotent."""
-    if not 2 <= int(k) <= 8:
-        raise ValueError(f"k must be in 2..8, got {k}")
+    levels = (1 << _checked_bits("k", k, k_bit_only=True)) - 1
     arr = np.asarray(x)
     dtype = arr.dtype if arr.dtype.kind == "f" else np.float32
-    levels = (1 << int(k)) - 1
     t = (np.clip(arr, -1.0, 1.0) + 1.0) / 2.0 * levels
     q = np.floor(t + 0.5)
     return (q / levels * 2.0 - 1.0).astype(dtype)
-
-
-def quantize_activation(x: np.ndarray, bits: int, surrogate: bool) -> np.ndarray:
-    """Forward activation precision: 32 bits pass through, the surrogate
-    clips to [-1, 1], 1 bit takes the sign, 2..8 bits quantize uniformly."""
-    if bits == 32:
-        return x
-    if surrogate:
-        return np.clip(x, -1.0, 1.0)
-    if bits == 1:
-        return sign_binarize(x)
-    return quantize_k_bit(x, bits)
 
 
 def _init_weights(shape, fan_in, rng, dtype, scheme):
@@ -164,18 +152,38 @@ class Layer:
             state.pop(key, None)
 
 
-class _WeightedLayer(Layer):
+class _Quantizer(Layer):
+    """A layer whose input is quantized to ``act_bits``: fc/conv, binact, quantact."""
+
+    _kept = ("_ste",)
+
+    def _quantize(self, x, ctx):
+        """``x`` at the activation precision: 32 bits pass through, the
+        surrogate clips to [-1, 1], 1 bit takes the sign, 2..8 bits quantize
+        uniformly. Below 32 bits, keeps the bool |x| <= 1 mask that the
+        straight-through input gradient reads, not a float copy of ``x``."""
+        if self.act_bits == 32:
+            self._ste = None
+            return x
+        if ctx.surrogate:
+            xq = np.clip(x, -1.0, 1.0)
+        else:
+            xq = sign_binarize(x) if self.act_bits == 1 else quantize_k_bit(x, self.act_bits)
+        self._ste = np.abs(x) <= 1.0
+        return xq
+
+    def _input_grad(self, dxq):
+        return dxq if self._ste is None else dxq * self._ste
+
+
+class _WeightedLayer(_Quantizer):
     """Shared machinery for fc/conv: precision flags, shadow weights, scales."""
 
     _kept = ("_xq", "_ste", "_scale", "_wmat", "_signs_only")
 
     def __init__(self, shape, weight_bits, act_bits, bias, rng, dtype, init):
-        if weight_bits != 32 and weight_bits != 1 and not 2 <= weight_bits <= 8:
-            raise ValueError(f"weight_bits must be 1, 2..8 or 32, got {weight_bits}")
-        if act_bits != 32 and act_bits != 1 and not 2 <= act_bits <= 8:
-            raise ValueError(f"act_bits must be 1, 2..8 or 32, got {act_bits}")
-        self.weight_bits = int(weight_bits)
-        self.act_bits = int(act_bits)
+        self.weight_bits = _checked_bits("weight_bits", weight_bits)
+        self.act_bits = _checked_bits("act_bits", act_bits)
         self.dtype = dtype
         self.w = Param(_init_weights(shape, math.prod(shape[1:]), rng, dtype, init))
         self.b = Param(np.zeros(shape[0], dtype)) if bias else None
@@ -217,16 +225,9 @@ class _WeightedLayer(Layer):
         return quantize_k_bit(self.w.value, self.weight_bits)
 
     def _quantize(self, x, ctx):
-        """The product's input at the activation precision. Keeps it for the
-        weight gradient and, below 32 bits, the bool |x| <= 1 mask that the
-        straight-through input gradient reads, in place of a float copy of
-        ``x``, in every forward."""
-        self._xq = quantize_activation(x, self.act_bits, ctx.surrogate)
-        self._ste = np.abs(x) <= 1.0 if self.act_bits != 32 else None
+        """The product's input, also kept for the weight gradient."""
+        self._xq = super()._quantize(x, ctx)
         return self._xq
-
-    def _input_grad(self, dxq):
-        return dxq if self._ste is None else dxq * self._ste
 
     def _product(self, cols, ctx):
         """Input rows [*members, N, fan_in] times the effective weights, plus
@@ -472,23 +473,19 @@ class ReLU(Layer):
         return dy * self._mask
 
 
-class QuantAct(Layer):
+class QuantAct(_Quantizer):
     """Standalone k-bit activation quantization with the straight-through gradient."""
 
     kind = "quantact"
-    _kept = ("_xin",)
 
     def __init__(self, bits):
-        if not 2 <= int(bits) <= 8:
-            raise ValueError(f"quantact bits must be 2..8, got {bits}")
-        self.bits = int(bits)
+        self.act_bits = _checked_bits("quantact bits", bits, k_bit_only=True)
 
     def forward(self, x, ctx):
-        self._xin = x
-        return quantize_activation(x, self.bits, ctx.surrogate)
+        return self._quantize(x, ctx)
 
     def backward(self, dy):
-        return ste_backward(dy, self._xin)
+        return self._input_grad(dy)
 
 
 class BinaryAct(QuantAct):
@@ -497,7 +494,7 @@ class BinaryAct(QuantAct):
     kind = "binact"
 
     def __init__(self):
-        self.bits = 1
+        self.act_bits = 1
 
 
 class _Pool(Layer):

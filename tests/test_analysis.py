@@ -6,6 +6,7 @@ import pytest
 
 from binn import analysis, nn
 from binn.analysis import PerturbationSpec
+from binn.errors import NumericalError
 
 
 def closed_form_b(sigma):
@@ -101,6 +102,17 @@ def test_theorem1_rejects_bad_params():
         analysis.verify_theorem1(16, -1.0, 0.5)
     with pytest.raises(ValueError, match="trials"):
         analysis.verify_theorem1(16, 1.0, 0.5, trials=1)
+
+
+@pytest.mark.parametrize("sigma_w, sigma, name", [
+    (1e200, 0.1, "sigma_w ="), (1.0, 1e200, "sigma ="), (1.0, 1e-200, "sigma =")])
+def test_theorems_refuse_a_sigma_whose_square_is_not_finite_and_positive(
+        monkeypatch, sigma_w, sigma, name):
+    monkeypatch.setattr(analysis, "_chunks", lambda *a: pytest.fail("drew trials"))
+    with pytest.raises(NumericalError, match=name):
+        analysis.verify_theorem1(16, sigma_w, sigma)
+    with pytest.raises(NumericalError, match=name):
+        analysis.verify_theorem2((4, 4, 1), sigma_w, sigma)
 
 
 def test_theorem1_zero_single_variance_gives_nan_ratio():

@@ -439,6 +439,13 @@ def cli_paths(tmp_path_factory):
     (["eval", "--checkpoint", "{ens}", "--data-classes", "10"], 2, "beyond the model's 4 classes"),
     (["perturb", "--checkpoint", "{ens}", "--seed", "0", "--trials", "2", "--data-classes", "10"],
      2, "beyond the model's 4 classes"),
+    (["analyze", "theorem1", "--sigma-w", "1e200", "--seed", "0"], 3, "sigma_w = 1e+200 squares"),
+    (["analyze", "theorem1", "--sigma", "1e200", "--seed", "0"], 3, "sigma = 1e+200 squares"),
+    (["analyze", "theorem1", "--sigma", "1e-200", "--seed", "0"], 3, "sigma = 1e-200 squares"),
+    (["analyze", "theorem2", "--sigma-w", "1e200", "--seed", "0"], 3, "sigma_w = 1e+200 squares"),
+    (["analyze", "theorem2", "--sigma", "1e200", "--seed", "0"], 3, "sigma = 1e+200 squares"),
+    (["analyze", "theorem2", "--sigma-w", "1e100", "--seed", "0"], 3, "numerical failure"),
+    (["eval", "--checkpoint", "{ens}", "--data", "nosuch"], 1, "--data"),
 ], ids=["sigma2-text", "k-values-text", "k-values-repeated", "widths-empty", "sigmas-semicolon", "k-zero",
         "eval-train-frac-1", "train-train-frac-0", "missing-member", "manifest-no-alphas",
         "empty-train-split", "sigmas-negative", "theorem1-trials-0", "widths-two",
@@ -450,7 +457,10 @@ def cli_paths(tmp_path_factory):
         "manifest-alphas-short", "manifest-alphas-zero", "manifest-alphas-nan",
         "manifest-rule-median", "manifest-config-int", "member-other-config",
         "train-labels-beyond-classes", "eval-labels-beyond-classes",
-        "perturb-labels-beyond-classes"])
+        "perturb-labels-beyond-classes", "theorem1-sigma-w-overflows",
+        "theorem1-sigma-overflows", "theorem1-sigma-square-underflows",
+        "theorem2-sigma-w-overflows", "theorem2-sigma-overflows", "theorem2-bound-overflows",
+        "data-unknown"])
 def test_malformed_invocations_exit_cleanly(tmp_path, cli_paths, argv, code, flag):
     out = _run_cli([cli_paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")])
     assert out.returncode == code, out.stderr

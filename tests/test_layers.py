@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from binn import bitcore
 from binn import nn
-from binn.errors import ShapeError
 from binn.nn.layers import (AvgPool, BatchNorm, Dropout, ForwardContext, MaxPool,
                             _scatter_windows)
 
@@ -82,12 +81,12 @@ def test_binarize_property(data):
 
 
 def test_ste_backward_examples():
-    out = nn.ste_backward(np.ones(3), np.array([0.5, 2.0, -1.0]))
-    assert out.tolist() == [1.0, 0.0, 1.0]  # boundary |x| = 1 passes
+    lay, ctx = nn.BinaryAct(), nn.ForwardContext()
+    lay.forward(np.array([0.5, 2.0, -1.0]), ctx)
+    assert lay.backward(np.ones(3)).tolist() == [1.0, 0.0, 1.0]  # boundary |x| = 1 passes
     up = np.random.default_rng(2).standard_normal(10)
-    assert np.array_equal(nn.ste_backward(up, np.zeros(10)), up)
-    with pytest.raises(ShapeError):
-        nn.ste_backward(np.ones(3), np.ones(4))
+    lay.forward(np.zeros(10), ctx)
+    assert np.array_equal(lay.backward(up), up)
 
 
 # ---------------------------------------------------------------- quantize
@@ -117,6 +116,14 @@ def test_quantize_k_range():
     for k in (0, 1, 9):
         with pytest.raises(ValueError):
             nn.quantize_k_bit(np.zeros(3), k)
+
+
+@pytest.mark.parametrize("bits", [0, 9, 16, 1.5, 8.9, "1"])
+def test_precisions_outside_the_rule_are_refused(bits):
+    for make in (lambda: nn.Linear(2, 2, weight_bits=bits), lambda: nn.Linear(2, 2, act_bits=bits),
+                 lambda: nn.QuantAct(bits), lambda: nn.quantize_k_bit(np.zeros(3), bits)):
+        with pytest.raises(ValueError, match="must be"):
+            make()
 
 
 @settings(max_examples=50, deadline=None)

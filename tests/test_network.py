@@ -156,11 +156,13 @@ def test_ste_gradient_exactly_zero_outside_unit_interval():
     rng = np.random.default_rng(7)
     x = rng.uniform(-3, 3, (16, 1, 1, 6)).astype(np.float32)
     y = rng.integers(0, 3, 16)
-    logits = net.forward(x)  # real binarized path
-    probs = nn.softmax(logits)
+    # walk the real binarized path by hand to see every layer's input and input gradient
+    ctx, h, ins = nn.ForwardContext(), x, {}
+    for lay in net.layers:
+        ins[lay.index], h = h, lay.forward(h, ctx)
+    probs = nn.softmax(h)
     _, dlogits = nn.cross_entropy_grad(probs, y)
     net.zero_grad()
-    # walk the layers by hand to see every layer's input gradient
     g = dlogits.astype(np.float32)
     grads = {}
     for lay in reversed(net.layers):
@@ -170,7 +172,7 @@ def test_ste_gradient_exactly_zero_outside_unit_interval():
     # every binact layer individually blocks gradient where |input| > 1
     for lay in net.layers:
         if lay.kind == "binact":
-            assert np.all(grads[lay.index][np.abs(lay._xin) > 1.0] == 0.0)
+            assert np.all(grads[lay.index][np.abs(ins[lay.index]) > 1.0] == 0.0)
 
 
 # ---------------------------------------------------------------- training
@@ -455,7 +457,7 @@ def test_layers_keep_no_arrays_after_backward_or_predict(kind):
     net.forward(x)
     assert _kept_arrays(net)  # an eval forward still keeps what backward reads
     for lay in net.layers:  # the same straight-through mask as a training forward
-        if lay.kind in ("fc", "conv") and lay.act_bits != 32:
+        if lay.kind in ("binact", "quantact") or getattr(lay, "act_bits", 32) != 32:
             assert lay._ste.dtype == bool and "_xin" not in vars(lay), (lay.index, lay.kind)
     net.predict(x)
     assert _kept_arrays(net) == []
