@@ -350,10 +350,12 @@ def verify_theorem2(
         raise ValueError(f"trials and inner must be >= 1, got {trials} and {inner}")
     _check_squares(sigma_w=sigma_w, sigma=sigma)
     b = compute_b(sigma)
-    results = {
-        reg: {"bound": theorem2_bound(widths, sigma_w, sigma, b, reg), "satisfied": 0, "sum": 0.0}
-        for reg in REGIMES
-    }
+    try:
+        bounds = {reg: theorem2_bound(widths, sigma_w, sigma, b, reg) for reg in REGIMES}
+    except OverflowError:  # sigma_w ** (2 * layers); _check_squares saw only its square
+        raise NumericalError(f"sigma_w = {sigma_w:g} to the power {2 * len(widths) - 2} "
+                             f"({len(widths) - 1} layers) overflows") from None
+    results = {reg: {"bound": bounds[reg], "satisfied": 0, "sum": 0.0} for reg in REGIMES}
     for m, rng in _chunks(trials, max(1, _CHUNK // max(1, inner // 8)), seed, 0x72):
         ws = [
             rng.normal(0.0, sigma_w, (m, widths[li + 1], widths[li]))

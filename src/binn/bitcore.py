@@ -13,6 +13,7 @@ across threads.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,22 +218,42 @@ def to_bytes(t: PackedBitTensor) -> bytes:
     return b"".join(head)
 
 
+class _Reader:
+    """Bounds-checked cursor over untrusted bytes, the one way every loader
+    reads them. Reads are views, not copies. Lengths are Python ints, so no
+    header can wrap them; a read past the end, or ``rest`` of the wrong
+    length, raises DataError naming ``what``, the format being read."""
+
+    def __init__(self, data, what: str, off: int = 0):
+        self.data, self.what, self.off = memoryview(data), what, off
+
+    def take(self, n: int) -> memoryview:
+        left = len(self.data) - self.off
+        if n > left:
+            raise DataError(f"truncated {self.what}: {n} bytes wanted at {self.off}, {left} left")
+        self.off += n
+        return self.data[self.off - n : self.off]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def rest(self, n: int) -> memoryview:
+        """The last ``n`` bytes, which must be exactly all that is left."""
+        extra = len(self.data) - self.off - n
+        if extra > 0:
+            raise DataError(f"{self.what}: {extra} bytes after the last section")
+        return self.take(n)
+
+
 def from_bytes(data: bytes) -> PackedBitTensor:
     """Inverse of :func:`to_bytes`; rejects malformed or corrupt buffers."""
-    if len(data) < 8 or data[:4] != _MAGIC:
+    if data[:4] != _MAGIC:
         raise DataError("bad PackedBitTensor magic")
-    rank = int(np.frombuffer(data, dtype="<u4", count=1, offset=4)[0])
-    off = 8
-    if len(data) < off + 4 * rank + 8:
-        raise DataError("truncated PackedBitTensor header")
-    shape = tuple(int(d) for d in np.frombuffer(data, dtype="<u4", count=rank, offset=off))
-    off += 4 * rank
-    bit_len = int(np.frombuffer(data, dtype="<u8", count=1, offset=off)[0])
-    off += 8
-    nwords = _word_count(bit_len)
-    if len(data) != off + 8 * nwords:
-        raise DataError("truncated PackedBitTensor payload")
-    words = np.frombuffer(data, dtype="<u8", count=nwords, offset=off).astype(np.uint64)
+    r = _Reader(data, "PackedBitTensor", off=4)
+    (rank,) = r.unpack("<I")
+    shape = r.unpack(f"<{rank}I")
+    (bit_len,) = r.unpack("<Q")
+    words = np.frombuffer(r.rest(8 * _word_count(bit_len)), dtype="<u8").astype(np.uint64)
     t = PackedBitTensor(shape=shape, words=words, bit_len=bit_len)
     try:
         t.validate()

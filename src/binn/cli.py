@@ -163,7 +163,7 @@ def _add_data_flags(p, trains=True):
     p.add_argument("--data", default="blobs-img",
                    choices=["blobs", "blobs-img", "rings", "idx", "cifar10"])
     p.add_argument("--data-path", default=None, help="file path(s) for idx/cifar10")
-    p.add_argument("--data-n", type=int, default=2000)
+    p.add_argument("--data-n", type=_POSITIVE_INT, default=2000)
     p.add_argument("--data-classes", type=_POSITIVE_INT, default=4)
     p.add_argument("--data-noise", type=_checked(float, lambda v: v >= 0, "a number >= 0"),
                    default=0.1)
@@ -453,7 +453,7 @@ def main(argv=None) -> int:
     except (OSError, DataError, ShapeError) as e:  # OSError: a file it cannot read or write
         sys.stderr.write(f"data error: {e}\n")
         return 2
-    except (NumericalError, EnsembleError, OverflowError) as e:  # e.g. a closed form's sigma_w**4
+    except (NumericalError, EnsembleError, OverflowError) as e:  # e.g. an unchecked float power
         sys.stderr.write(f"numerical failure: {e}\n")
         return 3
 

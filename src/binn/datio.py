@@ -30,11 +30,14 @@ class Dataset:
     labels: np.ndarray  # [N] int64 in [0, class_count)
     class_count: int
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if self.images.ndim != 4:
             raise DataError(f"images must be [N, C, H, W], got {self.images.shape}")
         if len(self.labels) != len(self.images):
-            raise DataError("label count != image count")
+            raise DataError(f"label count {len(self.labels)} != image count {len(self.images)}")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
             raise DataError(f"labels outside [0, {self.class_count})")
         if self.images.size and (self.images.min() < -1.0 or self.images.max() > 1.0):
@@ -57,50 +60,28 @@ def _bytes_to_unit(raw: np.ndarray) -> np.ndarray:
     return ((raw.astype(np.float64) * 2.0) / 255.0 - 1.0).astype(np.float32)
 
 
+def _read_idx(path, ndims) -> np.ndarray:
+    """The unsigned-byte array of an IDX file whose rank is one of ``ndims``."""
+    with open(path, "rb") as fh:
+        r = bitcore._Reader(fh.read(), f"IDX file {path}")
+    magic = r.take(4)  # two zero bytes, type 0x08 (unsigned byte), rank
+    if magic[:3] != b"\0\0\x08" or magic[3] not in ndims:
+        raise DataError(f"{path}: bad IDX magic {magic.hex()}, wanted 000008 and a rank in {ndims}")
+    dims = r.unpack(f">{magic[3]}I")
+    if 0 in dims:  # else the other dims could claim any size, with no bytes to bound them
+        raise DataError(f"{path}: IDX dims {dims} hold no data")
+    return np.frombuffer(r.rest(math.prod(dims)), dtype=np.uint8).reshape(dims)
+
+
 def load_idx(images_path, labels_path=None, class_count=10) -> Dataset:
     """Read big-endian IDX image data (optionally with a label file)."""
-    with open(images_path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4:
-        raise DataError(f"{images_path}: truncated IDX header")
-    zero, dtype_code, ndim = struct.unpack(">HBB", blob[:4])
-    if zero != 0 or dtype_code != 0x08:
-        raise DataError(f"{images_path}: bad IDX magic {blob[:4].hex()}")
-    if ndim not in (2, 3):
-        raise DataError(f"{images_path}: expected 2-D or 3-D image data, got {ndim}-D")
-    head = 4 + 4 * ndim
-    if len(blob) < head:
-        raise DataError(f"{images_path}: truncated IDX dims")
-    dims = struct.unpack(f">{ndim}I", blob[4:head])
-    count = int(np.prod(dims))
-    if len(blob) != head + count:
-        raise DataError(f"{images_path}: payload is {len(blob) - head} bytes, expected {count}")
-    raw = np.frombuffer(blob, dtype=np.uint8, offset=head).reshape(dims)
-    if ndim == 2:
-        raw = raw[:, None, None, :]
+    raw = _read_idx(images_path, (2, 3))
+    images = _bytes_to_unit(raw[:, None, None, :] if raw.ndim == 2 else raw[:, None])
+    if labels_path is None:
+        labels = np.zeros(len(raw), dtype=np.int64)
     else:
-        raw = raw[:, None, :, :]
-    images = _bytes_to_unit(raw)
-
-    n = dims[0]
-    if labels_path is not None:
-        with open(labels_path, "rb") as fh:
-            lb = fh.read()
-        if len(lb) < 8:
-            raise DataError(f"{labels_path}: truncated IDX header")
-        zero, dtype_code, ndim_l, n_l = struct.unpack(">HBBI", lb[:8])
-        if zero != 0 or dtype_code != 0x08 or ndim_l != 1:
-            raise DataError(f"{labels_path}: bad IDX label magic")
-        if len(lb) != 8 + n_l:
-            raise DataError(f"{labels_path}: truncated label payload")
-        if n_l != n:
-            raise DataError(f"label count {n_l} != image count {n}")
-        labels = np.frombuffer(lb, dtype=np.uint8, offset=8).astype(np.int64)
-    else:
-        labels = np.zeros(n, dtype=np.int64)
-    ds = Dataset(images=images, labels=labels, class_count=class_count)
-    ds.validate()
-    return ds
+        labels = _read_idx(labels_path, (1,)).astype(np.int64)
+    return Dataset(images=images, labels=labels, class_count=class_count)
 
 
 def load_cifar10_bin(path) -> Dataset:
@@ -112,9 +93,7 @@ def load_cifar10_bin(path) -> Dataset:
     rows = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 3073)
     labels = rows[:, 0].astype(np.int64)
     images = _bytes_to_unit(rows[:, 1:].reshape(-1, 3, 32, 32))
-    ds = Dataset(images=images, labels=labels, class_count=10)
-    ds.validate()
-    return ds
+    return Dataset(images=images, labels=labels, class_count=10)
 
 
 # ------------------------------------------------------------------ toy sets
@@ -154,9 +133,7 @@ def make_toy(spec: ToySpec) -> Dataset:
         images = (pos * 2 - 1).astype(np.float32).reshape(spec.n, 1, 1, 2)
     else:
         raise DataError(f"unknown toy generator {spec.generator!r}")
-    ds = Dataset(images=images, labels=labels, class_count=spec.classes)
-    ds.validate()
-    return ds
+    return Dataset(images=images, labels=labels, class_count=spec.classes)
 
 
 def make_blob_images(n, classes, *, noise=0.1, seed=0, size=8) -> Dataset:
@@ -169,13 +146,11 @@ def make_blob_images(n, classes, *, noise=0.1, seed=0, size=8) -> Dataset:
     rr, cc = np.mgrid[0:size, 0:size].astype(np.float64)
     d2 = (rr[None] - py[:, None, None]) ** 2 + (cc[None] - px[:, None, None]) ** 2
     img = np.exp(-d2 / (2 * 1.1**2))  # bumps 1.1 pixels wide
-    ds = Dataset(
+    return Dataset(
         images=(img * 2 - 1).astype(np.float32).reshape(n, 1, size, size),
         labels=vec.labels,
         class_count=classes,
     )
-    ds.validate()
-    return ds
 
 
 def split_dataset(ds: Dataset, train_n: int) -> tuple[Dataset, Dataset]:
@@ -225,54 +200,45 @@ def _container_bytes(magic: bytes, config_text: str, sections) -> bytes:
 
 
 def _parse_container(blob: bytes, magic: bytes):
-    if len(blob) < 44 or blob[:4] != magic:
+    if blob[:4] != magic:
         raise DataError(f"bad checkpoint magic (wanted {magic!r})")
     body, digest = blob[:-32], blob[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise DataError("checkpoint corrupt: hash mismatch")
-    off = 4
-
-    def take(n):
-        nonlocal off
-        if n > len(body) - off:
-            raise DataError(f"truncated checkpoint: {n} bytes wanted at offset {off}, "
-                            f"{len(body) - off} left")
-        off += n
-        return body[off - n : off]
+    r = bitcore._Reader(body, "checkpoint", off=4)
 
     def text(n):
         try:
-            return take(n).decode()
+            return str(r.take(n), "utf-8")
         except UnicodeDecodeError as e:
             raise DataError(f"checkpoint text is not UTF-8: {e}") from None
 
-    version, cfg_len = struct.unpack("<II", take(8))
+    version, cfg_len = r.unpack("<II")
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
     config_text = text(cfg_len)
-    (nsec,) = struct.unpack("<I", take(4))
+    (nsec,) = r.unpack("<I")
     sections = {}
     for _ in range(nsec):
-        (nlen,) = struct.unpack("<I", take(4))
+        (nlen,) = r.unpack("<I")
         name = text(nlen)
         if name in sections:
             raise DataError(f"duplicate section {name!r}")
-        kind = take(1)[0]
+        (kind,) = r.unpack("<B")
         if kind == 1:
-            (plen,) = struct.unpack("<Q", take(8))
-            sections[name] = bitcore.from_bytes(take(plen))
+            (plen,) = r.unpack("<Q")
+            sections[name] = bitcore.from_bytes(r.take(plen))
         elif kind == 0:
-            (rank,) = struct.unpack("<I", take(4))
-            dims = struct.unpack(f"<{rank}I", take(4 * rank))
-            arr = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4")
+            (rank,) = r.unpack("<I")
+            dims = r.unpack(f"<{rank}I")
+            arr = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4")
             try:
                 sections[name] = arr.reshape(dims).astype(np.float32)
             except ValueError as e:  # more dimensions than numpy allows
                 raise DataError(f"section {name!r}: {e}") from None
         else:
             raise DataError(f"unknown section kind {kind}")
-    if off != len(body):
-        raise DataError(f"{len(body) - off} bytes after the last section")
+    r.rest(0)
     return config_text, sections
 
 

@@ -177,16 +177,16 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
                   ) -> tuple[EnsembleModel, dict]:
     """The member loop shared by bagging and boosting.
 
-    Independent bagging trains its members in lockstep stacks up front
-    (``_lockstep_groups``); otherwise each round trains one member on a
-    bootstrap drawn from u. A stack that went non-finite leaves its members
-    to train alone, which gives each the bits it had in the stack; a member
-    that went non-finite alone retrains once, from the fallback stream
-    [seed, k, 0xEE7]. Bagging then keeps u and gives the member alpha 1;
-    boosting applies ``adaboost_round`` and skips a rejected member. Each
-    member-epoch on eval data then records in ``info["ensemble_accuracy"]``
-    the ``rule`` accuracy of the kept members plus the live one unless it was
-    rejected (None while no member is kept).
+    Independent bagging trains its members in lockstep stacks of two or
+    more up front (``_lockstep_groups``); otherwise each round trains one
+    member on a bootstrap drawn from u. A stack that went non-finite leaves
+    its members to train alone, which gives each the bits it had in the
+    stack; a member that went non-finite alone retrains once, from the
+    fallback stream [seed, k, 0xEE7]. Bagging then keeps u and gives the
+    member alpha 1; boosting applies ``adaboost_round`` and skips a
+    rejected member. Each member-epoch on eval data then records in
+    ``info["ensemble_accuracy"]`` the ``rule`` accuracy of the kept members
+    plus the live one unless it was rejected (None while no member is kept).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -206,7 +206,8 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
     common = dict(spec=spec, eval_images=eval_images, eval_labels=eval_labels)
     stacked = {}
     if strategy == "bagging" and mode == "independent":
-        for group in _lockstep_groups(config, k, spec.batch_size, eval_images):
+        groups = _lockstep_groups(config, k, spec.batch_size, eval_images)
+        for group in [g for g in groups if len(g) > 1]:  # a member alone trains below
             try:
                 stacked.update(zip(group, train_members(
                     config, images, labels, u=u, **common,

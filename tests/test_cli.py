@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -383,11 +384,14 @@ def cli_paths(tmp_path_factory):
     del sections["layer003.scale"]
     no_scale = root / "no-scale.pbin"
     no_scale.write_bytes(datio._container_bytes(datio.PACKED_MAGIC, text, list(sections.items())))
+    # dims whose product wraps to 0 in int64: the header alone is the whole file
+    wrap_idx = root / "wrap.idx"
+    wrap_idx.write_bytes(struct.pack(">HBBIII", 0, 8, 3, 2**31, 2**31, 4))
     ab_cfg = root / "ab.cfg"
     ab_cfg.write_text(nn.config_to_text(nn.mlp_config((1, 8, 8), [16, 16], 4, variant="AB")))
     paths.update({"cfg": cfg, "ens": ens, "no-member": no_member, "no-alphas": no_alphas,
                   "no-scale": no_scale, "ab-cfg": ab_cfg, "utf16-manifest": utf16_manifest,
-                  "utf16-cfg": utf16_cfg})
+                  "utf16-cfg": utf16_cfg, "wrap-idx": wrap_idx})
     return {f"{{{k}}}": str(v) for k, v in paths.items()}
 
 
@@ -444,8 +448,12 @@ def cli_paths(tmp_path_factory):
     (["analyze", "theorem1", "--sigma", "1e-200", "--seed", "0"], 3, "sigma = 1e-200 squares"),
     (["analyze", "theorem2", "--sigma-w", "1e200", "--seed", "0"], 3, "sigma_w = 1e+200 squares"),
     (["analyze", "theorem2", "--sigma", "1e200", "--seed", "0"], 3, "sigma = 1e+200 squares"),
-    (["analyze", "theorem2", "--sigma-w", "1e100", "--seed", "0"], 3, "numerical failure"),
+    (["analyze", "theorem2", "--sigma-w", "1e100", "--seed", "0"], 3, "sigma_w = 1e+100"),
     (["eval", "--checkpoint", "{ens}", "--data", "nosuch"], 1, "--data"),
+    (["train", "--config", "{cfg}", "--seed", "0", "--data", "idx", "--data-path", "{wrap-idx}"],
+     2, "data error"),
+    (["train", "--config", "{cfg}", "--seed", "0", "--data-n", "-5"], 1, "--data-n"),
+    (["train", "--config", "{cfg}", "--seed", "0", "--data-n", "0"], 1, "--data-n"),
 ], ids=["sigma2-text", "k-values-text", "k-values-repeated", "widths-empty", "sigmas-semicolon", "k-zero",
         "eval-train-frac-1", "train-train-frac-0", "missing-member", "manifest-no-alphas",
         "empty-train-split", "sigmas-negative", "theorem1-trials-0", "widths-two",
@@ -460,7 +468,7 @@ def cli_paths(tmp_path_factory):
         "perturb-labels-beyond-classes", "theorem1-sigma-w-overflows",
         "theorem1-sigma-overflows", "theorem1-sigma-square-underflows",
         "theorem2-sigma-w-overflows", "theorem2-sigma-overflows", "theorem2-bound-overflows",
-        "data-unknown"])
+        "data-unknown", "idx-dims-wrap", "data-n-negative", "data-n-0"])
 def test_malformed_invocations_exit_cleanly(tmp_path, cli_paths, argv, code, flag):
     out = _run_cli([cli_paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")])
     assert out.returncode == code, out.stderr

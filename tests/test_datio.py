@@ -1,9 +1,11 @@
+import contextlib
 import hashlib
 import struct
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binn import bitcore, datio, nn
@@ -282,6 +284,33 @@ def test_container_truncation_and_trailing_bytes_refused():
         datio.load_checkpoint_bytes(rehashed(datio.CHECKPOINT_MAGIC + deep + bytes(4)))
 
 
+@contextlib.contextmanager
+def written(blob):
+    """The path of a temporary file that holds ``blob``."""
+    with tempfile.NamedTemporaryFile() as fh:
+        fh.write(blob)
+        fh.flush()
+        yield fh.name
+
+
+IDX_IMAGES = idx_images_bytes(np.random.default_rng(0).integers(0, 256, (3, 4, 4)))
+
+
+def load_idx_images(blob):
+    with written(blob) as path:
+        return datio.load_idx(path)
+
+
+def load_idx_labels(blob):
+    with written(IDX_IMAGES) as images, written(blob) as labels:
+        return datio.load_idx(images, labels)
+
+
+def load_cifar10(blob):
+    with written(blob) as path:
+        return datio.load_cifar10_bin(path)
+
+
 def _valid_blobs():
     net, _ = small_trained_net(variant="AB")
     bits = bitcore.to_bytes(bitcore.pack(np.random.default_rng(0).standard_normal((3, 70))))
@@ -289,6 +318,9 @@ def _valid_blobs():
         datio.load_checkpoint_bytes: datio.checkpoint_bytes(net),
         datio.load_packed_bytes: datio.packed_export_bytes(net),
         bitcore.from_bytes: bits,
+        load_idx_images: IDX_IMAGES,
+        load_idx_labels: idx_labels_bytes([3, 1, 4]),
+        load_cifar10: bytes([7]) + bytes(range(256)) * 12 + bytes(3073),
     }
 
 
@@ -301,7 +333,7 @@ def loader_inputs(draw):
     one byte flipped, re-hashed where the format carries a hash."""
     load = draw(st.sampled_from(sorted(VALID, key=lambda f: f.__name__)))
     valid = VALID[load]
-    hashed = load is not bitcore.from_bytes
+    hashed = load in (datio.load_checkpoint_bytes, datio.load_packed_bytes)
     body = valid[:-32] if hashed else valid
     how = draw(st.sampled_from(["arbitrary", "magic+arbitrary", "truncate", "flip"]))
     if how == "arbitrary":
@@ -318,6 +350,9 @@ def loader_inputs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(loader_inputs())
+# dims whose product wraps to 0 in int64, and an empty file whose other dims numpy cannot index
+@example((load_idx_images, struct.pack(">HBBIII", 0, 8, 3, 2**31, 2**31, 4)))
+@example((load_idx_images, struct.pack(">HBBIII", 0, 8, 3, 0, 2**32 - 1, 2**32 - 1)))
 def test_loaders_yield_result_or_data_error(case):
     load, blob = case
     try:

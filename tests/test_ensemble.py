@@ -365,6 +365,24 @@ def test_retried_member_leaves_no_stale_ensemble_records(monkeypatch):
     assert epochs == 12 and len(info["ensemble_accuracy"]) == epochs
 
 
+def test_member_alone_in_its_stack_trains_once_before_its_fallback(monkeypatch):
+    # a stack of one trains as the member alone would, to the same divergence
+    (tr, te) = blob_task(seed=12)
+    monkeypatch.setattr(ensemble, "_STACK_BYTES", 1)
+    _inject_divergence(monkeypatch, lambda entropy: entropy == [12, 1])
+    flaky, trained = ensemble.train_members, []
+
+    def recorded(*a, seed_seqs, **kw):
+        trained.extend(s.entropy for s in seed_seqs)
+        return flaky(*a, seed_seqs=seed_seqs, **kw)
+
+    monkeypatch.setattr(ensemble, "train_members", recorded)
+    model, _ = ensemble.train_bagging(small_cfg(), tr.images, tr.labels, k=3, seed=12,
+                                      spec=ensemble.MemberTrainSpec(epochs=1, batch_size=32))
+    assert [e for e in trained if e[:2] == [12, 1]] == [[12, 1], [12, 1, 0xEE7]]
+    assert model.member_seeds == [[12, 0], [12, 1, 0xEE7], [12, 2]]
+
+
 @pytest.mark.parametrize("variant, at", [
     ("AB", "step"),  # a NaN at a binarization in a training step
     ("DNN", "step"),  # a NaN in the loss
