@@ -162,21 +162,26 @@ def _conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
 
 
 def _windows(x: np.ndarray, k: int, stride: int, padding: int, pad_value) -> np.ndarray:
-    """[..., C, H, W] padded with ``pad_value`` -> strided window view [..., C, H', W', k, k]."""
+    """[..., C, H, W] padded with ``pad_value`` -> strided window view [..., C, H', W', k, k].
+
+    Pads in the channel-last view, so the padded copy of a channel-last
+    input is channel-last too."""
     if padding:
-        x = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((padding, padding),) * 2,
-                   constant_values=pad_value)
+        pads = ((0, 0),) * (x.ndim - 3) + ((padding, padding),) * 2 + ((0, 0),)
+        x = np.moveaxis(np.pad(np.moveaxis(x, -3, -1), pads, constant_values=pad_value), -1, -3)
     win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(-2, -1))
     return win[..., ::stride, ::stride, :, :]
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int, pad_value):
-    """[..., C, H, W] -> patch matrix [...*H'*W', C*k*k] plus output dims."""
+    """[..., C, H, W] -> patch matrix [...*H'*W', k*k*C] in (k, k, C) column
+    order, plus output dims. A channel-last input copies runs of C; a 1x1,
+    stride-1, unpadded one gives a view."""
     c, h, w = x.shape[-3:]
     ho = _conv_out_size(h, k, stride, padding)
     wo = _conv_out_size(w, k, stride, padding)
     win = _windows(x, k, stride, padding, pad_value)
-    cols = np.moveaxis(win, -5, -3).reshape(-1, c * k * k)
+    cols = np.moveaxis(win, -5, -1).reshape(-1, k * k * c)
     return np.ascontiguousarray(cols), ho, wo
 
 
@@ -203,7 +208,8 @@ def im2col_binary_conv(
     in_bits = _words_to_bits(inp.words, inp.bit_len).reshape((1,) + inp.shape)
     cols, ho, wo = _im2col(in_bits, k, stride, padding, pad_value=0)
     patches = _pack_rows(cols)
-    kern = _pack_rows(_words_to_bits(kernels.words, kernels.bit_len).reshape(f, c * k * k))
+    kern_bits = _words_to_bits(kernels.words, kernels.bit_len).reshape(f, c, k, k)
+    kern = _pack_rows(np.moveaxis(kern_bits, 1, -1).reshape(f, k * k * c))  # (k, k, C) columns
     out = _xnor_gemm_words(patches, kern, c * k * k)  # [H'*W', F]
     return out.T.reshape(f, ho, wo)
 

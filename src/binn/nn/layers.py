@@ -29,6 +29,18 @@ input; dropout keeps a bool mask. ``Network.backward`` drops each layer's
 share once that layer's backward has read it, and ``predict``/``eval_logits``
 after the forward.
 
+Every 4-D activation and gradient is channel-last in memory: the logical
+[*members, B, C, H, W] array holds NHWC memory, members outermost
+(``channel_last``). Conv's product rows are pixels, so its output is a
+free view in this layout and its backward reads ``dy`` as a free [rows, F]
+matrix; a 1x1 conv's patch matrix is a view of its input. Elementwise
+layers (relu, batchnorm, dropout, the pool folds) make outputs in their
+input's memory order, so no product multiplies operands of mixed layout,
+and batchnorm sums each channel over (B, H, W) in this memory order.
+Dropout draws float32 uniforms in its input's memory order. An fc
+flattens its input in (C, H, W) order and returns its input gradient in
+C order, which for the NIN's [B, C, 1, 1] fc input is channel-last too.
+
 A stack of K networks (``Network.stack``) gives every parameter, buffer
 and activation a leading member axis. Each layer runs it through the same
 code, indexing from the last axes, by broadcasting and per-slice
@@ -92,6 +104,11 @@ def sign_binarize(x: np.ndarray) -> np.ndarray:
     out = (arr >= 0) * dtype.type(2)
     out -= dtype.type(1)
     return out
+
+
+def channel_last(x: np.ndarray) -> np.ndarray:
+    """[..., C, H, W] ``x`` with NHWC memory; no copy if it already has it."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -3, -1)), -1, -3)
 
 
 def _checked_bits(name: str, bits, k_bit_only: bool = False) -> int:
@@ -302,11 +319,12 @@ class Linear(_WeightedLayer):
 
 
 def _scatter_windows(grad_at, in_shape, k, stride, padding, dtype):
-    """Scatter-add window gradients back onto the unpadded [..., C, H, W] input;
-    ``grad_at(i, j)`` is the [..., C, H', W'] gradient at window offset (i, j)."""
-    *lead, h, w = in_shape
+    """Scatter-add window gradients back onto the unpadded [..., C, H, W]
+    input, accumulated in channel-last zeros; ``grad_at(i, j)`` is the
+    [..., C, H', W'] gradient at window offset (i, j), channel-last too."""
+    *lead, c, h, w = in_shape
     p, s = padding, stride
-    dx = np.zeros((*lead, h + 2 * p, w + 2 * p), dtype=dtype)
+    dx = np.moveaxis(np.zeros((*lead, h + 2 * p, w + 2 * p, c), dtype=dtype), -1, -3)
     for i in range(k):
         for j in range(k):
             g = grad_at(i, j)
@@ -341,6 +359,11 @@ class Conv2d(_WeightedLayer):
         self.stride = int(stride)
         self.padding = int(padding)
 
+    def _rows(self, arr):
+        """``arr`` [*members, F, C, k, k] as [*members, F, k*k*C], in the patch
+        matrix's (k, k, C) column order."""
+        return np.moveaxis(arr, -3, -1).reshape(arr.shape[:-3] + (-1,))
+
     def out_shape(self, in_shape):
         c, h, w = in_shape
         ho = bitcore._conv_out_size(h, self.kernel, self.stride, self.padding)
@@ -351,28 +374,26 @@ class Conv2d(_WeightedLayer):
         xq = self._quantize(x, ctx)
         cols, ho, wo = bitcore._im2col(xq, self.kernel, self.stride, self.padding, self.pad_value)
         cols = cols.reshape(x.shape[:-4] + (-1, cols.shape[-1]))
-        # the [B, F, H', W'] view of the product, not a contiguous copy: batchnorm
-        # reduces in memory order, so the layout fixes its rounding
+        # the product's rows are pixels: its [B, F, H', W'] view is channel-last
         y = self._product(cols, ctx).reshape(x.shape[:-3] + (ho, wo, self.out_channels))
         return np.moveaxis(y, -1, -3)
 
     def backward(self, dy):
         *lead, b, f, ho, wo = dy.shape
-        lead, k = tuple(lead), self.kernel
-        dy_cols = np.moveaxis(dy, -3, -1).reshape(lead + (b * ho * wo, f))
+        lead, k, c = tuple(lead), self.kernel, self.in_channels
+        dy_cols = np.moveaxis(dy, -3, -1).reshape(lead + (b * ho * wo, f))  # a view
         # the patch matrix is rebuilt here and freed at once, not kept from forward
         cols = bitcore._im2col(self._xq, k, self.stride, self.padding, self.pad_value)[0]
-        self.w.add_grad((dy_cols.swapaxes(-1, -2) @ cols.reshape(lead + (-1, cols.shape[-1])))
-                        .reshape(self.w.value.shape))
+        gw = dy_cols.swapaxes(-1, -2) @ cols.reshape(lead + (-1, cols.shape[-1]))
+        self.w.add_grad(np.moveaxis(gw.reshape(lead + (f, k, k, c)), -1, -3))
         del cols
         w_eff = self._backward_weight()
         if self.b is not None:
             self.b.add_grad(np.add.reduce(dy, axis=(-4, -2, -1)))
-        # the column gradient as [C, k, k, B, H', W']: each offset's slice is
-        # contiguous in H' and W', so the scatter-adds read it in order
-        d6 = w_eff.swapaxes(-1, -2) @ dy_cols.swapaxes(-1, -2)
-        d6 = d6.reshape(lead + (-1, k, k, b, ho, wo))
-        dxq = _scatter_windows(lambda i, j: d6[..., i, j, :, :, :].swapaxes(-4, -3),
+        # the column gradient as [B, H', W', k, k, C]: each offset's slice is
+        # contiguous in C, as is dx
+        d6 = (dy_cols @ w_eff).reshape(lead + (b, ho, wo, k, k, c))
+        dxq = _scatter_windows(lambda i, j: np.moveaxis(d6[..., i, j, :], -1, -3),
                                self._xq.shape, k, self.stride, self.padding, dy.dtype)
         return self._input_grad(dxq)
 
@@ -463,11 +484,8 @@ class ReLU(Layer):
     _kept = ("_mask",)
 
     def forward(self, x, ctx):
-        mask = x > 0
-        # kept in C order, the layout every gradient arrives in: a bool mask
-        # read across a conv output's channel-last strides costs ~10x more
-        self._mask = np.ascontiguousarray(mask)
-        return x * mask
+        self._mask = x > 0
+        return x * self._mask
 
     def backward(self, dy):
         return dy * self._mask
@@ -522,6 +540,15 @@ class _Pool(Layer):
         self._in_shape = x.shape  # for the backward scatter
         return bitcore._windows(x, self.kernel, self.stride, self.padding, pad_value)
 
+    def _fold(self, win, op):
+        """``op`` folded over the k*k window offsets in order, into a copy of
+        the first in the input's layout, not a reduction of a gathered copy."""
+        k = self.kernel
+        m = win[..., 0, 0].copy(order="K")
+        for off in range(1, k * k):
+            op(m, win[..., off // k, off % k], out=m)
+        return m
+
     def _scatter(self, grad_at, dtype):
         return _scatter_windows(grad_at, self._in_shape, self.kernel, self.stride, self.padding, dtype)
 
@@ -533,13 +560,10 @@ class MaxPool(_Pool):
     def forward(self, x, ctx):
         win = self._windows(x, pad_value=-np.inf)
         k = self.kernel
-        # fold the window offsets instead of reducing a gathered copy of the windows
-        m = win[..., 0, 0].copy()
-        for off in range(1, k * k):
-            np.maximum(m, win[..., off // k, off % k], out=m)
+        m = self._fold(win, np.maximum)
         # argmax's choice: the first offset holding the maximum, or the first NaN
         nan = np.isnan(m).any()
-        arg = np.zeros(m.shape, np.min_scalar_type(k * k - 1))
+        arg = np.zeros_like(m, dtype=np.min_scalar_type(k * k - 1))
         for off in reversed(range(k * k)):
             w = win[..., off // k, off % k]
             np.copyto(arg, off, where=((w == m) | np.isnan(w)) if nan else w == m)
@@ -555,13 +579,22 @@ class AvgPool(_Pool):
     kind = "avgpool"
 
     def forward(self, x, ctx):
-        win = self._windows(x, pad_value=0.0)
-        # divisor includes padding, matching the zero-pad convention
-        return win.mean(axis=(-2, -1))
+        # the divisor includes padding, matching the zero-pad convention
+        m = self._fold(self._windows(x, pad_value=0.0), np.add)
+        m /= self.kernel * self.kernel
+        return m
 
     def backward(self, dy):
         share = dy / (self.kernel * self.kernel)
         return self._scatter(lambda i, j: share, dy.dtype)
+
+
+def _uniforms(rng, like):
+    """float32 uniforms shaped like ``like``, drawn in its memory order: draw
+    i lands on memory element i."""
+    u = np.empty_like(like, dtype=np.float32)  # ``like``'s layout, dense
+    rng.random(dtype=np.float32, out=u.ravel(order="K"))  # a view of u
+    return u
 
 
 class Dropout(Layer):
@@ -586,10 +619,10 @@ class Dropout(Layer):
             return x
         if ctx.rng is None:
             raise ValueError("dropout in training mode needs an rng for determinism")
-        rngs = ctx.rng if isinstance(ctx.rng, list) else None  # one per stacked member
-        # the float64 draws are a temporary, freed before the full-size buffers below
-        self._keep = (np.stack([r.random(x.shape[1:]) for r in rngs]) if rngs
-                      else ctx.rng.random(x.shape)) >= self.p
+        if isinstance(ctx.rng, list):  # one stream per stacked member
+            self._keep = np.stack([_uniforms(r, part) >= self.p for r, part in zip(ctx.rng, x)])
+        else:
+            self._keep = _uniforms(ctx.rng, x) >= self.p
         return self._scaled(x)
 
     def backward(self, dy):

@@ -106,6 +106,8 @@ class Network:
         )
         x = np.asarray(x, dtype=self.dtype)
         first = self.layers[0]  # from_config fixed every later layer's input shape
+        if first.kind != "fc" and x.ndim >= 4:  # images, carried channel-last
+            x = L.channel_last(x)
         lead = self.stack_size is not None
         if lead and x.shape[1:] == first.in_shape:  # one batch for every member
             x = np.broadcast_to(x, (self.stack_size,) + x.shape)

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from binn import bitcore
 from binn import nn
 from binn.nn.layers import (AvgPool, BatchNorm, Dropout, ForwardContext, MaxPool,
-                            _scatter_windows)
+                            _scatter_windows, channel_last)
 
 
 CTX = ForwardContext()
@@ -412,11 +412,32 @@ def test_dropout_train_eval():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("p", [0.5, 0.3, 0.1])
 def test_dropout_mask_bits_equal_divided_keep_mask(dtype, p):
+    # the keep mask is one float32 uniform per element, kept where it is >= p
     x = np.random.default_rng(14).standard_normal((8, 50)).astype(dtype)
     y = Dropout(p).forward(x, ForwardContext(train=True, rng=np.random.default_rng(15)))
-    keep = (np.random.default_rng(15).random(x.shape) >= p).astype(dtype)
+    draws = np.random.default_rng(15).random(x.shape, dtype=np.float32)
+    keep = (draws >= p).astype(dtype)
     want = x * (keep / (1.0 - p))
     assert y.dtype == dtype and y.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("members", [None, 2])
+def test_dropout_draw_i_lands_on_memory_element_i(members):
+    # a channel-last [*members, B, C, H, W] input is [*members, B, H, W, C] in
+    # memory; each member's stream fills its own block in that order
+    lead = () if members is None else (members,)
+    x = channel_last(np.random.default_rng(3).standard_normal(lead + (3, 5, 4, 6))
+                     .astype(np.float32))
+    rng = (np.random.default_rng(20) if members is None
+           else [np.random.default_rng(20 + m) for m in range(members)])
+    d = Dropout(0.4)
+    y = d.forward(x, ForwardContext(train=True, rng=rng))
+    keep = d._keep if members else d._keep[None]
+    for m, member in enumerate(keep):
+        draws = np.random.default_rng(20 + m).random(member.size, dtype=np.float32)
+        assert np.array_equal(np.moveaxis(member, -3, -1).reshape(-1), draws >= 0.4)
+    for arr in (d._keep, y):  # the mask and the output keep the input's layout
+        assert np.moveaxis(arr, -3, -1).flags.c_contiguous
 
 
 def test_packed_path_equals_dense_path():
