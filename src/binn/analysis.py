@@ -453,8 +453,7 @@ def robustness_random(
 
     def out(net, x):
         # batch statistics: one forward over the whole batch, not eval_logits' chunks
-        logits = net.forward(x, bn_batch_stats=True)
-        net.forget()
+        logits = net.forward(x, bn_batch_stats=True, keep=False)
         return logits.astype(np.float64) if output == "logits" else softmax(logits)
 
     per_sample = []

@@ -115,8 +115,10 @@ def _lockstep_groups(config: NetworkConfig, k: int, batch_size: int, eval_images
     """Member index ranges that train as one stack each: as many members as
     keep every layer's input for one step's or one eval forward's rows
     within _STACK_BYTES, but at least one. So the budget does not bound a
-    large member's forward: a NIN-x0.5 member trains in a stack of one, and
-    its 512-row eval forward keeps ~1.7 GB (3.37 MB of layer inputs per row)."""
+    large member: a NIN-x0.5 member (3.37 MB of layer inputs per row) trains
+    in a stack of one. Its 512-row eval forward keeps nothing, and peaks at
+    ~0.65 GB (1.28 MB per row) in conv 5's quantize step, which holds its
+    input, its +/-1 copy, the input's |x| and the bool |x| <= 1 mask."""
     net = Network.from_config(config, init="zeros")
     rows = max(batch_size, min(EVAL_ROWS, 0 if eval_images is None else len(eval_images)))
     row_bytes = sum(math.prod(lay.in_shape) for lay in net.layers) * np.dtype(net.dtype).itemsize

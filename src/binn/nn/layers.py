@@ -17,17 +17,27 @@ and send gradients back through one scatter-add over the window offsets
 Memory and time go to full-size activations, so layers avoid copies that
 change no value: max pooling folds ``np.maximum`` over the window offsets
 instead of reducing a gathered copy of the windows; batchnorm writes each
-full-size step of its formulas into a buffer it already holds; conv
-rebuilds its patch matrix in backward rather than keeping it from forward
-(k*k times the input's size, held until the backward). No float operation
-or its order differs from the plain formulas.
+full-size step of its formulas into a buffer it already holds. Conv never
+holds its whole patch matrix (k*k times its input's size): no temporary
+holds more than ``_PATCH_VALUES`` (2**20, 4 MB of float32) patch values,
+or one image's or one window offset's when that is more. Its forward
+builds the patch matrix and runs the product one block of whole images at
+a time into one output, then scales and biases it once. Its backward walks
+the window offsets in blocks (whole kernel rows, or part of one), building
+each block's patch columns for its weight-gradient columns and then its
+column gradient, which the scatter adds in. A 1x1, stride-1, unpadded
+conv's patch matrix is a view of its input, so it runs as one block. No
+float operation or its order differs from the plain formulas, though BLAS
+may sum a narrower GEMM in another order: that can move the last bits of
+a weight gradient or of a float conv's output, never a +/-1 product, whose
+sums are exact.
 
 A forward keeps only what its backward reads (the names in ``_kept``), in
 the narrowest exact form: every sub-32-bit quantizing forward keeps a bool
 |x| <= 1 mask, not a float copy of ``x``, and fc/conv their quantized
 input; dropout keeps a bool mask. ``Network.backward`` drops each layer's
-share once that layer's backward has read it, and ``predict``/``eval_logits``
-after the forward.
+share once that layer's backward has read it, and a ``keep=False`` forward
+(``eval_logits``, so ``predict``) right after that layer's forward.
 
 Every 4-D activation and gradient is channel-last in memory: the logical
 [*members, B, C, H, W] array holds NHWC memory, members outermost
@@ -246,23 +256,23 @@ class _WeightedLayer(_Quantizer):
         self._xq = super()._quantize(x, ctx)
         return self._xq
 
-    def _product(self, cols, ctx):
-        """Input rows [*members, N, fan_in] times the effective weights, plus
-        bias: [*members, N, out].
-
-        Keeps the weight matrix it multiplied by, and the scale, for backward."""
+    def _weight_matrix(self, ctx):
+        """The [*members, out, fan_in] matrix the forward product multiplies
+        by: sign(W) alone for a +/-1 product, else the effective weights.
+        Keeps it, and the scale, for backward."""
         self._scale = scale = self.scale
         w2 = self._rows(self.w.value)
         self._signs_only = self.weight_bits == 1 and self.act_bits == 1 and not ctx.surrogate
+        # sums of +/-1 are exact integers in float32 while fan_in < 2**24,
+        # so a +/-1 product equals the packed XNOR product times the scale
+        self._wmat = sign_binarize(w2) if self._signs_only else self._rows(self.effective_weight(scale))
+        return self._wmat
+
+    def _scale_and_bias(self, y):
+        """The forward product ``y`` [*members, N, out], scaled (for a +/-1
+        product) and biased in place."""
         if self._signs_only:
-            # sums of +/-1 are exact integers in float32 while fan_in < 2**24,
-            # so this equals the packed XNOR product times the scale
-            self._wmat = sign_binarize(w2)
-            y = cols @ self._wmat.swapaxes(-1, -2)
-            y *= scale[..., None, :]
-        else:
-            self._wmat = self._rows(self.effective_weight(scale))
-            y = cols @ self._wmat.swapaxes(-1, -2)
+            y *= self._scale[..., None, :]
         if self.b is not None:
             y += self.b.value[..., None, :]
         return y
@@ -308,7 +318,8 @@ class Linear(_WeightedLayer):
     def forward(self, x, ctx):
         self._orig_shape = x.shape
         xin = x.reshape(x.shape[:self.w.value.ndim - 1] + (-1,))
-        return self._product(self._quantize(xin, ctx), ctx)
+        xq = self._quantize(xin, ctx)
+        return self._scale_and_bias(xq @ self._weight_matrix(ctx).swapaxes(-1, -2))
 
     def backward(self, dy):
         w_eff = self._backward_weight()
@@ -318,17 +329,27 @@ class Linear(_WeightedLayer):
         return self._input_grad(dy @ w_eff).reshape(self._orig_shape)
 
 
+# Patch values (4 MB of float32) that one conv block may hold. In a NIN-x0.5
+# step at batch 32, blocks of 2 to 16 MB ran within noise of each other and
+# ~10% faster than unbounded ones, and left the step's and a 32-row eval
+# forward's traced peaks (79.9 and 40.9 MB) where conv 5, a 1x1, sets them;
+# at 4 MB conv 10's own forward and backward peak at 14.7 MB, 51 unbounded.
+_PATCH_VALUES = 1 << 20
+
+
 def _scatter_windows(grad_at, in_shape, k, stride, padding, dtype):
     """Scatter-add window gradients back onto the unpadded [..., C, H, W]
     input, accumulated in channel-last zeros; ``grad_at(i, j)`` is the
     [..., C, H', W'] gradient at window offset (i, j), channel-last too."""
     *lead, c, h, w = in_shape
     p, s = padding, stride
+    ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
     dx = np.moveaxis(np.zeros((*lead, h + 2 * p, w + 2 * p, c), dtype=dtype), -1, -3)
     for i in range(k):
         for j in range(k):
-            g = grad_at(i, j)
-            dx[..., i : i + s * g.shape[-2] : s, j : j + s * g.shape[-1] : s] += g
+            # no name holds the gradient, which may view a block of several
+            # offsets, while the next offset's is made
+            dx[..., i : i + s * ho : s, j : j + s * wo : s] += grad_at(i, j)
     return dx[..., p : p + h, p : p + w]
 
 
@@ -372,30 +393,70 @@ class Conv2d(_WeightedLayer):
 
     def forward(self, x, ctx):
         xq = self._quantize(x, ctx)
-        cols, ho, wo = bitcore._im2col(xq, self.kernel, self.stride, self.padding, self.pad_value)
-        cols = cols.reshape(x.shape[:-4] + (-1, cols.shape[-1]))
+        k, s, p = self.kernel, self.stride, self.padding
+        lead, b = x.shape[:-4], x.shape[-4]
+        f, ho, wo = self.out_shape(x.shape[-3:])
+        wt = self._weight_matrix(ctx).swapaxes(-1, -2)
+        hw = ho * wo
         # the product's rows are pixels: its [B, F, H', W'] view is channel-last
-        y = self._product(cols, ctx).reshape(x.shape[:-3] + (ho, wo, self.out_channels))
+        y = np.empty(lead + (b * hw, f), np.result_type(xq, wt))
+        # images per block; a 1x1, stride-1, unpadded conv's patch matrix is a
+        # view of its channel-last input: it copies nothing, so it is one block
+        per = (max(b, 1) if k == 1 and s == 1 and p == 0
+               else max(1, _PATCH_VALUES // (math.prod(lead) * hw * wt.shape[-2])))
+        for lo in range(0, b, per):
+            cols = bitcore._im2col(xq[..., lo : lo + per, :, :, :], k, s, p, self.pad_value)[0]
+            np.matmul(cols.reshape(lead + (-1, cols.shape[-1])), wt,
+                      out=y[..., lo * hw : (lo + per) * hw, :])
+            del cols  # before the next block's is built
+        y = self._scale_and_bias(y).reshape(lead + (b, ho, wo, f))
         return np.moveaxis(y, -1, -3)
 
     def backward(self, dy):
         *lead, b, f, ho, wo = dy.shape
         lead, k, c = tuple(lead), self.kernel, self.in_channels
-        dy_cols = np.moveaxis(dy, -3, -1).reshape(lead + (b * ho * wo, f))  # a view
-        # the patch matrix is rebuilt here and freed at once, not kept from forward
-        cols = bitcore._im2col(self._xq, k, self.stride, self.padding, self.pad_value)[0]
-        gw = dy_cols.swapaxes(-1, -2) @ cols.reshape(lead + (-1, cols.shape[-1]))
-        self.w.add_grad(np.moveaxis(gw.reshape(lead + (f, k, k, c)), -1, -3))
-        del cols
+        rows = b * ho * wo
+        dy_cols = np.moveaxis(dy, -3, -1).reshape(lead + (rows, f))  # a view
         w_eff = self._backward_weight()
         if self.b is not None:
             self.b.add_grad(np.add.reduce(dy, axis=(-4, -2, -1)))
-        # the column gradient as [B, H', W', k, k, C]: each offset's slice is
-        # contiguous in C, as is dx
-        d6 = (dy_cols @ w_eff).reshape(lead + (b, ho, wo, k, k, c))
-        dxq = _scatter_windows(lambda i, j: np.moveaxis(d6[..., i, j, :], -1, -3),
-                               self._xq.shape, k, self.stride, self.padding, dy.dtype)
-        return self._input_grad(dxq)
+        # the padded input's windows as [*members, B, H', W', k, k, C]
+        win = np.moveaxis(bitcore._windows(self._xq, k, self.stride, self.padding,
+                                           self.pad_value), -5, -1)
+        gw = np.empty(lead + (f, k * k * c), np.result_type(dy, self._xq))
+        per = max(1, _PATCH_VALUES // (math.prod(lead) * rows * c))  # window offsets per block
+        # a block is whole kernel rows or part of one, so its windows are one
+        # basic slice and its weight-gradient columns one span; the (kernel
+        # row, column) slices of each block, by its first offset
+        if per >= k:
+            starts = {i * k: (slice(i, i + per // k), slice(None)) for i in range(0, k, per // k)}
+        else:
+            starts = {i * k + j: (slice(i, i + 1), slice(j, j + per))
+                      for i in range(k) for j in range(0, k, per)}
+        lo, block = 0, None
+
+        def grad_at(i, j):
+            # the first offset of a block builds the block's patch columns
+            # (a view for a 1x1, stride-1, unpadded conv), takes their
+            # weight-gradient columns, frees them, and keeps the block's
+            # column gradient [*members, B, H', W', offsets, C]
+            nonlocal lo, block
+            o = i * k + j
+            if o in starts:
+                lo, block = o, None  # the last block's offsets are added in: free it first
+                ki, kj = starts[o]
+                cols = win[..., ki, kj, :].reshape(lead + (rows, -1))
+                span = slice(o * c, o * c + cols.shape[-1])
+                np.matmul(dy_cols.swapaxes(-1, -2), cols, out=gw[..., span])
+                del cols
+                block = (dy_cols @ w_eff[..., span]).reshape(lead + (b, ho, wo, -1, c))
+            return np.moveaxis(block[..., o - lo, :], -1, -3)
+
+        dxq = _scatter_windows(grad_at, self._xq.shape, k, self.stride, self.padding, dy.dtype)
+        self.w.add_grad(np.moveaxis(gw.reshape(lead + (f, k, k, c)), -1, -3))
+        if self._ste is not None:
+            dxq *= self._ste  # dx is this backward's own array
+        return dxq
 
 
 class BatchNorm(Layer):

@@ -100,7 +100,10 @@ class Network:
     # ------------------------------------------------------------- forward
 
     def forward(self, x, *, train=False, surrogate=False, bn_batch_stats=False,
-                rng=None) -> np.ndarray:
+                rng=None, keep=True) -> np.ndarray:
+        """The logits of ``x``. Each layer keeps what its backward reads; with
+        ``keep=False`` it drops that right after its forward, so a forward
+        that no backward follows holds no layer's input beyond the next layer."""
         ctx = L.ForwardContext(
             train=train, surrogate=surrogate, bn_batch_stats=bn_batch_stats, rng=rng,
         )
@@ -130,16 +133,13 @@ class Network:
                     raise
                 raise NumericalError(f"non-finite values at the binarization in layer "
                                      f"{lay.index} ({lay.kind})") from None
+            if not keep:
+                lay.forget()
         return x
 
     def predict(self, x) -> np.ndarray:
         """Argmax labels of ``eval_logits``, which keeps no layer inputs."""
         return eval_logits(self, x).argmax(axis=-1)
-
-    def forget(self):
-        """Drop what every layer kept from the last forward for backward."""
-        for lay in self.layers:
-            lay.forget()
 
     # ------------------------------------------------------------ backward
 
@@ -263,12 +263,10 @@ EVAL_ROWS = 512  # rows per eval forward, which bounds its memory
 
 
 def eval_logits(net: Network, images) -> np.ndarray:
-    """Eval-mode logits ([K, N, C] for a stack), EVAL_ROWS rows per forward;
-    each forward's layer inputs are dropped before the next."""
-    chunks = []
-    for lo in range(0, len(images), EVAL_ROWS):
-        chunks.append(net.forward(images[lo : lo + EVAL_ROWS]))
-        net.forget()
+    """Eval-mode logits ([K, N, C] for a stack), EVAL_ROWS rows per forward,
+    each of which keeps nothing for backward."""
+    chunks = [net.forward(images[lo : lo + EVAL_ROWS], keep=False)
+              for lo in range(0, len(images), EVAL_ROWS)]
     return np.concatenate(chunks, axis=-2)
 
 

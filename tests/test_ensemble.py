@@ -492,11 +492,8 @@ def test_all_members_rejected_fails_with_report(monkeypatch):
     cfg = small_cfg()
 
     class AlwaysWrong:
-        def forward(self, images):  # logits whose argmax is class 1 for every row
+        def forward(self, images, keep=True):  # logits whose argmax is class 1 for every row
             return np.tile(np.float32([0.0, 1.0, 0.0]), (len(images), 1))
-
-        def forget(self):  # keeps no layer inputs for eval_logits to drop
-            pass
 
         def clone(self):
             return self

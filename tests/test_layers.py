@@ -8,8 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from binn import bitcore
 from binn import nn
+from binn.nn import layers
 from binn.nn.layers import (AvgPool, BatchNorm, Dropout, ForwardContext, MaxPool,
-                            _scatter_windows, channel_last)
+                            _scatter_windows, channel_last, sign_binarize)
 
 
 CTX = ForwardContext()
@@ -395,6 +396,61 @@ def test_conv_and_pool_backward_match_finite_differences(bits):
             arr[i] = old
         assert np.abs(grad).max() > 1e-3
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
+
+
+def _conv_reference(lay, x, dy):
+    """Float64 output, weight gradient and input gradient of ``lay`` on ``x``
+    for output gradient ``dy``, from einsums over the windows."""
+    k, s, p = lay.kernel, lay.stride, lay.padding
+    x64 = x.astype(np.float64)
+    xq = sign_binarize(x64) if lay.act_bits == 1 else x64
+    w = lay.effective_weight(lay.scale).astype(np.float64)  # [*members, F, C, k, k]
+    win = bitcore._windows(xq, k, s, p, lay.pad_value)  # [*members, B, C, H', W', k, k]
+    y = np.einsum("...bchwij,...fcij->...bfhw", win, w) + lay.b.value[..., None, :, None, None]
+    gw = np.einsum("...bfhw,...bchwij->...fcij", dy, win)
+    dwin = np.einsum("...bfhw,...fcij->...bchwij", dy, w)
+    *lead, c, h, wd = x.shape
+    ho, wo = y.shape[-2:]
+    dpad = np.zeros((*lead, c, h + 2 * p, wd + 2 * p))
+    for i in range(k):
+        for j in range(k):
+            dpad[..., i : i + s * ho : s, j : j + s * wo : s] += dwin[..., i, j]
+    dx = dpad[..., p : p + h, p : p + wd]
+    return y, gw, dx * (np.abs(x64) <= 1) if lay.act_bits == 1 else dx
+
+
+@pytest.mark.parametrize("members", [None, 2], ids=["net", "stack"])
+@pytest.mark.parametrize("kernel,stride,padding", [(5, 1, 2), (3, 2, 1), (1, 1, 0)])
+@pytest.mark.parametrize("bits", [1, 32], ids=["AB", "DNN"])
+def test_conv_blocks_match_one_unbounded_block(monkeypatch, bits, kernel, stride, padding,
+                                               members):
+    # budgets of one image per forward block and one window offset per
+    # backward block, of one kernel row per backward block, and one no conv
+    # fills; +/-1 sums are exact, so the AB output and input gradient are
+    # equal bit for bit, and every float sum matches a float64 reference
+    lead = () if members is None else (members,)
+    rng = np.random.default_rng(30)
+    lay = nn.Conv2d(4, 5, kernel, stride=stride, padding=padding, weight_bits=bits,
+                    act_bits=bits, rng=rng)
+    lay.w.value = rng.uniform(-1, 1, lead + lay.w.value.shape).astype(np.float32)
+    lay.b.value = rng.standard_normal(lead + (5,)).astype(np.float32)
+    x = channel_last(rng.uniform(-1.5, 1.5, lead + (3, 4, 7, 7)).astype(np.float32))
+    _, ho, wo = lay.out_shape((4, 7, 7))
+    dy = channel_last(rng.standard_normal(lead + (3, 5, ho, wo)).astype(np.float32))
+    offset_values = (members or 1) * 3 * ho * wo * 4
+    runs = []
+    for budget in (1, (kernel + 1) * offset_values, 1 << 40):
+        monkeypatch.setattr(layers, "_PATCH_VALUES", budget)
+        lay.w.grad = lay.b.grad = None
+        y = lay.forward(x, CTX)
+        runs.append((y, lay.backward(dy), lay.w.grad))
+    y64, gw64, dx64 = _conv_reference(lay, x, dy)
+    for y, dx, gw in runs:
+        for got, want in ((y, y64), (dx, dx64), (gw, gw64)):
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-4)
+        if bits == 1:
+            assert y.tobytes() == runs[-1][0].tobytes()
+            assert dx.tobytes() == runs[-1][1].tobytes()
 
 
 def test_dropout_train_eval():

@@ -9,7 +9,7 @@ import pytest
 import binn
 from binn import datio, nn
 from binn.errors import NumericalError, ShapeError
-from binn.nn import mlp_config, nin_config, parse_config, config_to_text
+from binn.nn import layers, mlp_config, nin_config, parse_config, config_to_text
 from binn.nn.config import VARIANTS
 from binn.nn.network import EVAL_ROWS, eval_logits
 
@@ -260,11 +260,13 @@ def test_trained_net_checkpoint_reload_gives_identical_logits(variant):
 
 
 def test_nin_step_then_eval_forward_memory_is_bounded():
-    # NIN-x0.25 AB at batch 16: the train step peaks at ~25.6 MB and the eval
-    # forward at ~24 MB (26.3 MB before activations were carried channel-last
-    # with float32 dropout draws). Keeping every layer's input gradient after
-    # backward under the eval forward, and max pooling through a gathered copy
-    # of its windows, took the peak to ~62 MB.
+    # NIN-x0.25 AB at batch 16: the train step and the eval forward, which
+    # keeps what a backward would read, peak at ~20.1 MB with conv patch
+    # matrices built in blocks (~25.6 MB with whole ones, 26.3 MB before
+    # activations were carried channel-last with float32 dropout draws).
+    # Keeping every layer's input gradient after backward under the eval
+    # forward, and max pooling through a gathered copy of its windows, took
+    # the peak to ~62 MB.
     cfg = nin_config(variant="AB", width_scale=0.25, classes=4, input_shape=(1, 32, 32))
     net = nn.Network.from_config(cfg, seed=0)
     rng = np.random.default_rng(1)
@@ -278,14 +280,17 @@ def test_nin_step_then_eval_forward_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
-    assert peak < 28, peak
+    assert peak < 22, peak
 
 
 def test_nin_train_step_memory_holds_one_exact_copy_per_kept_input():
-    # NIN-x0.5 AB at batch 32 peaks at ~102 MB (~105 MB with float64 dropout
-    # draws and a copied 1x1 patch matrix). Keeping every layer input until
-    # the next forward, both the float input and its binarized copy at each
-    # binary conv, and a float dropout mask took it to ~150 MB.
+    # NIN-x0.5 AB at batch 32 peaks at ~79.9 MB, in conv 5's backward, with
+    # conv patch matrices built in blocks and no full column gradient
+    # (~102 MB with conv 10's whole 39 MB patch matrix and column gradient,
+    # ~105 MB with float64 dropout draws and a copied 1x1 patch matrix).
+    # Keeping every layer input until the next forward, both the float input
+    # and its binarized copy at each binary conv, and a float dropout mask
+    # took it to ~150 MB.
     cfg = nin_config(variant="AB", width_scale=0.5, classes=4, input_shape=(1, 32, 32))
     net = nn.Network.from_config(cfg, seed=0)
     rng = np.random.default_rng(1)
@@ -298,7 +303,47 @@ def test_nin_train_step_memory_holds_one_exact_copy_per_kept_input():
         peak = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
-    assert peak < 112, peak
+    assert peak < 88, peak
+
+
+def test_nin_predict_memory_keeps_no_layer_input():
+    # a 32-row NIN-x0.5 AB predict peaks at ~40.9 MB, in conv 5's quantize
+    # step (its input, its +/-1 copy, |x| and the bool mask); keeping every
+    # layer's input until the forward ended, and conv 10's whole patch
+    # matrix, took it to ~94.7 MB
+    cfg = nin_config(variant="AB", width_scale=0.5, classes=4, input_shape=(1, 32, 32))
+    net = nn.Network.from_config(cfg, seed=0)
+    x = np.random.default_rng(1).uniform(-1.5, 1.5, (32, 1, 32, 32)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        net.predict(x)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak < 45, peak
+
+
+def test_one_conv_holds_its_arrays_and_one_patch_block():
+    # conv 10 of NIN-x0.5 AB at batch 32, whose whole patch matrix is 39 MB:
+    # forward and backward hold the output, the +/-1 input and bool mask
+    # kept for backward, the padded input the windows read and the padded
+    # input gradient, four weight-sized arrays (sign(W), the backward's
+    # scaled weights, dW and its gradient copy) and one _PATCH_VALUES block
+    rng = np.random.default_rng(5)
+    lay = nn.Conv2d(48, 96, 5, padding=2, weight_bits=1, act_bits=1, rng=rng)
+    x = layers.channel_last(rng.uniform(-1.5, 1.5, (32, 48, 16, 16)).astype(np.float32))
+    dy = layers.channel_last(rng.standard_normal((32, 96, 16, 16)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        y = lay.forward(x, layers.ForwardContext())
+        lay.backward(dy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    padded = 32 * 20 * 20 * 48 * 4  # the padded [32, 48, 20, 20] float32 input
+    allowed = (y.nbytes + x.nbytes + x.size + 2 * padded + 4 * lay.w.value.nbytes
+               + 4 * layers._PATCH_VALUES)
+    assert peak <= allowed, (peak, allowed)
 
 
 def _channel_last_by_strides(a):
@@ -514,12 +559,14 @@ def test_layers_keep_no_arrays_after_backward_or_predict(kind):
     opt = nn.make_optimizer("adam", net.parameters(), 0.05)
     nn.backward_and_step(net, x, gen.integers(0, 3, 5), opt, rng=gen)
     assert _kept_arrays(net) == []
-    net.forward(x)
+    logits = net.forward(x)
     assert _kept_arrays(net)  # an eval forward still keeps what backward reads
     for lay in net.layers:  # the same straight-through mask as a training forward
         if lay.kind in ("binact", "quantact") or getattr(lay, "act_bits", 32) != 32:
             assert lay._ste.dtype == bool and "_xin" not in vars(lay), (lay.index, lay.kind)
     net.predict(x)
+    assert _kept_arrays(net) == []
+    assert np.array_equal(net.forward(x, keep=False), logits)
     assert _kept_arrays(net) == []
 
 
