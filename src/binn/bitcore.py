@@ -173,18 +173,6 @@ def _windows(x: np.ndarray, k: int, stride: int, padding: int, pad_value) -> np.
     return win[..., ::stride, ::stride, :, :]
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, padding: int, pad_value):
-    """[..., C, H, W] -> patch matrix [...*H'*W', k*k*C] in (k, k, C) column
-    order, plus output dims. A channel-last input copies runs of C; a 1x1,
-    stride-1, unpadded one gives a view."""
-    c, h, w = x.shape[-3:]
-    ho = _conv_out_size(h, k, stride, padding)
-    wo = _conv_out_size(w, k, stride, padding)
-    win = _windows(x, k, stride, padding, pad_value)
-    cols = np.moveaxis(win, -5, -1).reshape(-1, k * k * c)
-    return np.ascontiguousarray(cols), ho, wo
-
-
 def im2col_binary_conv(
     inp: PackedBitTensor,
     kernels: PackedBitTensor,
@@ -194,7 +182,9 @@ def im2col_binary_conv(
     """Exact +/-1 cross-correlation via packed patches and the XNOR GEMM.
 
     ``inp`` is [C, H, W], ``kernels`` is [F, C, k, k]; padding contributes
-    logical -1. Returns an integer tensor [F, H', W'].
+    logical -1. Each output pixel's padded window (``_windows``) packs into
+    one patch row in (k, k, C) order, as the kernels do. Returns an integer
+    tensor [F, H', W'].
     """
     if len(inp.shape) != 3:
         raise ValueError(f"input must be [C, H, W], got {inp.shape}")
@@ -205,9 +195,11 @@ def im2col_binary_conv(
             f"channel mismatch: input {inp.shape[0]}, kernels {kernels.shape[1]}"
         )
     f, c, k, _ = kernels.shape
-    in_bits = _words_to_bits(inp.words, inp.bit_len).reshape((1,) + inp.shape)
-    cols, ho, wo = _im2col(in_bits, k, stride, padding, pad_value=0)
-    patches = _pack_rows(cols)
+    ho = _conv_out_size(inp.shape[1], k, stride, padding)
+    wo = _conv_out_size(inp.shape[2], k, stride, padding)
+    in_bits = _words_to_bits(inp.words, inp.bit_len).reshape(inp.shape)
+    win = _windows(in_bits, k, stride, padding, pad_value=0)  # [C, H', W', k, k]
+    patches = _pack_rows(np.moveaxis(win, 0, -1).reshape(ho * wo, k * k * c))
     kern_bits = _words_to_bits(kernels.words, kernels.bit_len).reshape(f, c, k, k)
     kern = _pack_rows(np.moveaxis(kern_bits, 1, -1).reshape(f, k * k * c))  # (k, k, C) columns
     out = _xnor_gemm_words(patches, kern, c * k * k)  # [H'*W', F]

@@ -10,9 +10,11 @@ the kernel-exactness checks run: export packs sign bits, and reload
 unpacks them into this dense path. Gradients reach the shadow weights
 straight through. fc/conv and binact/quantact quantize activations in one
 step (``_Quantizer``) and backpropagate with its |x| <= 1 straight-through
-mask. Conv and pooling read one padded window view (``bitcore._windows``)
-and send gradients back through one scatter-add over the window offsets
-(``_scatter_windows``).
+mask. Conv and pooling read one padded window view per call
+(``bitcore._windows``) and send gradients back through one scatter-add
+(``_scatter_windows``) that reads each window offset's gradient in
+(i, j) order from an iterator; a lone offset (kernel 1, stride 1) covers
+the whole padded input, so its gradient passes through as dx.
 
 Memory and time go to full-size activations, so layers avoid copies that
 change no value: max pooling folds ``np.maximum`` over the window offsets
@@ -20,13 +22,15 @@ instead of reducing a gathered copy of the windows; batchnorm writes each
 full-size step of its formulas into a buffer it already holds. Conv never
 holds its whole patch matrix (k*k times its input's size): no temporary
 holds more than ``_PATCH_VALUES`` (2**20, 4 MB of float32) patch values,
-or one image's or one window offset's when that is more. Its forward
-builds the patch matrix and runs the product one block of whole images at
-a time into one output, then scales and biases it once. Its backward walks
-the window offsets in blocks (whole kernel rows, or part of one), building
-each block's patch columns for its weight-gradient columns and then its
-column gradient, which the scatter adds in. A 1x1, stride-1, unpadded
-conv's patch matrix is a view of its input, so it runs as one block. No
+or one image's or one window offset's when that is more. Both directions
+copy their patch blocks out of one window view of the padded input. Its
+forward runs the product one block of whole images at a time into one
+output, then scales and biases it once. Its backward is a generator over
+blocks of window offsets (whole kernel rows, or part of one): each block's
+patch columns give its weight-gradient columns and are freed, then its
+column gradient yields its offsets to the scatter. A 1x1, stride-1,
+unpadded conv's patch matrix is a view of its input and one block, whose
+column gradient is dx. No
 float operation or its order differs from the plain formulas, though BLAS
 may sum a narrower GEMM in another order: that can move the last bits of
 a weight gradient or of a float conv's output, never a +/-1 product, whose
@@ -332,24 +336,29 @@ class Linear(_WeightedLayer):
 # Patch values (4 MB of float32) that one conv block may hold. In a NIN-x0.5
 # step at batch 32, blocks of 2 to 16 MB ran within noise of each other and
 # ~10% faster than unbounded ones, and left the step's and a 32-row eval
-# forward's traced peaks (79.9 and 40.9 MB) where conv 5, a 1x1, sets them;
+# forward's traced peaks (72.5 and 40.9 MB) in conv 5, a 1x1 and one block;
 # at 4 MB conv 10's own forward and backward peak at 14.7 MB, 51 unbounded.
 _PATCH_VALUES = 1 << 20
 
 
-def _scatter_windows(grad_at, in_shape, k, stride, padding, dtype):
+def _scatter_windows(grads, in_shape, k, stride, padding, dtype):
     """Scatter-add window gradients back onto the unpadded [..., C, H, W]
-    input, accumulated in channel-last zeros; ``grad_at(i, j)`` is the
-    [..., C, H', W'] gradient at window offset (i, j), channel-last too."""
+    input in channel-last zeros; ``grads`` yields each window offset's
+    channel-last [..., C, H', W'] gradient in (i, j) order. A lone offset
+    (k = 1, stride 1) covers the padded input: its unpadded slice is dx, so
+    an exact zero may keep the sign that adding it to +0.0 would drop."""
     *lead, c, h, w = in_shape
-    p, s = padding, stride
+    p, s, grads = padding, stride, iter(grads)
+    if k == 1 and s == 1:
+        return next(grads)[..., p : p + h, p : p + w]
     ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
     dx = np.moveaxis(np.zeros((*lead, h + 2 * p, w + 2 * p, c), dtype=dtype), -1, -3)
     for i in range(k):
         for j in range(k):
-            # no name holds the gradient, which may view a block of several
-            # offsets, while the next offset's is made
-            dx[..., i : i + s * ho : s, j : j + s * wo : s] += grad_at(i, j)
+            # next(), not a loop over grads: no name or enumerate tuple holds
+            # the gradient, which may view a block of several offsets, while
+            # the next offset's is made
+            dx[..., i : i + s * ho : s, j : j + s * wo : s] += next(grads)
     return dx[..., p : p + h, p : p + w]
 
 
@@ -391,13 +400,19 @@ class Conv2d(_WeightedLayer):
         wo = bitcore._conv_out_size(w, self.kernel, self.stride, self.padding)
         return (self.out_channels, ho, wo)
 
+    def _windows(self, xq):
+        """The padded input's windows as [*members, B, H', W', k, k, C], a view
+        of the padded input (of ``xq`` itself when unpadded)."""
+        return np.moveaxis(bitcore._windows(xq, self.kernel, self.stride, self.padding,
+                                            self.pad_value), -5, -1)
+
     def forward(self, x, ctx):
         xq = self._quantize(x, ctx)
         k, s, p = self.kernel, self.stride, self.padding
         lead, b = x.shape[:-4], x.shape[-4]
         f, ho, wo = self.out_shape(x.shape[-3:])
         wt = self._weight_matrix(ctx).swapaxes(-1, -2)
-        hw = ho * wo
+        hw, win = ho * wo, self._windows(xq)
         # the product's rows are pixels: its [B, F, H', W'] view is channel-last
         y = np.empty(lead + (b * hw, f), np.result_type(xq, wt))
         # images per block; a 1x1, stride-1, unpadded conv's patch matrix is a
@@ -405,8 +420,8 @@ class Conv2d(_WeightedLayer):
         per = (max(b, 1) if k == 1 and s == 1 and p == 0
                else max(1, _PATCH_VALUES // (math.prod(lead) * hw * wt.shape[-2])))
         for lo in range(0, b, per):
-            cols = bitcore._im2col(xq[..., lo : lo + per, :, :, :], k, s, p, self.pad_value)[0]
-            np.matmul(cols.reshape(lead + (-1, cols.shape[-1])), wt,
+            cols = np.ascontiguousarray(win[..., lo : lo + per, :, :, :, :, :])
+            np.matmul(cols.reshape(lead + (-1, wt.shape[-2])), wt,
                       out=y[..., lo * hw : (lo + per) * hw, :])
             del cols  # before the next block's is built
         y = self._scale_and_bias(y).reshape(lead + (b, ho, wo, f))
@@ -420,39 +435,32 @@ class Conv2d(_WeightedLayer):
         w_eff = self._backward_weight()
         if self.b is not None:
             self.b.add_grad(np.add.reduce(dy, axis=(-4, -2, -1)))
-        # the padded input's windows as [*members, B, H', W', k, k, C]
-        win = np.moveaxis(bitcore._windows(self._xq, k, self.stride, self.padding,
-                                           self.pad_value), -5, -1)
+        win = self._windows(self._xq)
         gw = np.empty(lead + (f, k * k * c), np.result_type(dy, self._xq))
         per = max(1, _PATCH_VALUES // (math.prod(lead) * rows * c))  # window offsets per block
         # a block is whole kernel rows or part of one, so its windows are one
-        # basic slice and its weight-gradient columns one span; the (kernel
-        # row, column) slices of each block, by its first offset
+        # basic slice and its weight-gradient columns one span
         if per >= k:
-            starts = {i * k: (slice(i, i + per // k), slice(None)) for i in range(0, k, per // k)}
+            plan = [(slice(i, i + per // k), slice(None)) for i in range(0, k, per // k)]
         else:
-            starts = {i * k + j: (slice(i, i + 1), slice(j, j + per))
-                      for i in range(k) for j in range(0, k, per)}
-        lo, block = 0, None
+            plan = [(slice(i, i + 1), slice(j, j + per)) for i in range(k) for j in range(0, k, per)]
 
-        def grad_at(i, j):
-            # the first offset of a block builds the block's patch columns
-            # (a view for a 1x1, stride-1, unpadded conv), takes their
-            # weight-gradient columns, frees them, and keeps the block's
-            # column gradient [*members, B, H', W', offsets, C]
-            nonlocal lo, block
-            o = i * k + j
-            if o in starts:
-                lo, block = o, None  # the last block's offsets are added in: free it first
-                ki, kj = starts[o]
+        def grads():
+            # each block's patch columns (a view for a 1x1, stride-1, unpadded
+            # conv) give its dW columns and go before its column gradient
+            # [*members, B, H', W', offsets, C] yields its offsets and goes
+            span = slice(0, 0)
+            for ki, kj in plan:
                 cols = win[..., ki, kj, :].reshape(lead + (rows, -1))
-                span = slice(o * c, o * c + cols.shape[-1])
+                span = slice(span.stop, span.stop + cols.shape[-1])
                 np.matmul(dy_cols.swapaxes(-1, -2), cols, out=gw[..., span])
                 del cols
                 block = (dy_cols @ w_eff[..., span]).reshape(lead + (b, ho, wo, -1, c))
-            return np.moveaxis(block[..., o - lo, :], -1, -3)
+                for o in range(block.shape[-2]):
+                    yield np.moveaxis(block[..., o, :], -1, -3)
+                del block
 
-        dxq = _scatter_windows(grad_at, self._xq.shape, k, self.stride, self.padding, dy.dtype)
+        dxq = _scatter_windows(grads(), self._xq.shape, k, self.stride, self.padding, dy.dtype)
         self.w.add_grad(np.moveaxis(gw.reshape(lead + (f, k, k, c)), -1, -3))
         if self._ste is not None:
             dxq *= self._ste  # dx is this backward's own array
@@ -610,8 +618,8 @@ class _Pool(Layer):
             op(m, win[..., off // k, off % k], out=m)
         return m
 
-    def _scatter(self, grad_at, dtype):
-        return _scatter_windows(grad_at, self._in_shape, self.kernel, self.stride, self.padding, dtype)
+    def _scatter(self, grads, dtype):
+        return _scatter_windows(grads, self._in_shape, self.kernel, self.stride, self.padding, dtype)
 
 
 class MaxPool(_Pool):
@@ -632,8 +640,7 @@ class MaxPool(_Pool):
         return m
 
     def backward(self, dy):
-        k = self.kernel
-        return self._scatter(lambda i, j: dy * (self._arg == (i * k + j)), dy.dtype)
+        return self._scatter((dy * (self._arg == o) for o in range(self.kernel ** 2)), dy.dtype)
 
 
 class AvgPool(_Pool):
@@ -647,7 +654,7 @@ class AvgPool(_Pool):
 
     def backward(self, dy):
         share = dy / (self.kernel * self.kernel)
-        return self._scatter(lambda i, j: share, dy.dtype)
+        return self._scatter((share for _ in range(self.kernel ** 2)), dy.dtype)
 
 
 def _uniforms(rng, like):

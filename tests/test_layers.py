@@ -305,7 +305,7 @@ def _maxpool_oracle(x, k, s, p, dy):
     win = bitcore._windows(x, k, s, p, -np.inf)
     flat = win.reshape(win.shape[:4] + (-1,))
     arg = flat.argmax(axis=-1)
-    dx = _scatter_windows(lambda i, j: dy * (arg == i * k + j), x.shape, k, s, p, dy.dtype)
+    dx = _scatter_windows((dy * (arg == o) for o in range(k * k)), x.shape, k, s, p, dy.dtype)
     return flat.max(axis=-1), dx
 
 
@@ -352,6 +352,23 @@ def test_avgpool_matches_naive_include_pad():
             for j in range(y.shape[3]):
                 want = xp[0, c, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3].mean()
                 assert y[0, c, i, j] == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("pool", [MaxPool, AvgPool], ids=["max", "avg"])
+def test_lone_offset_pool_backward_returns_dy(pool, padding):
+    # a kernel-1, stride-1 pool's one window offset covers the whole padded
+    # input, so dx is dy's unpadded slice, signed zeros too, in a fresh array
+    rng = np.random.default_rng(13)
+    lay = pool(1, 1, padding)
+    x = channel_last(rng.standard_normal((2, 3, 5, 5)).astype(np.float32))
+    y = lay.forward(x, CTX)
+    dy = channel_last(rng.standard_normal(y.shape).astype(np.float32))
+    dy[:, :, ::2, ::3] = -0.0
+    dx = lay.backward(dy)
+    inner = dy[..., padding : padding + 5, padding : padding + 5]
+    assert dx.shape == x.shape and dx.tobytes() == inner.tobytes()
+    assert not np.shares_memory(dx, dy)
 
 
 _CONV_POOL_NET = """name: conv-pool-grad
@@ -420,7 +437,7 @@ def _conv_reference(lay, x, dy):
 
 
 @pytest.mark.parametrize("members", [None, 2], ids=["net", "stack"])
-@pytest.mark.parametrize("kernel,stride,padding", [(5, 1, 2), (3, 2, 1), (1, 1, 0)])
+@pytest.mark.parametrize("kernel,stride,padding", [(5, 1, 2), (3, 2, 1), (1, 1, 0), (1, 1, 1)])
 @pytest.mark.parametrize("bits", [1, 32], ids=["AB", "DNN"])
 def test_conv_blocks_match_one_unbounded_block(monkeypatch, bits, kernel, stride, padding,
                                                members):

@@ -284,10 +284,12 @@ def test_nin_step_then_eval_forward_memory_is_bounded():
 
 
 def test_nin_train_step_memory_holds_one_exact_copy_per_kept_input():
-    # NIN-x0.5 AB at batch 32 peaks at ~79.9 MB, in conv 5's backward, with
-    # conv patch matrices built in blocks and no full column gradient
-    # (~102 MB with conv 10's whole 39 MB patch matrix and column gradient,
-    # ~105 MB with float64 dropout draws and a copied 1x1 patch matrix).
+    # NIN-x0.5 AB at batch 32 peaks at ~72.5 MB, in conv 5's forward and
+    # conv 14's backward, with conv patch matrices built in blocks, no full
+    # column gradient and 1x1 convs whose column gradient is dx (~79.9 MB,
+    # in conv 5's backward, when that was added into fresh zeros; ~102 MB
+    # with conv 10's whole 39 MB patch matrix and column gradient, ~105 MB
+    # with float64 dropout draws and a copied 1x1 patch matrix).
     # Keeping every layer input until the next forward, both the float input
     # and its binarized copy at each binary conv, and a float dropout mask
     # took it to ~150 MB.
@@ -303,7 +305,7 @@ def test_nin_train_step_memory_holds_one_exact_copy_per_kept_input():
         peak = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
-    assert peak < 88, peak
+    assert peak < 80, peak
 
 
 def test_nin_predict_memory_keeps_no_layer_input():
@@ -343,6 +345,28 @@ def test_one_conv_holds_its_arrays_and_one_patch_block():
     padded = 32 * 20 * 20 * 48 * 4  # the padded [32, 48, 20, 20] float32 input
     allowed = (y.nbytes + x.nbytes + x.size + 2 * padded + 4 * lay.w.value.nbytes
                + 4 * layers._PATCH_VALUES)
+    assert peak <= allowed, (peak, allowed)
+
+
+def test_one_by_one_conv_backward_makes_one_input_sized_array():
+    # conv 5 of NIN-x0.5 AB at batch 32, a 1x1 whose one window offset covers
+    # its whole input: its column gradient dy @ W is dx, so the backward
+    # allocates that and weight-sized arrays (sign(W) scaled, dW, its
+    # reshaped copy and the gradient's), 12.7 MB; adding the column gradient
+    # into fresh zeros took it to 25.3 MB
+    rng = np.random.default_rng(5)
+    lay = nn.Conv2d(96, 48, 1, weight_bits=1, act_bits=1, rng=rng)
+    x = layers.channel_last(rng.uniform(-1.5, 1.5, (32, 96, 32, 32)).astype(np.float32))
+    dy = layers.channel_last(rng.standard_normal((32, 48, 32, 32)).astype(np.float32))
+    lay.forward(x, layers.ForwardContext(train=True))
+    tracemalloc.start()
+    try:
+        dx = lay.backward(dy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dx.shape == x.shape
+    allowed = x.nbytes + 8 * lay.w.value.nbytes
     assert peak <= allowed, (peak, allowed)
 
 
