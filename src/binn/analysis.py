@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import bitcore
 from .ensemble import member_probs
 from .errors import NumericalError
 from .nn.layers import sign_binarize
@@ -234,10 +235,8 @@ def verify_theorem1(
             member = np.empty((m, k))
             for lo, hi in _row_blocks(m, k * fan_in):
                 raw = rng.bit_generator.random_raw((hi - lo) * k * words)
-                signs = np.unpackbits(
-                    raw.astype("<u8", copy=False).view(np.uint8).reshape(hi - lo, k, words * 8),
-                    axis=-1, count=fan_in, bitorder="little",
-                ).astype(np.float64)
+                bits = bitcore._words_to_bits(raw.reshape(hi - lo, k, words), fan_in)
+                signs = bits.astype(np.float64)
                 signs *= 2.0  # bit 1 is +1, as in bitcore
                 signs -= 1.0
                 member[lo:hi] = np.matmul(signs, gamma[lo:hi, :, None])[..., 0]

@@ -64,10 +64,10 @@ def _word_count(bit_len: int) -> int:
 
 
 def _words_to_bits(words: np.ndarray, bit_len: int) -> np.ndarray:
-    if bit_len == 0:
-        return np.zeros(0, dtype=np.uint8)
+    """The first ``bit_len`` bits of the uint64 ``words`` along the last axis,
+    one uint8 0/1 each, in the packed order."""
     raw = words.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(raw, count=bit_len, bitorder="little")
+    return np.unpackbits(raw, axis=-1, count=bit_len, bitorder="little")
 
 
 def pack(values) -> PackedBitTensor:

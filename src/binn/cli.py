@@ -340,7 +340,7 @@ def cmd_export(args):
     model = _load_model(args.checkpoint)
     if hasattr(model, "members"):
         raise DataError("export works on single-network checkpoints")
-    if not model.binary_layers():
+    if not any(getattr(lay, "weight_bits", 32) == 1 for lay in model.layers):
         raise DataError("network has no binary layers to pack")
     float_blob = datio.checkpoint_bytes(model)
     packed_blob = datio.packed_export_bytes(model)

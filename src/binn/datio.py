@@ -232,6 +232,8 @@ def _parse_container(blob: bytes, magic: bytes):
             (rank,) = r.unpack("<I")
             dims = r.unpack(f"<{rank}I")
             arr = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4")
+            if not np.isfinite(arr).all():
+                raise DataError(f"section {name!r} holds a non-finite value")
             try:
                 sections[name] = arr.reshape(dims).astype(np.float32)
             except ValueError as e:  # more dimensions than numpy allows
@@ -282,7 +284,7 @@ def packed_export_bytes(net: Network) -> bytes:
     for lay in net.layers:
         prefix = f"layer{lay.index:03d}"
         if getattr(lay, "weight_bits", 32) == 1:
-            sections.append((f"{prefix}.wbits", lay.packed_weights))
+            sections.append((f"{prefix}.wbits", bitcore.pack(lay.w.value)))
             sections.append((f"{prefix}.scale", lay.scale))
             if lay.b is not None:
                 sections.append((f"{prefix}.b", lay.b.value))

@@ -111,16 +111,14 @@ def train_member(config: NetworkConfig, images, labels, *, seed_seq, **kw):
     return net, hist
 
 
-def _lockstep_groups(config: NetworkConfig, k: int, batch_size: int, eval_images) -> list:
-    """Member index ranges that train as one stack each: as many members as
-    keep every layer's input for one step's or one eval forward's rows
-    within _STACK_BYTES, but at least one. So the budget does not bound a
-    large member: a NIN-x0.5 member (3.37 MB of layer inputs per row) trains
-    in a stack of one. Its 512-row eval forward keeps nothing, and peaks at
-    ~0.65 GB (1.28 MB per row) in conv 5's quantize step, which holds its
-    input, its +/-1 copy, the input's |x| and the bool |x| <= 1 mask."""
-    net = Network.from_config(config, init="zeros")
-    rows = max(batch_size, min(EVAL_ROWS, 0 if eval_images is None else len(eval_images)))
+def _lockstep_groups(net: Network, k: int, rows: int) -> list:
+    """Ranges of k members like ``net`` (read for its layers' input shapes and
+    dtype) that run as one stack each: as many as keep every layer's input
+    for ``rows`` rows within _STACK_BYTES, but at least one. So the budget
+    does not bound a large member: a NIN-x0.5 member (3.37 MB of layer inputs
+    per row) trains in a stack of one. Its 512-row eval forward keeps nothing,
+    and peaks at ~0.65 GB (1.28 MB per row) in conv 5's quantize step, which
+    holds its input, its +/-1 copy, the input's |x| and the bool |x| <= 1 mask."""
     row_bytes = sum(math.prod(lay.in_shape) for lay in net.layers) * np.dtype(net.dtype).itemsize
     size = max(1, _STACK_BYTES // (rows * row_bytes))
     return [range(lo, min(k, lo + size)) for lo in range(0, k, size)]
@@ -208,7 +206,9 @@ def _train_rounds(strategy, config: NetworkConfig, images, labels, *, k: int,
     common = dict(spec=spec, eval_images=eval_images, eval_labels=eval_labels)
     stacked = {}
     if strategy == "bagging" and mode == "independent":
-        groups = _lockstep_groups(config, k, spec.batch_size, eval_images)
+        # rows of one training step or one eval forward, whichever is more
+        rows = max(spec.batch_size, min(EVAL_ROWS, 0 if eval_images is None else len(eval_images)))
+        groups = _lockstep_groups(Network.from_config(config, init="zeros"), k, rows)
         for group in [g for g in groups if len(g) > 1]:  # a member alone trains below
             try:
                 stacked.update(zip(group, train_members(
@@ -283,11 +283,13 @@ def train_boosting(config: NetworkConfig, images, labels, **kw) -> tuple[Ensembl
 
 def member_probs(model: EnsembleModel, images) -> np.ndarray:
     """[K, N, C] softmax outputs of the members, from eval_logits over stacks
-    of members sized like lockstep training's (``_lockstep_groups``): a small
-    ensemble costs one forward per eval chunk, not one per member, and keeps
-    no layer inputs; every member's values equal its own forward's bit for bit."""
+    of members sized like lockstep training's (``_lockstep_groups``) for one
+    eval chunk, from the first member's shapes: a small ensemble costs one
+    forward per eval chunk, not one per member, and keeps no layer inputs;
+    every member's values equal its own forward's bit for bit."""
     members, probs = model.members, []
-    for group in _lockstep_groups(model.config, len(members), 1, images):
+    rows = max(1, min(EVAL_ROWS, len(images)))  # 1: an empty set sizes stacks too
+    for group in _lockstep_groups(members[0], len(members), rows):
         net = members[group[0]] if len(group) == 1 else Network.stack(
             [members[i] for i in group])
         probs.append(softmax(eval_logits(net, images)).reshape(len(group), len(images), -1))

@@ -212,9 +212,9 @@ class _WeightedLayer(_Quantizer):
 
     _kept = ("_xq", "_ste", "_scale", "_wmat", "_signs_only")
 
-    def __init__(self, shape, weight_bits, act_bits, bias, rng, dtype, init):
-        self.weight_bits = _checked_bits("weight_bits", weight_bits)
-        self.act_bits = _checked_bits("act_bits", act_bits)
+    def __init__(self, shape, wbits, abits, bias, rng, dtype, init):
+        self.weight_bits = _checked_bits("wbits", wbits)
+        self.act_bits = _checked_bits("abits", abits)
         self.dtype = dtype
         self.w = Param(_init_weights(shape, math.prod(shape[1:]), rng, dtype, init))
         self.b = Param(np.zeros(shape[0], dtype)) if bias else None
@@ -240,11 +240,6 @@ class _WeightedLayer(_Quantizer):
         # the float64 sum and divide of np.mean, without its wrapper
         total = np.add.reduce(np.abs(w2), axis=-1, dtype=np.float64)
         return (total / w2.shape[-1]).astype(self.dtype)
-
-    @property
-    def packed_weights(self) -> bitcore.PackedBitTensor:
-        """Sign bits of the shadow weights, packed for export and the XNOR kernels."""
-        return bitcore.pack(self.w.value)
 
     def effective_weight(self, scale) -> np.ndarray:
         """The weights the product uses; 1-bit weights multiply by ``scale``."""
@@ -302,19 +297,18 @@ class Linear(_WeightedLayer):
     def __init__(
         self,
         in_features,
-        out_features,
+        out,
         *,
-        weight_bits=32,
-        act_bits=32,
+        wbits=32,
+        abits=32,
         bias=True,
         rng=None,
         dtype=np.float32,
         init="kaiming",
     ):
-        super().__init__((out_features, in_features), weight_bits, act_bits, bias, rng, dtype,
-                         init)
+        super().__init__((out, in_features), wbits, abits, bias, rng, dtype, init)
         self.in_features = int(in_features)
-        self.out_features = int(out_features)
+        self.out_features = int(out)
 
     def out_shape(self, in_shape):
         return (self.out_features,)
@@ -369,25 +363,25 @@ class Conv2d(_WeightedLayer):
     def __init__(
         self,
         in_channels,
-        out_channels,
+        out,
         kernel,
         *,
         stride=1,
-        padding=0,
-        weight_bits=32,
-        act_bits=32,
+        pad=0,
+        wbits=32,
+        abits=32,
         bias=True,
         rng=None,
         dtype=np.float32,
         init="kaiming",
     ):
-        super().__init__((out_channels, in_channels, kernel, kernel), weight_bits, act_bits,
-                         bias, rng, dtype, init)
+        super().__init__((out, in_channels, kernel, kernel), wbits, abits, bias, rng, dtype,
+                         init)
         self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
+        self.out_channels = int(out)
         self.kernel = int(kernel)
         self.stride = int(stride)
-        self.padding = int(padding)
+        self.padding = int(pad)
 
     def _rows(self, arr):
         """``arr`` [*members, F, C, k, k] as [*members, F, k*k*C], in the patch
@@ -566,7 +560,7 @@ class QuantAct(_Quantizer):
     kind = "quantact"
 
     def __init__(self, bits):
-        self.act_bits = _checked_bits("quantact bits", bits, k_bit_only=True)
+        self.act_bits = _checked_bits("bits", bits, k_bit_only=True)
 
     def forward(self, x, ctx):
         return self._quantize(x, ctx)
@@ -587,10 +581,10 @@ class BinaryAct(QuantAct):
 class _Pool(Layer):
     _kept = ("_in_shape",)
 
-    def __init__(self, kernel, stride=None, padding=0):
+    def __init__(self, kernel, stride=None, pad=0):
         self.kernel = int(kernel)
         self.stride = int(stride) if stride is not None else int(kernel)
-        self.padding = int(padding)
+        self.padding = int(pad)
 
     def _out_hw(self, h, w):
         # floor semantics: ragged tail windows are dropped

@@ -10,52 +10,26 @@ from ..errors import NumericalError, ShapeError
 from . import layers as L
 from .config import NetworkConfig
 
+_LAYERS = {cls.kind: cls for cls in (L.Conv2d, L.Linear, L.BatchNorm, L.ReLU, L.BinaryAct,
+                                     L.QuantAct, L.MaxPool, L.AvgPool, L.Dropout)}
+
 
 def _build_layer(spec, in_shape, rng, dtype, init):
-    kind = spec.kind
-    p = dict(spec.params)
-    if kind == "conv":
-        if len(in_shape) != 3:
-            raise ShapeError(f"conv needs [C, H, W] input, got {in_shape}")
-        return L.Conv2d(
-            in_shape[0],
-            p["out"],
-            p["kernel"],
-            stride=p["stride"],
-            padding=p["pad"],
-            weight_bits=p["wbits"],
-            act_bits=p["abits"],
-            bias=bool(p["bias"]),
-            rng=rng,
-            dtype=dtype,
-            init=init,
-        )
-    if kind == "fc":
-        return L.Linear(
-            int(np.prod(in_shape)),
-            p["out"],
-            weight_bits=p["wbits"],
-            act_bits=p["abits"],
-            bias=bool(p["bias"]),
-            rng=rng,
-            dtype=dtype,
-            init=init,
-        )
-    if kind == "batchnorm":
-        return L.BatchNorm(in_shape[0], eps=p["eps"], momentum=p["momentum"], dtype=dtype)
-    if kind == "relu":
-        return L.ReLU()
-    if kind == "binact":
-        return L.BinaryAct()
-    if kind == "quantact":
-        return L.QuantAct(p["bits"])
-    if kind == "maxpool":
-        return L.MaxPool(p["kernel"], p["stride"], p["pad"])
-    if kind == "avgpool":
-        return L.AvgPool(p["kernel"], p["stride"], p["pad"])
-    if kind == "dropout":
-        return L.Dropout(p["p"])
-    raise ShapeError(f"unknown layer kind {kind!r}")
+    """The layer ``spec`` describes, on ``in_shape`` inputs. Each config key
+    (``config._SCHEMAS``) is the keyword of its kind's layer class, so the
+    params pass through as they are. Conv and batchnorm also take their input
+    channels, fc its flattened input size, and conv and fc the rng, dtype and init."""
+    cls, params = _LAYERS.get(spec.kind), dict(spec.params)
+    if cls is None:
+        raise ShapeError(f"unknown layer kind {spec.kind!r}")
+    if spec.kind == "conv" and len(in_shape) != 3:
+        raise ShapeError(f"conv needs [C, H, W] input, got {in_shape}")
+    if spec.kind in ("conv", "fc"):
+        size = in_shape[0] if spec.kind == "conv" else math.prod(in_shape)
+        return cls(size, rng=rng, dtype=dtype, init=init, **params)
+    if spec.kind == "batchnorm":
+        return cls(in_shape[0], dtype=dtype, **params)
+    return cls(**params)
 
 
 class Network:
@@ -170,26 +144,27 @@ class Network:
             if getattr(lay, "weight_bits", 32) < 32:
                 np.clip(lay.w.value, -1.0, 1.0, out=lay.w.value)
 
-    def binary_layers(self):
-        return [l for l in self.layers if getattr(l, "weight_bits", 32) == 1]
-
     # --------------------------------------------------------------- state
 
     def _state(self):
-        """(name, layer, shape, stored array) of every checkpointed item, in
-        order: params, buffers, then a 1-bit layer's ``scale``, which is derived
-        from the weights (one per filter) and so has no stored array (None)."""
+        """(name, layer, holder, attribute) of every checkpointed item, in
+        order: each param's ``value`` and each buffer, held as ``attribute``
+        of ``holder``, then a 1-bit layer's ``scale``, which is derived from
+        the weights (one per filter) and so has no holder (None). Checkpoints,
+        loads, clones, stacks and unstacks all take this one walk."""
         for lay in self.layers:
-            stored = {k: p.value for k, p in lay.params().items()}
-            stored.update(lay.buffers())
-            for key, arr in stored.items():
-                yield f"layer{lay.index:03d}.{key}", lay, arr.shape, arr
+            prefix = f"layer{lay.index:03d}"
+            for key, p in lay.params().items():
+                yield f"{prefix}.{key}", lay, p, "value"
+            for key in lay.buffers():
+                yield f"{prefix}.{key}", lay, lay, key
             if getattr(lay, "weight_bits", 32) == 1:
-                yield f"layer{lay.index:03d}.scale", lay, lay.w.value.shape[:1], None
+                yield f"{prefix}.scale", lay, None, "scale"
 
     def state_items(self):
         """Deterministically ordered (name, array) pairs for checkpointing."""
-        return [(name, lay.scale if arr is None else arr) for name, lay, _, arr in self._state()]
+        return [(name, getattr(lay if holder is None else holder, attr))
+                for name, lay, holder, attr in self._state()]
 
     def load_state_items(self, items: dict):
         """Copy params and buffers in; a stored 1-bit ``scale`` is shape-checked
@@ -200,25 +175,21 @@ class Network:
             missing = sorted(expected - set(items))
             extra = sorted(set(items) - expected)
             raise ShapeError(f"state mismatch; missing={missing} extra={extra}")
-        for name, _, shape, _ in state:
+        for name, lay, holder, attr in state:
             got = items[name]
+            shape = lay.w.value.shape[:1] if holder is None else getattr(holder, attr).shape
             if not isinstance(got, np.ndarray) or got.shape != shape:
                 raise ShapeError(f"{name}: expected an array of shape {shape}, got "
                                  f"{type(got).__name__} of shape {np.shape(got)}")
-        for name, _, _, arr in state:
-            if arr is not None:
-                np.copyto(arr, items[name])
-
-    def _arrays(self):
-        """(holder, attribute) of every parameter value and buffer, in state order."""
-        for lay in self.layers:
-            yield from ((p, "value") for p in lay.params().values())
-            yield from ((lay, key) for key in lay.buffers())
+        for name, _, holder, attr in state:
+            if holder is not None:
+                np.copyto(getattr(holder, attr), items[name])
 
     def _copy(self, pick) -> "Network":
         dup = Network.from_config(self.config, seed=0, dtype=self.dtype, init="zeros")
-        for (dst, d), (src, s) in zip(dup._arrays(), self._arrays()):
-            np.copyto(getattr(dst, d), pick(getattr(src, s)))
+        for (_, _, dst, attr), (_, _, src, _) in zip(dup._state(), self._state()):
+            if dst is not None:
+                np.copyto(getattr(dst, attr), pick(getattr(src, attr)))
         return dup
 
     def clone(self) -> "Network":
@@ -229,8 +200,9 @@ class Network:
         """One network holding ``nets`` (one config) as members along a new
         leading axis of every parameter and buffer."""
         dup = cls.from_config(nets[0].config, seed=0, dtype=nets[0].dtype, init="zeros")
-        for (obj, attr), *srcs in zip(dup._arrays(), *(n._arrays() for n in nets)):
-            setattr(obj, attr, np.stack([getattr(o, a) for o, a in srcs]))
+        for (_, _, holder, attr), *srcs in zip(dup._state(), *(n._state() for n in nets)):
+            if holder is not None:
+                setattr(holder, attr, np.stack([getattr(src, attr) for _, _, src, _ in srcs]))
         dup.stack_size = len(nets)
         return dup
 

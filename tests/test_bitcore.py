@@ -281,3 +281,15 @@ def test_serialization_rejects_garbage():
     bad[-1] |= 0x80
     with pytest.raises(DataError, match="padding"):
         bitcore.from_bytes(bytes(bad))
+
+
+def test_words_to_bits_decodes_each_row_of_the_last_axis():
+    # [rows, k, words], as theorem 1's bagged members draw them; 100 bits
+    # leave padding in each row's last word
+    rng = np.random.default_rng(5)
+    rows = [[bitcore.pack(rng.standard_normal(100)) for _ in range(3)] for _ in range(4)]
+    bits = bitcore._words_to_bits(np.array([[t.words for t in row] for row in rows]), 100)
+    assert bits.shape == (4, 3, 100)
+    for got, row in zip(bits, rows):
+        for g, t in zip(got, row):
+            assert np.array_equal(g * 2.0 - 1.0, bitcore.unpack(t))

@@ -381,16 +381,24 @@ def cli_paths(tmp_path_factory):
     utf16_cfg.write_bytes(CFG_TEXT.encode("utf-16"))
     net = nn.Network.from_config(nn.mlp_config((1, 8, 8), [32], 4, variant="AB"), seed=0)
     text, sections = datio._parse_container(datio.packed_export_bytes(net), datio.PACKED_MAGIC)
+    sections["layer003.scale"][0] = np.nan
+    nan_scale = root / "nan-scale.pbin"
+    nan_scale.write_bytes(datio._container_bytes(datio.PACKED_MAGIC, text, list(sections.items())))
     del sections["layer003.scale"]
     no_scale = root / "no-scale.pbin"
     no_scale.write_bytes(datio._container_bytes(datio.PACKED_MAGIC, text, list(sections.items())))
     # dims whose product wraps to 0 in int64: the header alone is the whole file
     wrap_idx = root / "wrap.idx"
     wrap_idx.write_bytes(struct.pack(">HBBIII", 0, 8, 3, 2**31, 2**31, 4))
+    for variant in ("AB", "DNN"):  # one NaN weight in a checkpoint
+        bad = nn.Network.from_config(nn.mlp_config((1, 8, 8), [32], 4, variant=variant), seed=0)
+        bad.layers[0].w.value[0, 0] = np.nan
+        paths[f"nan-{variant}"] = root / f"nan-{variant}.ckpt"
+        datio.save_checkpoint(bad, paths[f"nan-{variant}"])
     ab_cfg = root / "ab.cfg"
     ab_cfg.write_text(nn.config_to_text(nn.mlp_config((1, 8, 8), [16, 16], 4, variant="AB")))
     paths.update({"cfg": cfg, "ens": ens, "no-member": no_member, "no-alphas": no_alphas,
-                  "no-scale": no_scale, "ab-cfg": ab_cfg, "utf16-manifest": utf16_manifest,
+                  "no-scale": no_scale, "nan-scale": nan_scale, "ab-cfg": ab_cfg, "utf16-manifest": utf16_manifest,
                   "utf16-cfg": utf16_cfg, "wrap-idx": wrap_idx})
     return {f"{{{k}}}": str(v) for k, v in paths.items()}
 
@@ -454,6 +462,11 @@ def cli_paths(tmp_path_factory):
      2, "data error"),
     (["train", "--config", "{cfg}", "--seed", "0", "--data-n", "-5"], 1, "--data-n"),
     (["train", "--config", "{cfg}", "--seed", "0", "--data-n", "0"], 1, "--data-n"),
+    (["export", "--checkpoint", "{nan-AB}"], 2, "'layer000.w' holds a non-finite value"),
+    (["eval", "--checkpoint", "{nan-DNN}"], 2, "'layer000.w' holds a non-finite value"),
+    (["perturb", "--checkpoint", "{nan-DNN}", "--seed", "0"], 2,
+     "'layer000.w' holds a non-finite value"),
+    (["eval", "--checkpoint", "{nan-scale}"], 2, "'layer003.scale' holds a non-finite value"),
 ], ids=["sigma2-text", "k-values-text", "k-values-repeated", "widths-empty", "sigmas-semicolon", "k-zero",
         "eval-train-frac-1", "train-train-frac-0", "missing-member", "manifest-no-alphas",
         "empty-train-split", "sigmas-negative", "theorem1-trials-0", "widths-two",
@@ -468,7 +481,9 @@ def cli_paths(tmp_path_factory):
         "perturb-labels-beyond-classes", "theorem1-sigma-w-overflows",
         "theorem1-sigma-overflows", "theorem1-sigma-square-underflows",
         "theorem2-sigma-w-overflows", "theorem2-sigma-overflows", "theorem2-bound-overflows",
-        "data-unknown", "idx-dims-wrap", "data-n-negative", "data-n-0"])
+        "data-unknown", "idx-dims-wrap", "data-n-negative", "data-n-0",
+        "export-nan-weight", "eval-dnn-nan-weight", "perturb-dnn-nan-weight",
+        "eval-pbin-nan-scale"])
 def test_malformed_invocations_exit_cleanly(tmp_path, cli_paths, argv, code, flag):
     out = _run_cli([cli_paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")])
     assert out.returncode == code, out.stderr

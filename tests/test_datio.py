@@ -190,8 +190,9 @@ def test_checkpoint_bytes_unchanged_by_eval_forward():
 ], ids=["Linear", "Conv2d"])
 def test_weights_written_in_place_reach_the_saved_scales(cfg):
     net = nn.Network.from_config(cfg, seed=3)
-    for lay in net.binary_layers():
-        lay.w.value *= 0.5
+    for lay in net.layers:
+        if getattr(lay, "weight_bits", 32) == 1:
+            lay.w.value *= 0.5
     loaded = nn.Network.from_config(cfg, init="zeros")
     loaded.load_state_items(dict(net.state_items()))
     assert datio.checkpoint_bytes(net) == datio.checkpoint_bytes(loaded)
@@ -268,6 +269,24 @@ def test_packed_sections_checked(edit, named):
     blob = edited(datio.packed_export_bytes(net), datio.PACKED_MAGIC, edit)
     with pytest.raises(DataError, match=named):
         datio.load_packed_bytes(blob)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("export, name", [
+    (datio.checkpoint_bytes, "layer000.w"),
+    (datio.checkpoint_bytes, "layer002.running_var"),
+    (datio.packed_export_bytes, "layer003.scale"),
+])
+def test_non_finite_float_sections_refused(export, name, bad):
+    # every loader, ensemble members' included, reads floats through
+    # _parse_container, which names the section
+    def poison(sections):
+        sections[name].reshape(-1)[-1] = bad
+
+    blob = export(small_trained_net(variant="AB")[0])
+    with written(edited(blob, blob[:4], poison)) as path:
+        with pytest.raises(DataError, match=f"'{name}' holds a non-finite value"):
+            datio.load_network(path)
 
 
 def test_container_truncation_and_trailing_bytes_refused():

@@ -487,6 +487,20 @@ def test_ensemble_predict_keeps_no_member_activations():
     assert retained < weights + (128 << 10), (retained, weights)
 
 
+def test_member_probs_builds_no_network_but_its_stacks(monkeypatch):
+    # stacks are sized from a member in hand; a lone member runs as it is
+    model = fixed_model([[0.7, 0.3], [0.9, 0.1], [0.6, 0.4]])
+    built = []
+    build = nn.Network.from_config.__func__
+    monkeypatch.setattr(nn.Network, "from_config",
+                        classmethod(lambda cls, *a, **k: built.append(1) or build(cls, *a, **k)))
+    ensemble.member_probs(model, X1)
+    assert len(built) == 1  # the one stack of three
+    model.members = model.members[:1]
+    ensemble.member_probs(model, X1)
+    assert len(built) == 1
+
+
 def test_all_members_rejected_fails_with_report(monkeypatch):
     (tr, te) = blob_task(seed=6)
     cfg = small_cfg()

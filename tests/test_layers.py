@@ -121,7 +121,7 @@ def test_quantize_k_range():
 
 @pytest.mark.parametrize("bits", [0, 9, 16, 1.5, 8.9, "1"])
 def test_precisions_outside_the_rule_are_refused(bits):
-    for make in (lambda: nn.Linear(2, 2, weight_bits=bits), lambda: nn.Linear(2, 2, act_bits=bits),
+    for make in (lambda: nn.Linear(2, 2, wbits=bits), lambda: nn.Linear(2, 2, abits=bits),
                  lambda: nn.QuantAct(bits), lambda: nn.quantize_k_bit(np.zeros(3), bits)):
         with pytest.raises(ValueError, match="must be"):
             make()
@@ -146,10 +146,10 @@ def _xnor_forward(lay, x):
     """A 1-bit layer on +/-1 input x through the packed XNOR kernels: the
     exact integer product times the layer's scale, plus its bias."""
     if isinstance(lay, nn.Linear):
-        ints = bitcore.binary_gemm(lay.packed_weights, bitcore.pack(x.reshape(len(x), -1)))
+        ints = bitcore.binary_gemm(bitcore.pack(lay.w.value), bitcore.pack(x.reshape(len(x), -1)))
         per_out = (-1,)
     else:
-        ints = np.stack([bitcore.im2col_binary_conv(bitcore.pack(img), lay.packed_weights,
+        ints = np.stack([bitcore.im2col_binary_conv(bitcore.pack(img), bitcore.pack(lay.w.value),
                                                     lay.stride, lay.padding) for img in x])
         per_out = (-1, 1, 1)
     y = ints.astype(lay.dtype) * lay.scale.reshape(per_out)
@@ -160,7 +160,7 @@ def _xnor_forward(lay, x):
 
 def test_scaled_binary_forward_tiny_example():
     rng = np.random.default_rng(0)
-    lay = nn.Linear(3, 1, weight_bits=1, act_bits=1, bias=False, rng=rng)
+    lay = nn.Linear(3, 1, wbits=1, abits=1, bias=False, rng=rng)
     lay.w.value = np.array([[0.5, -1.5, 1.0]], dtype=np.float32)
     assert lay.scale[0] == pytest.approx(1.0)
     out = _xnor_forward(lay, np.ones((1, 3)))
@@ -170,7 +170,7 @@ def test_scaled_binary_forward_tiny_example():
 def test_scaled_binary_forward_constant_weights():
     rng = np.random.default_rng(0)
     n, c = 16, 0.37
-    lay = nn.Linear(n, 2, weight_bits=1, act_bits=1, bias=False, rng=rng)
+    lay = nn.Linear(n, 2, wbits=1, abits=1, bias=False, rng=rng)
     lay.w.value = np.full((2, n), c, dtype=np.float32)
     out = _xnor_forward(lay, np.ones((1, n)))
     assert np.allclose(out, c * n, rtol=1e-6)
@@ -178,7 +178,7 @@ def test_scaled_binary_forward_constant_weights():
 
 def test_scaled_binary_matches_dense_oracle():
     rng = np.random.default_rng(4)
-    lay = nn.Linear(64, 8, weight_bits=1, act_bits=1, bias=True, rng=rng)
+    lay = nn.Linear(64, 8, wbits=1, abits=1, bias=True, rng=rng)
     x = nn.sign_binarize(rng.standard_normal((5, 64)).astype(np.float32))
     got = _xnor_forward(lay, x)
     w_eff = nn.sign_binarize(lay.w.value) * lay.scale[:, None]
@@ -188,7 +188,7 @@ def test_scaled_binary_matches_dense_oracle():
 
 def test_scaled_binary_conv_matches_dense_oracle():
     rng = np.random.default_rng(5)
-    lay = nn.Conv2d(3, 4, 3, stride=1, padding=1, weight_bits=1, act_bits=1,
+    lay = nn.Conv2d(3, 4, 3, stride=1, pad=1, wbits=1, abits=1,
                     bias=False, rng=rng)
     x = nn.sign_binarize(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
     got = _xnor_forward(lay, x)
@@ -208,7 +208,7 @@ def test_scaled_binary_conv_matches_dense_oracle():
 @pytest.mark.parametrize("fan_in", [1, 63, 65, 200])
 def test_linear_dense_product_equals_packed_kernel(fan_in, bias):
     rng = np.random.default_rng(fan_in)
-    lay = nn.Linear(fan_in, 7, weight_bits=1, act_bits=1, bias=bias, rng=rng)
+    lay = nn.Linear(fan_in, 7, wbits=1, abits=1, bias=bias, rng=rng)
     if bias:
         lay.b.value = rng.standard_normal(7).astype(np.float32)
     x = nn.sign_binarize(rng.standard_normal((5, fan_in)).astype(np.float32))
@@ -221,8 +221,8 @@ def test_linear_dense_product_equals_packed_kernel(fan_in, bias):
 @pytest.mark.parametrize("channels", [3, 8])  # fan-in 27 and 72, not multiples of 64
 def test_conv_dense_product_equals_packed_kernel(channels, stride, padding, bias):
     rng = np.random.default_rng(channels + 10 * stride + 100 * padding)
-    lay = nn.Conv2d(channels, 5, 3, stride=stride, padding=padding, weight_bits=1,
-                    act_bits=1, bias=bias, rng=rng)
+    lay = nn.Conv2d(channels, 5, 3, stride=stride, pad=padding, wbits=1,
+                    abits=1, bias=bias, rng=rng)
     if bias:
         lay.b.value = rng.standard_normal(5).astype(np.float32)
     x = nn.sign_binarize(rng.standard_normal((2, channels, 7, 7)).astype(np.float32))
@@ -232,16 +232,16 @@ def test_conv_dense_product_equals_packed_kernel(channels, stride, padding, bias
 
 def test_scale_invariant_exact_recompute():
     rng = np.random.default_rng(7)
-    lay = nn.Conv2d(4, 6, 3, weight_bits=1, act_bits=1, rng=rng)
+    lay = nn.Conv2d(4, 6, 3, wbits=1, abits=1, rng=rng)
     f = lay.w.value[0].size
     recomputed = np.abs(lay.w.value.reshape(6, -1)).sum(axis=1, dtype=np.float64) / f
     assert np.allclose(lay.scale, recomputed, rtol=1e-6)
-    assert lay.packed_weights == bitcore.pack(nn.sign_binarize(lay.w.value))
+    assert bitcore.pack(lay.w.value) == bitcore.pack(nn.sign_binarize(lay.w.value))
 
 
 @pytest.mark.parametrize("make, x_shape", [
-    (lambda rng: nn.Linear(16, 3, weight_bits=1, act_bits=1, rng=rng), (5, 16)),
-    (lambda rng: nn.Conv2d(3, 4, 3, padding=1, weight_bits=1, act_bits=1, rng=rng), (2, 3, 6, 6)),
+    (lambda rng: nn.Linear(16, 3, wbits=1, abits=1, rng=rng), (5, 16)),
+    (lambda rng: nn.Conv2d(3, 4, 3, pad=1, wbits=1, abits=1, rng=rng), (2, 3, 6, 6)),
 ], ids=["Linear", "Conv2d"])
 def test_forward_follows_weights_written_in_place(make, x_shape):
     # the scale is a function of the shadow weights: a write into w.value,
@@ -447,8 +447,8 @@ def test_conv_blocks_match_one_unbounded_block(monkeypatch, bits, kernel, stride
     # equal bit for bit, and every float sum matches a float64 reference
     lead = () if members is None else (members,)
     rng = np.random.default_rng(30)
-    lay = nn.Conv2d(4, 5, kernel, stride=stride, padding=padding, weight_bits=bits,
-                    act_bits=bits, rng=rng)
+    lay = nn.Conv2d(4, 5, kernel, stride=stride, pad=padding, wbits=bits,
+                    abits=bits, rng=rng)
     lay.w.value = rng.uniform(-1, 1, lead + lay.w.value.shape).astype(np.float32)
     lay.b.value = rng.standard_normal(lead + (5,)).astype(np.float32)
     x = channel_last(rng.uniform(-1.5, 1.5, lead + (3, 4, 7, 7)).astype(np.float32))
@@ -515,7 +515,7 @@ def test_dropout_draw_i_lands_on_memory_element_i(members):
 
 def test_packed_path_equals_dense_path():
     rng = np.random.default_rng(13)
-    lay = nn.Linear(70, 5, weight_bits=1, act_bits=1, rng=rng)
+    lay = nn.Linear(70, 5, wbits=1, abits=1, rng=rng)
     x = rng.standard_normal((6, 70)).astype(np.float32)
     y_packed = lay.forward(x, CTX)
     xq = nn.sign_binarize(x)

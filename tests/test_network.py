@@ -9,8 +9,8 @@ import pytest
 import binn
 from binn import datio, nn
 from binn.errors import NumericalError, ShapeError
-from binn.nn import layers, mlp_config, nin_config, parse_config, config_to_text
-from binn.nn.config import VARIANTS
+from binn.nn import layer, layers, mlp_config, network, nin_config, parse_config, config_to_text
+from binn.nn.config import _SCHEMAS, VARIANTS
 from binn.nn.network import EVAL_ROWS, eval_logits
 
 
@@ -78,6 +78,37 @@ def test_shape_mismatch_names_layer_index():
     zero_stride = parse_config("name: z\ninput: 1x4x4\nclasses: 2\nlayer: maxpool kernel=2 stride=0\n")
     with pytest.raises(ShapeError, match="layer 0"):
         nn.Network.from_config(zero_stride)
+
+
+# a non-default value for every config key, and the layer attribute it sets
+_KEY_VALUES = {"out": 3, "kernel": 3, "stride": 2, "pad": 1, "wbits": 1, "abits": 4, "bias": 0,
+               "eps": 0.5, "momentum": 0.25, "bits": 3, "p": 0.375}
+_KEY_ATTRS = {"pad": "padding", "wbits": "weight_bits", "abits": "act_bits", "bits": "act_bits"}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCHEMAS))
+def test_every_config_key_reaches_its_layer(kind):
+    # each config key is the keyword of its kind's layer class, so no mapping can drift
+    spec = layer(kind, **{name: _KEY_VALUES[name] for name, *_ in _SCHEMAS[kind]})
+    lay = network._build_layer(spec, (2, 9, 9), np.random.default_rng(0), np.float32, "kaiming")
+    assert lay.kind == kind
+    out_attr = "out_channels" if kind == "conv" else "out_features"
+    for name, value in spec.params:
+        if name == "bias":
+            assert lay.b is None
+        else:
+            assert getattr(lay, _KEY_ATTRS.get(name, out_attr if name == "out" else name)) == value
+
+
+@pytest.mark.parametrize("line, message", [
+    ("conv out=2 kernel=1 wbits=16", r"layer 0 \(conv\): wbits must be 1, 2..8 or 32, got 16"),
+    ("fc out=2 abits=0", r"layer 0 \(fc\): abits must be 1, 2..8 or 32, got 0"),
+    ("quantact bits=1", r"layer 0 \(quantact\): bits must be 2..8, got 1"),
+])
+def test_bad_width_names_its_config_key(line, message):
+    cfg = parse_config(f"name: w\ninput: 1x2x2\nclasses: 2\nlayer: {line}\n")
+    with pytest.raises(ShapeError, match=message):
+        nn.Network.from_config(cfg)
 
 
 def test_train_eval_toggle_only_bn_dropout():
@@ -332,7 +363,7 @@ def test_one_conv_holds_its_arrays_and_one_patch_block():
     # input gradient, four weight-sized arrays (sign(W), the backward's
     # scaled weights, dW and its gradient copy) and one _PATCH_VALUES block
     rng = np.random.default_rng(5)
-    lay = nn.Conv2d(48, 96, 5, padding=2, weight_bits=1, act_bits=1, rng=rng)
+    lay = nn.Conv2d(48, 96, 5, pad=2, wbits=1, abits=1, rng=rng)
     x = layers.channel_last(rng.uniform(-1.5, 1.5, (32, 48, 16, 16)).astype(np.float32))
     dy = layers.channel_last(rng.standard_normal((32, 96, 16, 16)).astype(np.float32))
     tracemalloc.start()
@@ -355,7 +386,7 @@ def test_one_by_one_conv_backward_makes_one_input_sized_array():
     # reshaped copy and the gradient's), 12.7 MB; adding the column gradient
     # into fresh zeros took it to 25.3 MB
     rng = np.random.default_rng(5)
-    lay = nn.Conv2d(96, 48, 1, weight_bits=1, act_bits=1, rng=rng)
+    lay = nn.Conv2d(96, 48, 1, wbits=1, abits=1, rng=rng)
     x = layers.channel_last(rng.uniform(-1.5, 1.5, (32, 96, 32, 32)).astype(np.float32))
     dy = layers.channel_last(rng.standard_normal((32, 48, 32, 32)).astype(np.float32))
     lay.forward(x, layers.ForwardContext(train=True))
