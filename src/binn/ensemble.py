@@ -292,7 +292,8 @@ def member_probs(model: EnsembleModel, images) -> np.ndarray:
     for group in _lockstep_groups(members[0], len(members), rows):
         net = members[group[0]] if len(group) == 1 else Network.stack(
             [members[i] for i in group])
-        probs.append(softmax(eval_logits(net, images)).reshape(len(group), len(images), -1))
+        logits = eval_logits(net, images)
+        probs.append(softmax(logits).reshape((len(group),) + logits.shape[-2:]))
     return np.concatenate(probs)
 
 

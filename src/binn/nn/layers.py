@@ -41,7 +41,20 @@ the narrowest exact form: every sub-32-bit quantizing forward keeps a bool
 |x| <= 1 mask, not a float copy of ``x``, and fc/conv their quantized
 input; dropout keeps a bool mask. ``Network.backward`` drops each layer's
 share once that layer's backward has read it, and a ``keep=False`` forward
-(``eval_logits``, so ``predict``) right after that layer's forward.
+(``eval_logits``, so ``predict``) right after that layer's forward; such a
+forward builds no mask or max-pool argmax at all. A training step's
+backward stops at the lowest layer with parameters, which computes only
+their gradients.
+
+An eval ``keep=False`` forward folds the relu/batchnorm/dropout/maxpool
+layers between a +/-1 x +/-1 product and the next 1-bit quantizer into
+one step per channel (``_WeightedLayer.sign_steps``), exactly: the product
+s is an integer in [-F, F], so running the layers' own float ops on a
+probe of every such integer gives each channel's sign for every s. Each
+op rounds monotonically and ``sign_binarize`` signs -0.0 and +0.0 alike,
+so those signs form one step at a half-integer c: sign((s - c) * d), d =
++/-1. A max pool after relu (no batchnorm before it) commutes with the
+non-decreasing map before it (scale mean |W| >= 0, bias, relu) and pools s.
 
 Every 4-D activation and gradient is channel-last in memory: the logical
 [*members, B, C, H, W] array holds NHWC memory, members outermost
@@ -80,13 +93,16 @@ class ForwardContext:
     forces batchnorm to use batch statistics without updating running ones
     (used by the random-network robustness protocol); ``surrogate`` replaces
     every activation binarization/quantization by clipped identity so the
-    straight-through gradient can be checked against finite differences.
+    straight-through gradient can be checked against finite differences;
+    ``keep`` is False for a forward that no backward follows, whose layers
+    then skip what only a backward reads (masks, max-pool argmaxes).
     """
 
     train: bool = False
     surrogate: bool = False
     bn_batch_stats: bool = False
     rng: np.random.Generator | list | None = None  # a list: one per stacked member
+    keep: bool = True
 
 
 class Param:
@@ -188,20 +204,31 @@ class _Quantizer(Layer):
 
     _kept = ("_ste",)
 
-    def _quantize(self, x, ctx):
+    def _quantize(self, x, ctx, steps=None):
         """``x`` at the activation precision: 32 bits pass through, the
         surrogate clips to [-1, 1], 1 bit takes the sign, 2..8 bits quantize
-        uniformly. Below 32 bits, keeps the bool |x| <= 1 mask that the
-        straight-through input gradient reads, not a float copy of ``x``."""
+        uniformly. A folded +/-1 product ``x`` (``steps``, see
+        ``_WeightedLayer.sign_steps``) takes its signs in place. A stack's
+        shared input (a stride-0 member axis) is quantized once and broadcast.
+        Below 32 bits, a forward that keeps anything keeps the bool |x| <= 1
+        mask that the straight-through input gradient reads, not a float
+        copy of ``x``."""
+        self._ste = None
         if self.act_bits == 32:
-            self._ste = None
             return x
+        if steps is not None:  # sign((s - c) * d): s - c is never 0
+            c, d = steps
+            x -= c
+            x *= d
+            return np.copysign(x.dtype.type(1), x, out=x)
+        src = x[0] if x.ndim and x.strides[0] == 0 else x
         if ctx.surrogate:
-            xq = np.clip(x, -1.0, 1.0)
+            xq = np.clip(src, -1.0, 1.0)
         else:
-            xq = sign_binarize(x) if self.act_bits == 1 else quantize_k_bit(x, self.act_bits)
-        self._ste = np.abs(x) <= 1.0
-        return xq
+            xq = sign_binarize(src) if self.act_bits == 1 else quantize_k_bit(src, self.act_bits)
+        if ctx.keep:
+            self._ste = np.abs(src) <= 1.0  # broadcasts against a stack's gradient
+        return xq if src is x else np.broadcast_to(xq, x.shape)
 
     def _input_grad(self, dxq):
         return dxq if self._ste is None else dxq * self._ste
@@ -250,9 +277,9 @@ class _WeightedLayer(_Quantizer):
             return sign_binarize(self.w.value) * scale.reshape(shape)
         return quantize_k_bit(self.w.value, self.weight_bits)
 
-    def _quantize(self, x, ctx):
+    def _quantize(self, x, ctx, steps=None):
         """The product's input, also kept for the weight gradient."""
-        self._xq = super()._quantize(x, ctx)
+        self._xq = super()._quantize(x, ctx, steps)
         return self._xq
 
     def _weight_matrix(self, ctx):
@@ -267,14 +294,48 @@ class _WeightedLayer(_Quantizer):
         self._wmat = sign_binarize(w2) if self._signs_only else self._rows(self.effective_weight(scale))
         return self._wmat
 
-    def _scale_and_bias(self, y):
-        """The forward product ``y`` [*members, N, out], scaled (for a +/-1
-        product) and biased in place."""
-        if self._signs_only:
-            y *= self._scale[..., None, :]
+    def _scale_and_bias(self, y, scale):
+        """The forward product ``y`` [*members, N, out] times ``scale`` (a
+        +/-1 product's; None for others) plus the bias, in place."""
+        if scale is not None:
+            y *= scale[..., None, :]
         if self.b is not None:
             y += self.b.value[..., None, :]
         return y
+
+    def _finish(self, y, raw):
+        """The forward product ``y``, scaled and biased unless ``raw``."""
+        return y if raw else self._scale_and_bias(y, self._scale if self._signs_only else None)
+
+    def sign_steps(self, between, ctx, rows):
+        """Per-channel (c, d), shaped against this layer's output, with which
+        sign((s - c) * d) is the sign that the layers ``between`` and the next
+        1-bit quantizer give this layer's integer +/-1 product s (the fold of
+        the module notes), from a probe of every integer in [-F, F] (F the
+        fan-in) through this layer's scale and bias, each layer's own eval
+        ``forward`` (max pools commute and are skipped) and ``sign_binarize``.
+        None where the probe would hold more than ``rows`` values per channel
+        or holds a non-finite value: the layer path then runs, errors and all."""
+        f = self._rows(self.w.value).shape[-1]
+        if 2 * f + 1 > rows:
+            return None
+        lead, out = self.w.value.shape[:-self._wdim], self.w.value.shape[-self._wdim]
+        probe = np.empty(lead + (2 * f + 1, out), self.dtype)
+        probe[...] = np.arange(-f, f + 1)[:, None]
+        v = self._scale_and_bias(probe, self.scale)
+        for lay in between:
+            if lay.kind != "maxpool":
+                v = lay.forward(v, ctx)
+                lay.forget()
+        try:
+            up = sign_binarize(v) > 0
+        except ValueError:
+            return None
+        n = np.count_nonzero(up, axis=-2)  # +1 signs per channel
+        d = 1 - 2 * (up[..., 0, :] & ~up[..., -1, :])  # -1 where the +1 signs lie below c
+        shape = lead + (1, out) + (1,) * (self._wdim - 2)
+        return ((d * (f + 0.5 - n)).astype(self.dtype).reshape(shape),
+                d.astype(self.dtype).reshape(shape))
 
     def _backward_weight(self) -> np.ndarray:
         """The forward's effective weights as an [out, fan_in] matrix; the
@@ -313,18 +374,23 @@ class Linear(_WeightedLayer):
     def out_shape(self, in_shape):
         return (self.out_features,)
 
-    def forward(self, x, ctx):
+    def forward(self, x, ctx, steps=None, raw=False):
+        """The layer's output; ``steps`` sign a folded +/-1 product ``x``
+        (``sign_steps``) and ``raw`` returns the unscaled, unbiased product."""
         self._orig_shape = x.shape
         xin = x.reshape(x.shape[:self.w.value.ndim - 1] + (-1,))
-        xq = self._quantize(xin, ctx)
-        return self._scale_and_bias(xq @ self._weight_matrix(ctx).swapaxes(-1, -2))
+        xq = self._quantize(xin, ctx, steps)
+        return self._finish(xq @ self._weight_matrix(ctx).swapaxes(-1, -2), raw)
 
-    def backward(self, dy):
-        w_eff = self._backward_weight()
+    def backward(self, dy, input_grad=True):
+        """The input gradient (None without ``input_grad``); accumulates the
+        parameter gradients."""
         self.w.add_grad(dy.swapaxes(-1, -2) @ self._xq)
         if self.b is not None:
             self.b.add_grad(np.add.reduce(dy, axis=-2))
-        return self._input_grad(dy @ w_eff).reshape(self._orig_shape)
+        if input_grad:
+            return self._input_grad(dy @ self._backward_weight()).reshape(self._orig_shape)
+        return None
 
 
 # Patch values (4 MB of float32) that one conv block may hold. In a NIN-x0.5
@@ -400,8 +466,9 @@ class Conv2d(_WeightedLayer):
         return np.moveaxis(bitcore._windows(xq, self.kernel, self.stride, self.padding,
                                             self.pad_value), -5, -1)
 
-    def forward(self, x, ctx):
-        xq = self._quantize(x, ctx)
+    def forward(self, x, ctx, steps=None, raw=False):
+        """As ``Linear.forward``."""
+        xq = self._quantize(x, ctx, steps)
         k, s, p = self.kernel, self.stride, self.padding
         lead, b = x.shape[:-4], x.shape[-4]
         f, ho, wo = self.out_shape(x.shape[-3:])
@@ -418,15 +485,16 @@ class Conv2d(_WeightedLayer):
             np.matmul(cols.reshape(lead + (-1, wt.shape[-2])), wt,
                       out=y[..., lo * hw : (lo + per) * hw, :])
             del cols  # before the next block's is built
-        y = self._scale_and_bias(y).reshape(lead + (b, ho, wo, f))
+        y = self._finish(y, raw).reshape(lead + (b, ho, wo, f))
         return np.moveaxis(y, -1, -3)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
+        """As ``Linear.backward``."""
         *lead, b, f, ho, wo = dy.shape
         lead, k, c = tuple(lead), self.kernel, self.in_channels
         rows = b * ho * wo
         dy_cols = np.moveaxis(dy, -3, -1).reshape(lead + (rows, f))  # a view
-        w_eff = self._backward_weight()
+        w_eff = self._backward_weight() if input_grad else None
         if self.b is not None:
             self.b.add_grad(np.add.reduce(dy, axis=(-4, -2, -1)))
         win = self._windows(self._xq)
@@ -449,14 +517,20 @@ class Conv2d(_WeightedLayer):
                 span = slice(span.stop, span.stop + cols.shape[-1])
                 np.matmul(dy_cols.swapaxes(-1, -2), cols, out=gw[..., span])
                 del cols
+                if not input_grad:
+                    continue
                 block = (dy_cols @ w_eff[..., span]).reshape(lead + (b, ho, wo, -1, c))
                 for o in range(block.shape[-2]):
                     yield np.moveaxis(block[..., o, :], -1, -3)
                 del block
 
-        dxq = _scatter_windows(grads(), self._xq.shape, k, self.stride, self.padding, dy.dtype)
+        if input_grad:
+            dxq = _scatter_windows(grads(), self._xq.shape, k, self.stride, self.padding,
+                                   dy.dtype)
+        else:
+            dxq = next(grads(), None)  # runs the weight-gradient blocks, which yield nothing
         self.w.add_grad(np.moveaxis(gw.reshape(lead + (f, k, k, c)), -1, -3))
-        if self._ste is not None:
+        if dxq is not None and self._ste is not None:
             dxq *= self._ste  # dx is this backward's own array
         return dxq
 
@@ -521,12 +595,15 @@ class BatchNorm(Layer):
         y += self.beta.value.reshape(bs)
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
+        """As ``Linear.backward``."""
         bs = self._bshape(dy.ndim)
         xhat, inv, axes = self._xhat, self._inv, self._axes
         prod = np.multiply(dy, xhat)
         self.gamma.add_grad(np.add.reduce(prod, axis=axes))
         self.beta.add_grad(np.add.reduce(dy, axis=axes))
+        if not input_grad:
+            return None
         dxhat = np.multiply(dy, self.gamma.value.reshape(bs))
         if not self._batch_stats:
             dxhat *= inv.reshape(bs)
@@ -622,16 +699,27 @@ class MaxPool(_Pool):
 
     def forward(self, x, ctx):
         win = self._windows(x, pad_value=-np.inf)
-        k = self.kernel
         m = self._fold(win, np.maximum)
-        # argmax's choice: the first offset holding the maximum, or the first NaN
-        nan = np.isnan(m).any()
-        arg = np.zeros_like(m, dtype=np.min_scalar_type(k * k - 1))
-        for off in reversed(range(k * k)):
-            w = win[..., off // k, off % k]
-            np.copyto(arg, off, where=((w == m) | np.isnan(w)) if nan else w == m)
-        self._arg = arg
+        if ctx.keep:
+            self._arg = self._argmax(win, m)
         return m
+
+    def _argmax(self, win, m):
+        """argmax's choice for each window: the first offset holding its
+        maximum ``m``, or its first NaN, found by walking the offsets in
+        order with a mask of the windows not yet hit."""
+        k, nan = self.kernel, np.isnan(m).any()
+        arg = np.zeros_like(m, dtype=np.min_scalar_type(k * k - 1))
+        free = np.ones_like(m, dtype=bool)
+        for off in range(k * k):
+            w = win[..., off // k, off % k]
+            hit = w == m
+            if nan:
+                hit |= np.isnan(w)
+            hit &= free
+            free ^= hit
+            arg += hit * arg.dtype.type(off)
+        return arg
 
     def backward(self, dy):
         return self._scatter((dy * (self._arg == o) for o in range(self.kernel ** 2)), dy.dtype)

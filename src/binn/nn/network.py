@@ -32,6 +32,33 @@ def _build_layer(spec, in_shape, rng, dtype, init):
     return cls(**params)
 
 
+def _fold_segments(net_layers) -> dict:
+    """{i: j} for each segment a keep-nothing eval forward folds: layer i is a
+    conv/fc with a +/-1 x +/-1 product, layer j the next conv/fc, with 1-bit
+    activations (and, for an fc, a flat input), and each layer between is
+    relu, batchnorm, dropout or a max pool whose windows each hold an input
+    value (pad < kernel) and which no batchnorm precedes in the segment: the
+    map before it (scale >= 0, bias, relu) is then non-decreasing, so the
+    pool commutes with it and may pool the integer product."""
+    segments = {}
+    for i, lay in enumerate(net_layers):
+        if lay.kind not in ("conv", "fc") or not lay.weight_bits == lay.act_bits == 1:
+            continue
+        normed = False
+        for j in range(i + 1, len(net_layers)):
+            nxt = net_layers[j]
+            if nxt.kind in ("conv", "fc"):
+                if nxt.act_bits == 1 and (nxt.kind == "conv" or len(nxt.in_shape) == 1):
+                    segments[i] = j
+                break
+            normed |= nxt.kind == "batchnorm"
+            if nxt.kind == "maxpool" and (normed or nxt.padding >= nxt.kernel):
+                break
+            if nxt.kind not in ("relu", "batchnorm", "dropout", "maxpool"):
+                break
+    return segments
+
+
 class Network:
     """Sequential net instantiated from a NetworkConfig.
 
@@ -47,6 +74,7 @@ class Network:
         self.dtype = dtype
         self.stack_size = None
         self._params = [p for lay in net_layers for p in lay.params().values()]
+        self._segments = _fold_segments(net_layers)
 
     @classmethod
     def from_config(cls, config: NetworkConfig, seed=0, *, dtype=np.float32, init="kaiming"):
@@ -77,9 +105,15 @@ class Network:
                 rng=None, keep=True) -> np.ndarray:
         """The logits of ``x``. Each layer keeps what its backward reads; with
         ``keep=False`` it drops that right after its forward, so a forward
-        that no backward follows holds no layer's input beyond the next layer."""
+        that no backward follows holds no layer's input beyond the next layer.
+
+        Such a forward in eval mode (not ``train``, ``surrogate`` or
+        ``bn_batch_stats``) folds each segment of ``_fold_segments``: its
+        first layer hands over its integer +/-1 product, max pools pool it,
+        and the next conv/fc signs it by the per-channel steps of
+        ``sign_steps``; a segment with no steps runs the layer path."""
         ctx = L.ForwardContext(
-            train=train, surrogate=surrogate, bn_batch_stats=bn_batch_stats, rng=rng,
+            train=train, surrogate=surrogate, bn_batch_stats=bn_batch_stats, rng=rng, keep=keep,
         )
         x = np.asarray(x, dtype=self.dtype)
         first = self.layers[0]  # from_config fixed every later layer's input shape
@@ -98,17 +132,38 @@ class Network:
             raise ShapeError(
                 f"layer 0 ({first.kind}): expected input {first.in_shape}, got {body}"
             )
-        for lay in self.layers:
-            try:
-                x = lay.forward(x, ctx)
-            except ValueError:  # sign_binarize refuses non-finite values
-                if np.isfinite(x).all() and all(
-                        np.isfinite(p.value).all() for p in lay.params().values()):
-                    raise
-                raise NumericalError(f"non-finite values at the binarization in layer "
-                                     f"{lay.index} ({lay.kind})") from None
-            if not keep:
-                lay.forget()
+        fold = not (keep or train or surrogate or bn_batch_stats)
+        i, steps = 0, None  # steps: what signs x, a folded product, in layer i
+        while i < len(self.layers):
+            lay, end, out = self.layers[i], self._segments.get(i) if fold else None, None
+            if end is not None:
+                rows = x.shape[lead] * math.prod(self.layers[end].in_shape[1:])
+                out = lay.sign_steps(self.layers[i + 1 : end], ctx, rows)
+            kw = {} if steps is None else {"steps": steps}
+            if out is not None:
+                kw["raw"] = True
+            x = self._layer_forward(lay, x, ctx, kw)
+            i += 1
+            if out is not None:  # the segment's max pools pool the product
+                for pool in self.layers[i:end]:
+                    if pool.kind == "maxpool":
+                        x = self._layer_forward(pool, x, ctx, {})
+                i = end
+            steps = out
+        return x
+
+    @staticmethod
+    def _layer_forward(lay, x, ctx, kw):
+        try:
+            x = lay.forward(x, ctx, **kw)
+        except ValueError:  # sign_binarize refuses non-finite values
+            if np.isfinite(x).all() and all(
+                    np.isfinite(p.value).all() for p in lay.params().values()):
+                raise
+            raise NumericalError(f"non-finite values at the binarization in layer "
+                                 f"{lay.index} ({lay.kind})") from None
+        if not ctx.keep:
+            lay.forget()
         return x
 
     def predict(self, x) -> np.ndarray:
@@ -117,17 +172,24 @@ class Network:
 
     # ------------------------------------------------------------ backward
 
-    def backward(self, dlogits) -> np.ndarray:
-        """Accumulate parameter grads; returns the gradient w.r.t. the input.
+    def backward(self, dlogits, input_grad=True) -> np.ndarray | None:
+        """Accumulate parameter grads; returns the gradient w.r.t. the input,
+        or, without ``input_grad``, None: backward then stops at the lowest
+        layer with parameters, which computes their gradients alone.
 
         Each layer drops what its forward kept right after its backward has
         read it, and no per-layer input gradient outlives the layer below, so
         nothing from this step sits under the next forward."""
         dy = np.asarray(dlogits, dtype=self.dtype)
+        low = 0 if input_grad else next(
+            (lay.index for lay in self.layers if lay.params()), len(self.layers))
         for lay in reversed(self.layers):
-            dy = lay.backward(dy)
+            if input_grad or lay.index > low:
+                dy = lay.backward(dy)
+            elif lay.index == low:
+                dy = lay.backward(dy, input_grad=False)
             lay.forget()
-        return dy
+        return dy if input_grad else None
 
     # ---------------------------------------------------------- bookkeeping
 
@@ -239,6 +301,9 @@ def eval_logits(net: Network, images) -> np.ndarray:
     each of which keeps nothing for backward."""
     chunks = [net.forward(images[lo : lo + EVAL_ROWS], keep=False)
               for lo in range(0, len(images), EVAL_ROWS)]
+    if not chunks:  # no images: no rows
+        lead = () if net.stack_size is None else (net.stack_size,)
+        return np.zeros(lead + (0, net.config.classes), net.dtype)
     return np.concatenate(chunks, axis=-2)
 
 

@@ -39,7 +39,7 @@ def backward_and_step(net: Network, batch, labels, optimizer, *, rng=None):
             f"logits range [{np.nanmin(lg)}, {np.nanmax(lg)}]"
         )
     net.zero_grad()
-    net.backward(dlogits.astype(net.dtype))
+    net.backward(dlogits.astype(net.dtype), input_grad=False)
     optimizer.step()
     net.clip_binary_shadows()
     return loss

@@ -501,6 +501,16 @@ def test_member_probs_builds_no_network_but_its_stacks(monkeypatch):
     assert len(built) == 1
 
 
+def test_ensemble_of_no_images_is_empty():
+    model = fixed_model([[0.7, 0.3], [0.9, 0.1], [0.6, 0.4]])
+    none = np.zeros((0, 1))
+    assert ensemble.member_probs(model, none).shape == (3, 0, 2)
+    for rule in ("soft", "hard"):
+        res = ensemble.aggregate(model, none, rule=rule)
+        assert res.probs.shape == res.votes.shape == (0, 2) and res.labels.shape == (0,)
+    assert model.predict(none).shape == (0,)
+
+
 def test_all_members_rejected_fails_with_report(monkeypatch):
     (tr, te) = blob_task(seed=6)
     cfg = small_cfg()

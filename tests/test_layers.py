@@ -341,6 +341,27 @@ def test_maxpool_bits_equal_reshape_argmax_oracle(data):
     assert dx.shape == x.shape and dx.tobytes() == want_dx.tobytes()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_maxpool_argmax_is_first_max_or_first_nan(data):
+    # ties, NaNs and -inf values beside the -inf padding: np.argmax picks the
+    # first maximum of each window, or its first NaN; an all -inf window
+    # (padding included) picks offset 0
+    k, s, p = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 2)), data.draw(st.integers(0, 1))
+    shape = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3)),
+             data.draw(st.integers(k, 6)), data.draw(st.integers(k, 6)))
+    values = st.sampled_from([0.0, 1.0, -1.0, 2.0, -np.inf, np.inf, np.nan])
+    x = data.draw(hnp.arrays(np.float32, shape, elements=values))
+    pool = MaxPool(k, s, p)
+    pool.forward(layers.channel_last(x), CTX)
+    win = bitcore._windows(x, k, s, p, -np.inf)
+    assert np.array_equal(pool._arg, win.reshape(win.shape[:4] + (-1,)).argmax(axis=-1))
+    pool.forget()
+    pool.forward(x, ForwardContext(keep=False))
+    assert "_arg" not in vars(pool)  # a forward that keeps nothing finds no argmax
+
+
 def test_avgpool_matches_naive_include_pad():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((1, 2, 6, 6)).astype(np.float32)
