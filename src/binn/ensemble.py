@@ -114,11 +114,14 @@ def train_member(config: NetworkConfig, images, labels, *, seed_seq, **kw):
 def _lockstep_groups(net: Network, k: int, rows: int) -> list:
     """Ranges of k members like ``net`` (read for its layers' input shapes and
     dtype) that run as one stack each: as many as keep every layer's input
-    for ``rows`` rows within _STACK_BYTES, but at least one. So the budget
+    for ``rows`` rows within _STACK_BYTES, but at least one. Eval rows count
+    too, since a stack runs each epoch's eval forward over all of its
+    members at once; that forward keeps no layer input, though, so its true
+    share is one layer's working set per row, not every input. The budget
     does not bound a large member: a NIN-x0.5 member (3.37 MB of layer inputs
     per row) trains in a stack of one. Its 512-row eval forward keeps nothing,
-    and peaks at ~0.65 GB (1.28 MB per row) in conv 5's quantize step, which
-    holds its input, its +/-1 copy, the input's |x| and the bool |x| <= 1 mask."""
+    and peaks at ~0.29 GB (0.56 MB per row) in conv 5's forward, which holds
+    its +/-1 input and its product."""
     row_bytes = sum(math.prod(lay.in_shape) for lay in net.layers) * np.dtype(net.dtype).itemsize
     size = max(1, _STACK_BYTES // (rows * row_bytes))
     return [range(lo, min(k, lo + size)) for lo in range(0, k, size)]
@@ -353,6 +356,11 @@ def save_ensemble(model: EnsembleModel, out_dir) -> dict:
     return manifest
 
 
+def _natural(v) -> bool:
+    """Whether ``v`` is an int >= 0 (a bool is not)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def _check_manifest(manifest):
     """Raise DataError naming the first manifest key that holds a malformed value."""
     members = manifest["members"]
@@ -376,6 +384,15 @@ def _check_manifest(manifest):
             raise DataError(f"ensemble manifest key {key!r} must be one of {allowed}")
     if not isinstance(manifest["config"], str):
         raise DataError("ensemble manifest key 'config' must be a string")
+    if not (_natural(manifest["k"]) and manifest["k"] == len(members)):
+        raise DataError("ensemble manifest key 'k' must equal the number of members")
+    if not _natural(manifest["seed"]):
+        raise DataError("ensemble manifest key 'seed' must be an int >= 0")
+    seeds = manifest["member_seeds"]
+    if not (isinstance(seeds, list) and len(seeds) == len(members) and all(
+            isinstance(s, list) and all(map(_natural, s)) for s in seeds)):
+        raise DataError("ensemble manifest key 'member_seeds' must hold one list of ints >= 0 "
+                        "per member")
 
 
 def load_ensemble(out_dir) -> EnsembleModel:
@@ -390,12 +407,15 @@ def load_ensemble(out_dir) -> EnsembleModel:
         raise DataError("ensemble manifest is not a JSON object")
     if manifest.get("format_version") != datio.FORMAT_VERSION:
         raise DataError(f"unsupported ensemble format {manifest.get('format_version')}")
-    keys = {"members", "config", "alphas", "rule", "strategy", "mode", "seed", "member_seeds"}
+    keys = {"members", "config", "alphas", "rule", "strategy", "mode", "seed", "member_seeds",
+            "k", "config_hash"}
     missing = sorted(keys - set(manifest))
     if missing:
         raise DataError(f"ensemble manifest lacks {missing}")
     _check_manifest(manifest)
     cfg = parse_config(manifest["config"])
+    if manifest["config_hash"] != config_hash(cfg):
+        raise DataError("ensemble manifest key 'config_hash' must equal the hash of its config")
     members = []
     for h in manifest["members"]:
         fpath = os.path.join(out_dir, f"member-{h[:16]}.ckpt")

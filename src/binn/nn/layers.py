@@ -47,14 +47,17 @@ backward stops at the lowest layer with parameters, which computes only
 their gradients.
 
 An eval ``keep=False`` forward folds the relu/batchnorm/dropout/maxpool
-layers between a +/-1 x +/-1 product and the next 1-bit quantizer into
-one step per channel (``_WeightedLayer.sign_steps``), exactly: the product
+layers between a +/-1 x +/-1 conv and the next conv's 1-bit quantizer
+into one step per channel (``Conv2d.sign_steps``), exactly: the product
 s is an integer in [-F, F], so running the layers' own float ops on a
 probe of every such integer gives each channel's sign for every s. Each
 op rounds monotonically and ``sign_binarize`` signs -0.0 and +0.0 alike,
 so those signs form one step at a half-integer c: sign((s - c) * d), d =
 +/-1. A max pool after relu (no batchnorm before it) commutes with the
 non-decreasing map before it (scale mean |W| >= 0, bias, relu) and pools s.
+Only convs fold: the probe's 2F + 1 values per channel pay off against a
+conv's batch * H * W values per channel, not an fc's batch (README,
+"Notes on eval forwards").
 
 Every 4-D activation and gradient is channel-last in memory: the logical
 [*members, B, C, H, W] array holds NHWC memory, members outermost
@@ -204,23 +207,17 @@ class _Quantizer(Layer):
 
     _kept = ("_ste",)
 
-    def _quantize(self, x, ctx, steps=None):
+    def _quantize(self, x, ctx):
         """``x`` at the activation precision: 32 bits pass through, the
         surrogate clips to [-1, 1], 1 bit takes the sign, 2..8 bits quantize
-        uniformly. A folded +/-1 product ``x`` (``steps``, see
-        ``_WeightedLayer.sign_steps``) takes its signs in place. A stack's
-        shared input (a stride-0 member axis) is quantized once and broadcast.
-        Below 32 bits, a forward that keeps anything keeps the bool |x| <= 1
-        mask that the straight-through input gradient reads, not a float
-        copy of ``x``."""
+        uniformly. (A folded conv signs its input by per-channel steps
+        instead, in ``Conv2d.forward``.) A stack's shared input (a stride-0
+        member axis) is quantized once and broadcast. Below 32 bits, a
+        forward that keeps anything keeps the bool |x| <= 1 mask that the
+        straight-through input gradient reads, not a float copy of ``x``."""
         self._ste = None
         if self.act_bits == 32:
             return x
-        if steps is not None:  # sign((s - c) * d): s - c is never 0
-            c, d = steps
-            x -= c
-            x *= d
-            return np.copysign(x.dtype.type(1), x, out=x)
         src = x[0] if x.ndim and x.strides[0] == 0 else x
         if ctx.surrogate:
             xq = np.clip(src, -1.0, 1.0)
@@ -277,9 +274,9 @@ class _WeightedLayer(_Quantizer):
             return sign_binarize(self.w.value) * scale.reshape(shape)
         return quantize_k_bit(self.w.value, self.weight_bits)
 
-    def _quantize(self, x, ctx, steps=None):
+    def _quantize(self, x, ctx):
         """The product's input, also kept for the weight gradient."""
-        self._xq = super()._quantize(x, ctx, steps)
+        self._xq = super()._quantize(x, ctx)
         return self._xq
 
     def _weight_matrix(self, ctx):
@@ -302,40 +299,6 @@ class _WeightedLayer(_Quantizer):
         if self.b is not None:
             y += self.b.value[..., None, :]
         return y
-
-    def _finish(self, y, raw):
-        """The forward product ``y``, scaled and biased unless ``raw``."""
-        return y if raw else self._scale_and_bias(y, self._scale if self._signs_only else None)
-
-    def sign_steps(self, between, ctx, rows):
-        """Per-channel (c, d), shaped against this layer's output, with which
-        sign((s - c) * d) is the sign that the layers ``between`` and the next
-        1-bit quantizer give this layer's integer +/-1 product s (the fold of
-        the module notes), from a probe of every integer in [-F, F] (F the
-        fan-in) through this layer's scale and bias, each layer's own eval
-        ``forward`` (max pools commute and are skipped) and ``sign_binarize``.
-        None where the probe would hold more than ``rows`` values per channel
-        or holds a non-finite value: the layer path then runs, errors and all."""
-        f = self._rows(self.w.value).shape[-1]
-        if 2 * f + 1 > rows:
-            return None
-        lead, out = self.w.value.shape[:-self._wdim], self.w.value.shape[-self._wdim]
-        probe = np.empty(lead + (2 * f + 1, out), self.dtype)
-        probe[...] = np.arange(-f, f + 1)[:, None]
-        v = self._scale_and_bias(probe, self.scale)
-        for lay in between:
-            if lay.kind != "maxpool":
-                v = lay.forward(v, ctx)
-                lay.forget()
-        try:
-            up = sign_binarize(v) > 0
-        except ValueError:
-            return None
-        n = np.count_nonzero(up, axis=-2)  # +1 signs per channel
-        d = 1 - 2 * (up[..., 0, :] & ~up[..., -1, :])  # -1 where the +1 signs lie below c
-        shape = lead + (1, out) + (1,) * (self._wdim - 2)
-        return ((d * (f + 0.5 - n)).astype(self.dtype).reshape(shape),
-                d.astype(self.dtype).reshape(shape))
 
     def _backward_weight(self) -> np.ndarray:
         """The forward's effective weights as an [out, fan_in] matrix; the
@@ -374,13 +337,12 @@ class Linear(_WeightedLayer):
     def out_shape(self, in_shape):
         return (self.out_features,)
 
-    def forward(self, x, ctx, steps=None, raw=False):
-        """The layer's output; ``steps`` sign a folded +/-1 product ``x``
-        (``sign_steps``) and ``raw`` returns the unscaled, unbiased product."""
+    def forward(self, x, ctx):
         self._orig_shape = x.shape
         xin = x.reshape(x.shape[:self.w.value.ndim - 1] + (-1,))
-        xq = self._quantize(xin, ctx, steps)
-        return self._finish(xq @ self._weight_matrix(ctx).swapaxes(-1, -2), raw)
+        xq = self._quantize(xin, ctx)
+        y = xq @ self._weight_matrix(ctx).swapaxes(-1, -2)
+        return self._scale_and_bias(y, self._scale if self._signs_only else None)
 
     def backward(self, dy, input_grad=True):
         """The input gradient (None without ``input_grad``); accumulates the
@@ -466,9 +428,47 @@ class Conv2d(_WeightedLayer):
         return np.moveaxis(bitcore._windows(xq, self.kernel, self.stride, self.padding,
                                             self.pad_value), -5, -1)
 
+    def sign_steps(self, between, ctx, rows):
+        """Per-channel (c, d), shaped against this layer's output, with which
+        sign((s - c) * d) is the sign that the layers ``between`` and the next
+        conv's 1-bit quantizer give this layer's integer +/-1 product s (the
+        fold of the module notes), from a probe of every integer in [-F, F]
+        (F the fan-in) through this layer's scale and bias, each layer's own
+        eval ``forward`` (max pools commute and are skipped) and
+        ``sign_binarize``. None where the probe would hold more than ``rows``
+        values per channel or holds a non-finite value: the layer path then
+        runs, errors and all."""
+        *lead, out, c, k, _ = self.w.value.shape
+        f = c * k * k
+        if 2 * f + 1 > rows:
+            return None
+        probe = np.empty((*lead, 2 * f + 1, out), self.dtype)
+        probe[...] = np.arange(-f, f + 1)[:, None]
+        v = self._scale_and_bias(probe, self.scale)
+        for lay in between:
+            if lay.kind != "maxpool":
+                v = lay.forward(v, ctx)
+                lay.forget()
+        try:
+            up = sign_binarize(v) > 0
+        except ValueError:
+            return None
+        n = np.count_nonzero(up, axis=-2)  # +1 signs per channel
+        d = 1 - 2 * (up[..., 0, :] & ~up[..., -1, :])  # -1 where the +1 signs lie below c
+        shape = (*lead, 1, out, 1, 1)
+        return ((d * (f + 0.5 - n)).astype(self.dtype).reshape(shape),
+                d.astype(self.dtype).reshape(shape))
+
     def forward(self, x, ctx, steps=None, raw=False):
-        """As ``Linear.forward``."""
-        xq = self._quantize(x, ctx, steps)
+        """The layer's output. In a fold (``sign_steps``), ``steps`` sign a
+        folded +/-1 product ``x`` in place, and ``raw`` returns the unscaled,
+        unbiased product."""
+        if steps is None:
+            xq = self._quantize(x, ctx)
+        else:  # sign((s - c) * d): s - c is never 0
+            x -= steps[0]
+            x *= steps[1]
+            xq = np.copysign(x.dtype.type(1), x, out=x)
         k, s, p = self.kernel, self.stride, self.padding
         lead, b = x.shape[:-4], x.shape[-4]
         f, ho, wo = self.out_shape(x.shape[-3:])
@@ -485,7 +485,9 @@ class Conv2d(_WeightedLayer):
             np.matmul(cols.reshape(lead + (-1, wt.shape[-2])), wt,
                       out=y[..., lo * hw : (lo + per) * hw, :])
             del cols  # before the next block's is built
-        y = self._finish(y, raw).reshape(lead + (b, ho, wo, f))
+        if not raw:
+            self._scale_and_bias(y, self._scale if self._signs_only else None)
+        y = y.reshape(lead + (b, ho, wo, f))
         return np.moveaxis(y, -1, -3)
 
     def backward(self, dy, input_grad=True):

@@ -34,27 +34,25 @@ def _build_layer(spec, in_shape, rng, dtype, init):
 
 def _fold_segments(net_layers) -> dict:
     """{i: j} for each segment a keep-nothing eval forward folds: layer i is a
-    conv/fc with a +/-1 x +/-1 product, layer j the next conv/fc, with 1-bit
-    activations (and, for an fc, a flat input), and each layer between is
-    relu, batchnorm, dropout or a max pool whose windows each hold an input
-    value (pad < kernel) and which no batchnorm precedes in the segment: the
-    map before it (scale >= 0, bias, relu) is then non-decreasing, so the
-    pool commutes with it and may pool the integer product."""
+    conv with a +/-1 x +/-1 product, layer j the next conv, with 1-bit
+    activations, and each layer between is relu, batchnorm, dropout or a max
+    pool whose windows each hold an input value (pad < kernel) and which no
+    batchnorm precedes in the segment: the map before it (scale >= 0, bias,
+    relu) is then non-decreasing, so the pool commutes with it and may pool
+    the integer product. An fc ends the search: its data's ``batch`` values
+    per channel, unlike a conv's batch * H * W, do not repay the probe's
+    2F + 1 (README, "Notes on eval forwards")."""
     segments = {}
     for i, lay in enumerate(net_layers):
-        if lay.kind not in ("conv", "fc") or not lay.weight_bits == lay.act_bits == 1:
+        if lay.kind != "conv" or not lay.weight_bits == lay.act_bits == 1:
             continue
         normed = False
-        for j in range(i + 1, len(net_layers)):
-            nxt = net_layers[j]
-            if nxt.kind in ("conv", "fc"):
-                if nxt.act_bits == 1 and (nxt.kind == "conv" or len(nxt.in_shape) == 1):
-                    segments[i] = j
-                break
+        for j, nxt in enumerate(net_layers[i + 1:], i + 1):
+            if nxt.kind == "conv" and nxt.act_bits == 1:
+                segments[i] = j
             normed |= nxt.kind == "batchnorm"
-            if nxt.kind == "maxpool" and (normed or nxt.padding >= nxt.kernel):
-                break
-            if nxt.kind not in ("relu", "batchnorm", "dropout", "maxpool"):
+            if nxt.kind not in ("relu", "batchnorm", "dropout", "maxpool") or (
+                    nxt.kind == "maxpool" and (normed or nxt.padding >= nxt.kernel)):
                 break
     return segments
 
@@ -108,10 +106,12 @@ class Network:
         that no backward follows holds no layer's input beyond the next layer.
 
         Such a forward in eval mode (not ``train``, ``surrogate`` or
-        ``bn_batch_stats``) folds each segment of ``_fold_segments``: its
-        first layer hands over its integer +/-1 product, max pools pool it,
-        and the next conv/fc signs it by the per-channel steps of
-        ``sign_steps``; a segment with no steps runs the layer path."""
+        ``bn_batch_stats``) folds each conv-to-conv segment of
+        ``_fold_segments``: its first conv hands over its integer +/-1
+        product, max pools pool it, and the next conv signs it by the
+        per-channel steps of ``Conv2d.sign_steps``. A segment with no steps
+        runs the layer path, and so does every fc: an MLP's eval is the plain
+        relu/batchnorm/sign path."""
         ctx = L.ForwardContext(
             train=train, surrogate=surrogate, bn_batch_stats=bn_batch_stats, rng=rng, keep=keep,
         )
@@ -247,30 +247,29 @@ class Network:
             if holder is not None:
                 np.copyto(getattr(holder, attr), items[name])
 
-    def _copy(self, pick) -> "Network":
-        dup = Network.from_config(self.config, seed=0, dtype=self.dtype, init="zeros")
-        for (_, _, dst, attr), (_, _, src, _) in zip(dup._state(), self._state()):
-            if dst is not None:
-                np.copyto(getattr(dst, attr), pick(getattr(src, attr)))
+    @classmethod
+    def _assemble(cls, nets, pick, stack_size=None) -> "Network":
+        """A network of the ``nets``' one config and ``stack_size`` whose every
+        param value and buffer is ``pick`` of theirs."""
+        dup = cls.from_config(nets[0].config, seed=0, dtype=nets[0].dtype, init="zeros")
+        for (_, _, holder, attr), *srcs in zip(dup._state(), *(n._state() for n in nets)):
+            if holder is not None:
+                setattr(holder, attr, pick(*[getattr(src, attr) for _, _, src, _ in srcs]))
+        dup.stack_size = stack_size
         return dup
 
     def clone(self) -> "Network":
-        return self._copy(lambda a: a)
+        return self._assemble([self], np.copy)
 
     @classmethod
     def stack(cls, nets) -> "Network":
         """One network holding ``nets`` (one config) as members along a new
         leading axis of every parameter and buffer."""
-        dup = cls.from_config(nets[0].config, seed=0, dtype=nets[0].dtype, init="zeros")
-        for (_, _, holder, attr), *srcs in zip(dup._state(), *(n._state() for n in nets)):
-            if holder is not None:
-                setattr(holder, attr, np.stack([getattr(src, attr) for _, _, src, _ in srcs]))
-        dup.stack_size = len(nets)
-        return dup
+        return cls._assemble(nets, lambda *a: np.stack(a), len(nets))
 
     def unstack(self) -> list:
         """The stacked members as separate networks."""
-        return [self._copy(lambda a, k=k: a[k]) for k in range(self.stack_size)]
+        return [self._assemble([self], lambda a, k=k: a[k].copy()) for k in range(self.stack_size)]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

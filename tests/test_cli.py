@@ -365,6 +365,10 @@ def cli_paths(tmp_path_factory):
         ("alphas-nan", {"alphas": [float("nan"), 1]}),
         ("rule-median", {"rule": "median"}),
         ("config-int", {"config": 5}),
+        ("k-seven", {"k": 7}),
+        ("config-hash-zero", {"config_hash": "0" * 64}),
+        ("seed-text", {"seed": "x"}),
+        ("member-seeds-short", {"member_seeds": manifest["member_seeds"][:1]}),
     ]}
     # a 3-class member swapped into the 4-class bag, under its own content hash
     three = nn.Network.from_config(nn.mlp_config((1, 8, 8), [32], 3, variant="SB"), seed=0)
@@ -445,6 +449,10 @@ def cli_paths(tmp_path_factory):
     (["eval", "--checkpoint", "{alphas-nan}"], 2, "'alphas'"),
     (["eval", "--checkpoint", "{rule-median}"], 2, "'rule'"),
     (["eval", "--checkpoint", "{config-int}"], 2, "'config'"),
+    (["eval", "--checkpoint", "{k-seven}"], 2, "'k'"),
+    (["eval", "--checkpoint", "{config-hash-zero}"], 2, "'config_hash'"),
+    (["eval", "--checkpoint", "{seed-text}"], 2, "'seed'"),
+    (["eval", "--checkpoint", "{member-seeds-short}"], 2, "'member_seeds'"),
     (["eval", "--checkpoint", "{member-3-class}"], 2, "config other than the manifest's"),
     (["train", "--config", "{cfg}", "--seed", "0", "--data-classes", "10"], 2,
      "beyond the model's 4 classes"),
@@ -476,7 +484,9 @@ def cli_paths(tmp_path_factory):
         "seed-negative", "data-seed-negative", "theorem2-seed-negative", "config-not-utf8",
         "manifest-not-utf8", "manifest-members-int", "manifest-alphas-text",
         "manifest-alphas-short", "manifest-alphas-zero", "manifest-alphas-nan",
-        "manifest-rule-median", "manifest-config-int", "member-other-config",
+        "manifest-rule-median", "manifest-config-int", "manifest-k-seven",
+        "manifest-config-hash-zero", "manifest-seed-text", "manifest-member-seeds-short",
+        "member-other-config",
         "train-labels-beyond-classes", "eval-labels-beyond-classes",
         "perturb-labels-beyond-classes", "theorem1-sigma-w-overflows",
         "theorem1-sigma-overflows", "theorem1-sigma-square-underflows",

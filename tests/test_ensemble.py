@@ -655,13 +655,32 @@ _JSON = st.recursive(
 )
 
 
+def _valid(key, value):
+    """Whether a bag of two of ``small_cfg`` may hold ``value`` under
+    ``key``, one of the keys that no member is checked against."""
+    def natural(v):
+        return type(v) is int and v >= 0
+
+    return {"seed": natural(value), "k": natural(value) and value == 2,
+            "config_hash": value == nn.config_hash(small_cfg()),
+            "member_seeds": isinstance(value, list) and len(value) == 2 and all(
+                isinstance(s, list) and all(map(natural, s)) for s in value)}[key]
+
+
 @settings(max_examples=80, deadline=None)
 @given(key=st.sampled_from(["format_version", "members", "config", "alphas", "rule",
-                            "strategy", "mode", "seed", "member_seeds"]),
+                            "strategy", "mode", "seed", "member_seeds", "k", "config_hash"]),
        value=_JSON | st.lists(st.floats() | st.integers(), min_size=2, max_size=2)
        | st.sampled_from(["hard", "soft", "bagging", "boosting", "independent", "warm_restart"]),
        swap=st.booleans())
 @example(key="seed", value=0, swap=True)
+@example(key="seed", value=True, swap=True)
+@example(key="k", value=2, swap=True)
+@example(key="k", value=7, swap=True)
+@example(key="member_seeds", value=[[8, 0], [8, 1, 3815]], swap=True)
+@example(key="member_seeds", value=[[8, 0]], swap=True)
+@example(key="config_hash", value=nn.config_hash(small_cfg()), swap=True)
+@example(key="config_hash", value="0" * 64, swap=False)
 def test_load_ensemble_returns_a_model_or_raises_data_error(saved_bag2, key, value, swap):
     # swap: the second member is the 4-class checkpoint, which the manifest's config is not
     d, manifest, images, other = saved_bag2
@@ -670,8 +689,9 @@ def test_load_ensemble_returns_a_model_or_raises_data_error(saved_bag2, key, val
     try:
         model = ensemble.load_ensemble(d)
     except DataError as e:
-        if swap and key in ("seed", "member_seeds"):  # keys that load_ensemble takes as they are
-            assert other[:16] in str(e)
+        if key in ("seed", "member_seeds", "k", "config_hash"):
+            # a valid value leaves the member error; an invalid one is named
+            assert other[:16] in str(e) if swap and _valid(key, value) else repr(key) in str(e)
         return
     assert not swap
     assert np.isfinite(ensemble.aggregate(model, images).probs).all()

@@ -1,6 +1,7 @@
-"""A keep-nothing eval forward folds each +/-1 product's relu/batchnorm/
-dropout/maxpool segment into per-channel steps on its integer sums; its
-logits must equal the layer path's (``forward(keep=True)``) bit for bit."""
+"""A keep-nothing eval forward folds each +/-1 conv's relu/batchnorm/
+dropout/maxpool segment up to the next conv into per-channel steps on its
+integer sums (an fc folds nothing); its logits must equal the layer
+path's (``forward(keep=True)``) bit for bit."""
 
 import numpy as np
 import pytest
@@ -10,16 +11,18 @@ from hypothesis import strategies as st
 from binn import datio, nn
 from binn.errors import NumericalError
 from binn.nn import layers, mlp_config, nin_config
+from binn.nn.config import VARIANTS
 from binn.nn.network import _fold_segments, eval_logits
 
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered",
                                         "ignore:overflow encountered")
 
 NETS = {
-    # (config, rows every segment folds at); NIN's segments end at conv 5,
-    # 10, 14, 22 and 25, and the MLP's first fc has fan-in 64
-    "nin": (nin_config(variant="AB", width_scale=0.1, classes=4, input_shape=(1, 32, 32)), 8),
-    "mlp": (mlp_config((1, 8, 8), [16, 8], 4, variant="AB", dropout=0.3), 160),
+    # (config, rows every segment folds at, its segments): only conv
+    # segments fold, so the MLP runs the layer path at any rows
+    "nin": (nin_config(variant="AB", width_scale=0.1, classes=4, input_shape=(1, 32, 32)), 8,
+            {0: 5, 5: 10, 10: 14, 19: 22, 22: 25}),
+    "mlp": (mlp_config((1, 8, 8), [16, 8], 4, variant="AB", dropout=0.3), 160, {}),
 }
 
 
@@ -56,18 +59,18 @@ def _net(kind, seed, extreme):
 
 def _folded_logits(net, x):
     """``eval_logits(net, x)`` and the number of segments it folded."""
-    folded, orig = [], layers._WeightedLayer.sign_steps
+    folded, orig = [], layers.Conv2d.sign_steps
 
     def spy(self, *a):
         out = orig(self, *a)
         folded.append(out is not None)
         return out
 
-    layers._WeightedLayer.sign_steps = spy
+    layers.Conv2d.sign_steps = spy
     try:
         return eval_logits(net, x), sum(folded)
     finally:
-        layers._WeightedLayer.sign_steps = orig
+        layers.Conv2d.sign_steps = orig
 
 
 def _outcome(run):
@@ -79,13 +82,14 @@ def _outcome(run):
     return logits.dtype, logits.tobytes()
 
 
-def _assert_folds_exactly(net, x, every):
+def _assert_folds_exactly(kind, net, x, every):
+    assert net._segments == NETS[kind][2]
     folded = []
     want = _outcome(lambda: net.forward(x))
     got = _outcome(lambda: folded.append(_folded_logits(net, x)) or folded[0][0])
     assert got == want
     if every:  # moderate statistics at full rows: every segment folds
-        assert folded[0][1] == len(net._segments) > 0
+        assert folded[0][1] == len(net._segments)
 
 
 def test_fold_segments_follow_the_rules():
@@ -94,10 +98,11 @@ def test_fold_segments_follow_the_rules():
     sb = nn.Network.from_config(nin_config(variant="SB", width_scale=0.1, classes=4), seed=0)
     assert sb._segments == {5: 10, 10: 14, 19: 22, 22: 25}  # a 32-bit first conv
 
-    def segments(*mid, end=nn.layer("conv", out=2, kernel=1, wbits=1, abits=1)):
+    def segments(*mid, head=nn.layer("conv", out=2, kernel=3, pad=1, wbits=1, abits=1),
+                 end=nn.layer("conv", out=2, kernel=1, wbits=1, abits=1)):
+        pool = [nn.layer("avgpool", kernel=8 if len(mid) < 2 else 4)] if end.kind == "conv" else []
         cfg = nn.NetworkConfig(name="seg", input_shape=(2, 8, 8), classes=2, layers=(
-            nn.layer("conv", out=2, kernel=3, pad=1, wbits=1, abits=1), *mid, end,
-            nn.layer("avgpool", kernel=8 if len(mid) < 2 else 4), nn.layer("fc", out=2)))
+            head, *mid, end, *pool, nn.layer("fc", out=2)))
         return _fold_segments(nn.Network.from_config(cfg, seed=0).layers)
 
     relu, bn = nn.layer("relu"), nn.layer("batchnorm")
@@ -107,6 +112,13 @@ def test_fold_segments_follow_the_rules():
     assert segments(relu, nn.layer("maxpool", kernel=1, stride=2, pad=1)) == {}  # pad-only windows
     assert segments(nn.layer("avgpool", kernel=2), bn) == {}
     assert segments(bn, end=nn.layer("conv", out=2, kernel=1, wbits=1, abits=2)) == {}
+    assert segments() == {0: 1}  # a conv head right before its conv tail
+    fc = nn.layer("fc", out=8, wbits=1, abits=1)
+    assert segments(relu, bn, head=fc, end=fc) == {}  # an fc head
+    assert segments(relu, bn, end=fc) == {}  # an fc tail
+    for variant in VARIANTS:  # no MLP folds
+        mlp = nn.Network.from_config(mlp_config((1, 8, 8), [16, 8], 4, variant=variant), seed=0)
+        assert mlp._segments == {}
 
 
 @settings(max_examples=30, deadline=None)
@@ -116,7 +128,7 @@ def test_folded_eval_equals_layer_path(kind, seed, extreme, full):
     net = _net(kind, seed, extreme)
     rows = NETS[kind][1] if full else 1 + seed % 4  # few rows fold fewer segments
     x = np.random.default_rng(seed).uniform(-1.5, 1.5, (rows,) + net.config.input_shape)
-    _assert_folds_exactly(net, x.astype(np.float32), full and not extreme)
+    _assert_folds_exactly(kind, net, x.astype(np.float32), full and not extreme)
 
 
 @settings(max_examples=15, deadline=None)
@@ -127,7 +139,7 @@ def test_folded_eval_of_a_stack_equals_layer_path(kind, seed, extreme, shared):
     rows = NETS[kind][1]
     lead = () if shared else (3,)
     x = np.random.default_rng(seed).uniform(-1.5, 1.5, lead + (rows,) + stack.config.input_shape)
-    _assert_folds_exactly(stack, x.astype(np.float32), not extreme)
+    _assert_folds_exactly(kind, stack, x.astype(np.float32), not extreme)
 
 
 @settings(max_examples=10, deadline=None)
@@ -135,7 +147,7 @@ def test_folded_eval_of_a_stack_equals_layer_path(kind, seed, extreme, shared):
 def test_folded_eval_of_a_packed_reload_equals_layer_path(kind, seed):
     net = datio.load_packed_bytes(datio.packed_export_bytes(_net(kind, seed, False)))
     x = np.random.default_rng(seed).uniform(-1.5, 1.5, (NETS[kind][1],) + net.config.input_shape)
-    _assert_folds_exactly(net, x.astype(np.float32), True)
+    _assert_folds_exactly(kind, net, x.astype(np.float32), True)
 
 
 @pytest.mark.parametrize("where, value", [("gamma", np.nan), ("gamma", np.inf), ("gamma", -np.inf),
@@ -159,14 +171,21 @@ def test_non_finite_statistics_end_alike_on_both_paths(kind, where, value):
 def test_a_probe_that_overflows_runs_the_layer_path():
     # gamma sized so that the probe's largest value overflows float32 and the
     # data's stays finite: that segment runs the layer path, the next folds
-    net = _net("mlp", 3, False)
-    fc, bn = net.layers[0], net.layers[3]
-    x = np.random.default_rng(103).uniform(-1.5, 1.5, (160, 64)).astype(np.float32)
-    top_data = (nn.sign_binarize(x) @ nn.sign_binarize(fc.w.value[0])).max()
-    top_probe = 64
-    assert top_data < top_probe
+    bconv = nn.layer("conv", out=4, kernel=1, wbits=1, abits=1)
+    cfg = nn.NetworkConfig(name="overflow", input_shape=(32, 4, 4), classes=2, layers=(
+        bconv, nn.layer("relu"), nn.layer("batchnorm"), bconv, nn.layer("batchnorm"), bconv,
+        nn.layer("avgpool", kernel=4), nn.layer("fc", out=2)))
+    net = nn.Network.from_config(cfg, seed=3)
+    _set_state(net, 3, False)
+    assert net._segments == {0: 3, 3: 5}
+    conv, bn = net.layers[0], net.layers[2]
+    x = np.random.default_rng(103).uniform(-1.5, 1.5, (16, 32, 4, 4)).astype(np.float32)
+    w0 = nn.sign_binarize(conv.w.value[0, :, 0, 0])
+    top_data = np.einsum("bchw,c->bhw", nn.sign_binarize(x), w0).max()
+    top_probe = 32
+    assert 0 < top_data < top_probe
     bn.running_mean[0], bn.running_var[0], bn.beta.value[0] = 0.0, 1.0, 0.0
-    bias, scale = fc.b.value[0], fc.scale[0]
+    bias, scale = conv.b.value[0], conv.scale[0]
     top = [(s * scale + bias) / np.sqrt(1.0 + bn.eps) for s in (top_data, top_probe)]
     bn.gamma.value[0] = 3e38 / np.sqrt(top[0] * top[1])
     want = _outcome(lambda: net.forward(x))
