@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import subprocess
@@ -60,8 +61,9 @@ _WIDTHS = _checked(lambda t: [int(v) for v in t.split(",")], lambda v: len(v) >=
                    "at least 3 comma-separated integers >= 1")
 
 
+@functools.cache
 def _git_describe():
-    """Version of the source tree this package was imported from."""
+    """Version of the source tree this package was imported from (one git run)."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

@@ -91,10 +91,9 @@ def train_members(config: NetworkConfig, images, labels, *, u: np.ndarray, seed_
     nets, samples, rngs = [], [], []
     for seed_seq in seed_seqs:
         init_ss, boot_ss, train_ss = seed_seq.spawn(3)
-        if init_from is not None:
-            nets.append(init_from.clone())
-        else:
-            nets.append(Network.from_config(config, seed=np.random.default_rng(init_ss)))
+        # the stack copies ``init_from``, which training leaves as it is
+        nets.append(init_from if init_from is not None
+                    else Network.from_config(config, seed=np.random.default_rng(init_ss)))
         samples.append(bagging_sample(len(labels), u, np.random.default_rng(boot_ss)))
         rngs.append(np.random.default_rng(train_ss))
     stack = Network.stack(nets)

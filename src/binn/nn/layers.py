@@ -36,15 +36,16 @@ may sum a narrower GEMM in another order: that can move the last bits of
 a weight gradient or of a float conv's output, never a +/-1 product, whose
 sums are exact.
 
-A forward keeps only what its backward reads (the names in ``_kept``), in
-the narrowest exact form: every sub-32-bit quantizing forward keeps a bool
-|x| <= 1 mask, not a float copy of ``x``, and fc/conv their quantized
-input; dropout keeps a bool mask. ``Network.backward`` drops each layer's
-share once that layer's backward has read it, and a ``keep=False`` forward
-(``eval_logits``, so ``predict``) right after that layer's forward; such a
-forward builds no mask or max-pool argmax at all. A training step's
-backward stops at the lowest layer with parameters, which computes only
-their gradients.
+A forward keeps what its backward reads as one record, ``_saved`` (a
+tuple or one array) built from its locals, in the narrowest exact form:
+sub-32-bit quantizing forwards keep a bool |x| <= 1 mask, not a float
+copy of ``x``, fc/conv also their quantized input, dropout a bool mask.
+Only ``backward`` reads it; ``Network.backward`` then drops it. A
+``keep=False`` forward (``eval_logits``, so ``predict``) keeps None and
+builds no mask or max-pool argmax, so such forwards of one network may
+run in several threads, and a backward after one raises. A training
+step's backward stops at the lowest layer with parameters, which
+computes only their gradients.
 
 An eval ``keep=False`` forward folds the relu/batchnorm/dropout/maxpool
 layers between a +/-1 x +/-1 conv and the next conv's 1-bit quantizer
@@ -178,7 +179,7 @@ class Layer:
     kind = "layer"
     index = -1
     in_shape: tuple[int, ...] = ()
-    _kept: tuple[str, ...] = ()  # what a forward keeps for backward
+    _saved = None  # what the last forward kept for backward; only backward reads it
 
     def params(self) -> dict:
         return {}
@@ -196,45 +197,34 @@ class Layer:
         raise NotImplementedError
 
     def forget(self):
-        """Drop what the last forward kept for backward (the names in ``_kept``)."""
-        state = self.__dict__
-        for key in self._kept:
-            state.pop(key, None)
+        """Drop what the last forward kept for backward."""
+        self._saved = None
 
 
 class _Quantizer(Layer):
     """A layer whose input is quantized to ``act_bits``: fc/conv, binact, quantact."""
 
-    _kept = ("_ste",)
-
     def _quantize(self, x, ctx):
-        """``x`` at the activation precision: 32 bits pass through, the
-        surrogate clips to [-1, 1], 1 bit takes the sign, 2..8 bits quantize
-        uniformly. (A folded conv signs its input by per-channel steps
-        instead, in ``Conv2d.forward``.) A stack's shared input (a stride-0
-        member axis) is quantized once and broadcast. Below 32 bits, a
-        forward that keeps anything keeps the bool |x| <= 1 mask that the
-        straight-through input gradient reads, not a float copy of ``x``."""
-        self._ste = None
+        """(``x`` at the activation precision, its straight-through mask): 32
+        bits pass through, the surrogate clips to [-1, 1], 1 bit takes the
+        sign, 2..8 bits quantize uniformly. (A folded conv signs its input by
+        per-channel steps instead, in ``Conv2d.forward``.) A stack's shared
+        input (a stride-0 member axis) is quantized once and broadcast. The
+        mask, below 32 bits in a forward that keeps anything (else None), is
+        the bool |x| <= 1 that the straight-through gradient reads."""
         if self.act_bits == 32:
-            return x
+            return x, None
         src = x[0] if x.ndim and x.strides[0] == 0 else x
         if ctx.surrogate:
             xq = np.clip(src, -1.0, 1.0)
         else:
             xq = sign_binarize(src) if self.act_bits == 1 else quantize_k_bit(src, self.act_bits)
-        if ctx.keep:
-            self._ste = np.abs(src) <= 1.0  # broadcasts against a stack's gradient
-        return xq if src is x else np.broadcast_to(xq, x.shape)
-
-    def _input_grad(self, dxq):
-        return dxq if self._ste is None else dxq * self._ste
+        mask = np.abs(src) <= 1.0 if ctx.keep else None  # broadcasts against a stack's gradient
+        return (xq if src is x else np.broadcast_to(xq, x.shape)), mask
 
 
 class _WeightedLayer(_Quantizer):
     """Shared machinery for fc/conv: precision flags, shadow weights, scales."""
-
-    _kept = ("_xq", "_ste", "_scale", "_wmat", "_signs_only")
 
     def __init__(self, shape, wbits, abits, bias, rng, dtype, init):
         self.weight_bits = _checked_bits("wbits", wbits)
@@ -274,22 +264,17 @@ class _WeightedLayer(_Quantizer):
             return sign_binarize(self.w.value) * scale.reshape(shape)
         return quantize_k_bit(self.w.value, self.weight_bits)
 
-    def _quantize(self, x, ctx):
-        """The product's input, also kept for the weight gradient."""
-        self._xq = super()._quantize(x, ctx)
-        return self._xq
-
-    def _weight_matrix(self, ctx):
-        """The [*members, out, fan_in] matrix the forward product multiplies
-        by: sign(W) alone for a +/-1 product, else the effective weights.
-        Keeps it, and the scale, for backward."""
-        self._scale = scale = self.scale
-        w2 = self._rows(self.w.value)
-        self._signs_only = self.weight_bits == 1 and self.act_bits == 1 and not ctx.surrogate
+    def _weight_matrix(self, ctx, raw=False):
+        """(the [*members, out, fan_in] matrix the forward product multiplies
+        by, the scale to multiply that product by or None): sign(W) and its
+        per-filter scale for a +/-1 product, else the effective weights and
+        None. A ``raw`` +/-1 product stays unscaled, so no scale is computed."""
         # sums of +/-1 are exact integers in float32 while fan_in < 2**24,
         # so a +/-1 product equals the packed XNOR product times the scale
-        self._wmat = sign_binarize(w2) if self._signs_only else self._rows(self.effective_weight(scale))
-        return self._wmat
+        if self.weight_bits == 1 and self.act_bits == 1 and not ctx.surrogate:
+            scale = None if raw else self.refresh()
+            return sign_binarize(self._rows(self.w.value)), scale
+        return self._rows(self.effective_weight(self.scale)), None
 
     def _scale_and_bias(self, y, scale):
         """The forward product ``y`` [*members, N, out] times ``scale`` (a
@@ -300,12 +285,11 @@ class _WeightedLayer(_Quantizer):
             y += self.b.value[..., None, :]
         return y
 
-    def _backward_weight(self) -> np.ndarray:
-        """The forward's effective weights as an [out, fan_in] matrix; the
-        +/-1 product is scaled here, so eval forwards skip the scaling."""
-        if self._signs_only:
-            return self._wmat * self._scale[..., None]
-        return self._wmat
+    @staticmethod
+    def _backward_weight(wmat, scale) -> np.ndarray:
+        """The forward's effective weights from its ``_weight_matrix``: a +/-1
+        product's are scaled here, so eval forwards skip the scaling."""
+        return wmat if scale is None else wmat * scale[..., None]
 
     @property
     def pad_value(self) -> float:
@@ -316,7 +300,6 @@ class _WeightedLayer(_Quantizer):
 class Linear(_WeightedLayer):
     kind = "fc"
     _wdim = 2  # w is [out, in]
-    _kept = _WeightedLayer._kept + ("_orig_shape",)
 
     def __init__(
         self,
@@ -338,21 +321,23 @@ class Linear(_WeightedLayer):
         return (self.out_features,)
 
     def forward(self, x, ctx):
-        self._orig_shape = x.shape
-        xin = x.reshape(x.shape[:self.w.value.ndim - 1] + (-1,))
-        xq = self._quantize(xin, ctx)
-        y = xq @ self._weight_matrix(ctx).swapaxes(-1, -2)
-        return self._scale_and_bias(y, self._scale if self._signs_only else None)
+        xq, mask = self._quantize(x.reshape(x.shape[:self.w.value.ndim - 1] + (-1,)), ctx)
+        wmat, scale = self._weight_matrix(ctx)
+        y = xq @ wmat.swapaxes(-1, -2)
+        self._saved = (x.shape, scale, wmat, mask, xq) if ctx.keep else None
+        return self._scale_and_bias(y, scale)
 
     def backward(self, dy, input_grad=True):
         """The input gradient (None without ``input_grad``); accumulates the
         parameter gradients."""
-        self.w.add_grad(dy.swapaxes(-1, -2) @ self._xq)
+        shape, scale, wmat, mask, xq = self._saved
+        self.w.add_grad(dy.swapaxes(-1, -2) @ xq)
         if self.b is not None:
             self.b.add_grad(np.add.reduce(dy, axis=-2))
-        if input_grad:
-            return self._input_grad(dy @ self._backward_weight()).reshape(self._orig_shape)
-        return None
+        if not input_grad:
+            return None
+        dx = dy @ self._backward_weight(wmat, scale)
+        return (dx if mask is None else dx * mask).reshape(shape)
 
 
 # Patch values (4 MB of float32) that one conv block may hold. In a NIN-x0.5
@@ -448,7 +433,6 @@ class Conv2d(_WeightedLayer):
         for lay in between:
             if lay.kind != "maxpool":
                 v = lay.forward(v, ctx)
-                lay.forget()
         try:
             up = sign_binarize(v) > 0
         except ValueError:
@@ -464,15 +448,16 @@ class Conv2d(_WeightedLayer):
         folded +/-1 product ``x`` in place, and ``raw`` returns the unscaled,
         unbiased product."""
         if steps is None:
-            xq = self._quantize(x, ctx)
+            xq, mask = self._quantize(x, ctx)
         else:  # sign((s - c) * d): s - c is never 0
             x -= steps[0]
             x *= steps[1]
-            xq = np.copysign(x.dtype.type(1), x, out=x)
+            xq, mask = np.copysign(x.dtype.type(1), x, out=x), None
         k, s, p = self.kernel, self.stride, self.padding
         lead, b = x.shape[:-4], x.shape[-4]
         f, ho, wo = self.out_shape(x.shape[-3:])
-        wt = self._weight_matrix(ctx).swapaxes(-1, -2)
+        wmat, scale = self._weight_matrix(ctx, raw)
+        wt = wmat.swapaxes(-1, -2)
         hw, win = ho * wo, self._windows(xq)
         # the product's rows are pixels: its [B, F, H', W'] view is channel-last
         y = np.empty(lead + (b * hw, f), np.result_type(xq, wt))
@@ -486,21 +471,23 @@ class Conv2d(_WeightedLayer):
                       out=y[..., lo * hw : (lo + per) * hw, :])
             del cols  # before the next block's is built
         if not raw:
-            self._scale_and_bias(y, self._scale if self._signs_only else None)
+            self._scale_and_bias(y, scale)
+        self._saved = (scale, wmat, mask, xq) if ctx.keep else None
         y = y.reshape(lead + (b, ho, wo, f))
         return np.moveaxis(y, -1, -3)
 
     def backward(self, dy, input_grad=True):
         """As ``Linear.backward``."""
+        scale, wmat, mask, xq = self._saved
         *lead, b, f, ho, wo = dy.shape
         lead, k, c = tuple(lead), self.kernel, self.in_channels
         rows = b * ho * wo
         dy_cols = np.moveaxis(dy, -3, -1).reshape(lead + (rows, f))  # a view
-        w_eff = self._backward_weight() if input_grad else None
+        w_eff = self._backward_weight(wmat, scale) if input_grad else None
         if self.b is not None:
             self.b.add_grad(np.add.reduce(dy, axis=(-4, -2, -1)))
-        win = self._windows(self._xq)
-        gw = np.empty(lead + (f, k * k * c), np.result_type(dy, self._xq))
+        win = self._windows(xq)
+        gw = np.empty(lead + (f, k * k * c), np.result_type(dy, xq))
         per = max(1, _PATCH_VALUES // (math.prod(lead) * rows * c))  # window offsets per block
         # a block is whole kernel rows or part of one, so its windows are one
         # basic slice and its weight-gradient columns one span
@@ -527,19 +514,17 @@ class Conv2d(_WeightedLayer):
                 del block
 
         if input_grad:
-            dxq = _scatter_windows(grads(), self._xq.shape, k, self.stride, self.padding,
-                                   dy.dtype)
+            dxq = _scatter_windows(grads(), xq.shape, k, self.stride, self.padding, dy.dtype)
         else:
             dxq = next(grads(), None)  # runs the weight-gradient blocks, which yield nothing
         self.w.add_grad(np.moveaxis(gw.reshape(lead + (f, k, k, c)), -1, -3))
-        if dxq is not None and self._ste is not None:
-            dxq *= self._ste  # dx is this backward's own array
+        if dxq is not None and mask is not None:
+            dxq *= mask  # dx is this backward's own array
         return dxq
 
 
 class BatchNorm(Layer):
     kind = "batchnorm"
-    _kept = ("_xhat", "_inv", "_axes", "_batch_stats", "_n")
 
     def __init__(self, num_features, *, eps=1e-4, momentum=0.1, dtype=np.float32):
         self.num_features = int(num_features)
@@ -591,26 +576,24 @@ class BatchNorm(Layer):
         # (x - mean) * inv and gamma * xhat + beta in place; a buffer takes x's
         # memory layout, so later reductions sum in the same order
         xhat *= inv.reshape(bs)
-        self._xhat, self._inv, self._axes = xhat, inv, axes
-        self._batch_stats, self._n = use_batch, n
+        self._saved = (n, use_batch, axes, inv, xhat) if ctx.keep else None
         y = np.multiply(self.gamma.value.reshape(bs), xhat, out=buf)
         y += self.beta.value.reshape(bs)
         return y
 
     def backward(self, dy, input_grad=True):
         """As ``Linear.backward``."""
+        n, batch_stats, axes, inv, xhat = self._saved
         bs = self._bshape(dy.ndim)
-        xhat, inv, axes = self._xhat, self._inv, self._axes
         prod = np.multiply(dy, xhat)
         self.gamma.add_grad(np.add.reduce(prod, axis=axes))
         self.beta.add_grad(np.add.reduce(dy, axis=axes))
         if not input_grad:
             return None
         dxhat = np.multiply(dy, self.gamma.value.reshape(bs))
-        if not self._batch_stats:
+        if not batch_stats:
             dxhat *= inv.reshape(bs)
             return dxhat
-        n = self._n
         s1 = np.add.reduce(dxhat, axis=axes).reshape(bs)
         s2 = np.add.reduce(np.multiply(dxhat, xhat, out=prod), axis=axes).reshape(bs)
         # (inv / n) * (n * dxhat - s1 - xhat * s2), in two full-size buffers
@@ -623,14 +606,14 @@ class BatchNorm(Layer):
 
 class ReLU(Layer):
     kind = "relu"
-    _kept = ("_mask",)
 
     def forward(self, x, ctx):
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._saved = mask if ctx.keep else None
+        return x * mask
 
     def backward(self, dy):
-        return dy * self._mask
+        return dy * self._saved
 
 
 class QuantAct(_Quantizer):
@@ -642,10 +625,11 @@ class QuantAct(_Quantizer):
         self.act_bits = _checked_bits("bits", bits, k_bit_only=True)
 
     def forward(self, x, ctx):
-        return self._quantize(x, ctx)
+        xq, self._saved = self._quantize(x, ctx)  # the mask; None if keeping nothing
+        return xq
 
     def backward(self, dy):
-        return self._input_grad(dy)
+        return dy * self._saved
 
 
 class BinaryAct(QuantAct):
@@ -658,8 +642,6 @@ class BinaryAct(QuantAct):
 
 
 class _Pool(Layer):
-    _kept = ("_in_shape",)
-
     def __init__(self, kernel, stride=None, pad=0):
         self.kernel = int(kernel)
         self.stride = int(stride) if stride is not None else int(kernel)
@@ -678,10 +660,6 @@ class _Pool(Layer):
         ho, wo = self._out_hw(h, w)
         return (c, ho, wo)
 
-    def _windows(self, x, pad_value):
-        self._in_shape = x.shape  # for the backward scatter
-        return bitcore._windows(x, self.kernel, self.stride, self.padding, pad_value)
-
     def _fold(self, win, op):
         """``op`` folded over the k*k window offsets in order, into a copy of
         the first in the input's layout, not a reduction of a gathered copy."""
@@ -691,19 +669,17 @@ class _Pool(Layer):
             op(m, win[..., off // k, off % k], out=m)
         return m
 
-    def _scatter(self, grads, dtype):
-        return _scatter_windows(grads, self._in_shape, self.kernel, self.stride, self.padding, dtype)
+    def _scatter(self, grads, in_shape, dtype):
+        return _scatter_windows(grads, in_shape, self.kernel, self.stride, self.padding, dtype)
 
 
 class MaxPool(_Pool):
     kind = "maxpool"
-    _kept = _Pool._kept + ("_arg",)
 
     def forward(self, x, ctx):
-        win = self._windows(x, pad_value=-np.inf)
+        win = bitcore._windows(x, self.kernel, self.stride, self.padding, -np.inf)
         m = self._fold(win, np.maximum)
-        if ctx.keep:
-            self._arg = self._argmax(win, m)
+        self._saved = (x.shape, self._argmax(win, m)) if ctx.keep else None
         return m
 
     def _argmax(self, win, m):
@@ -724,7 +700,8 @@ class MaxPool(_Pool):
         return arg
 
     def backward(self, dy):
-        return self._scatter((dy * (self._arg == o) for o in range(self.kernel ** 2)), dy.dtype)
+        in_shape, arg = self._saved
+        return self._scatter((dy * (arg == o) for o in range(self.kernel ** 2)), in_shape, dy.dtype)
 
 
 class AvgPool(_Pool):
@@ -732,13 +709,14 @@ class AvgPool(_Pool):
 
     def forward(self, x, ctx):
         # the divisor includes padding, matching the zero-pad convention
-        m = self._fold(self._windows(x, pad_value=0.0), np.add)
+        m = self._fold(bitcore._windows(x, self.kernel, self.stride, self.padding, 0.0), np.add)
         m /= self.kernel * self.kernel
+        self._saved = x.shape if ctx.keep else None
         return m
 
     def backward(self, dy):
         share = dy / (self.kernel * self.kernel)
-        return self._scatter((share for _ in range(self.kernel ** 2)), dy.dtype)
+        return self._scatter((share for _ in range(self.kernel ** 2)), self._saved, dy.dtype)
 
 
 def _uniforms(rng, like):
@@ -751,31 +729,34 @@ def _uniforms(rng, like):
 
 class Dropout(Layer):
     kind = "dropout"
-    _kept = ("_keep",)
 
     def __init__(self, p):
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout p must be in [0, 1), got {p}")
         self.p = float(p)
 
-    def _scaled(self, x):
+    def _scaled(self, x, keep):
         """x * keep * 1 / (1 - p), the scale in x's dtype: the bits of
-        x * (keep * scale), from the bool mask instead of a float one."""
-        y = x * self._keep
+        x * (keep * scale), from the bool mask instead of a float one; x
+        itself where no mask was drawn."""
+        if keep is None:
+            return x
+        y = x * keep
         y *= x.dtype.type(1) / (1.0 - self.p)
         return y
 
     def forward(self, x, ctx):
-        if not ctx.train or self.p == 0.0:
-            self._keep = None
-            return x
-        if ctx.rng is None:
-            raise ValueError("dropout in training mode needs an rng for determinism")
-        if isinstance(ctx.rng, list):  # one stream per stacked member
-            self._keep = np.stack([_uniforms(r, part) >= self.p for r, part in zip(ctx.rng, x)])
-        else:
-            self._keep = _uniforms(ctx.rng, x) >= self.p
-        return self._scaled(x)
+        keep = None
+        if ctx.train and self.p != 0.0:
+            if ctx.rng is None:
+                raise ValueError("dropout in training mode needs an rng for determinism")
+            if isinstance(ctx.rng, list):  # one stream per stacked member
+                keep = np.stack([_uniforms(r, part) >= self.p for r, part in zip(ctx.rng, x)])
+            else:
+                keep = _uniforms(ctx.rng, x) >= self.p
+        self._saved = (keep,) if ctx.keep else None  # (None,): kept, but no mask drawn
+        return self._scaled(x, keep)
 
     def backward(self, dy):
-        return dy if self._keep is None else self._scaled(dy)
+        (keep,) = self._saved
+        return self._scaled(dy, keep)

@@ -61,9 +61,11 @@ class Network:
     """Sequential net instantiated from a NetworkConfig.
 
     Single-writer during training; an immutable snapshot may serve inference
-    from any number of threads. ``Network.stack`` makes one network of K
-    members (``stack_size``; None for one net) that train in lockstep: a
-    [K, B, ...] input gives each its own batch, a [B, ...] one is shared.
+    from any number of threads, as no forward reads what a layer keeps
+    (``test_predict_from_two_threads_equals_one_thread``). ``Network.stack``
+    makes one network of K members (``stack_size``; None for one net) that
+    train in lockstep: a [K, B, ...] input gives each its own batch, a
+    [B, ...] one is shared.
     """
 
     def __init__(self, config: NetworkConfig, net_layers, dtype):
@@ -102,8 +104,8 @@ class Network:
     def forward(self, x, *, train=False, surrogate=False, bn_batch_stats=False,
                 rng=None, keep=True) -> np.ndarray:
         """The logits of ``x``. Each layer keeps what its backward reads; with
-        ``keep=False`` it drops that right after its forward, so a forward
-        that no backward follows holds no layer's input beyond the next layer.
+        ``keep=False`` it keeps nothing, so a forward that no backward
+        follows holds no layer's input beyond the next layer.
 
         Such a forward in eval mode (not ``train``, ``surrogate`` or
         ``bn_batch_stats``) folds each conv-to-conv segment of
@@ -162,8 +164,6 @@ class Network:
                 raise
             raise NumericalError(f"non-finite values at the binarization in layer "
                                  f"{lay.index} ({lay.kind})") from None
-        if not ctx.keep:
-            lay.forget()
         return x
 
     def predict(self, x) -> np.ndarray:

@@ -550,4 +550,18 @@ def test_every_command_exits_2_on_an_out_it_cannot_create(tmp_path, monkeypatch,
 def test_git_describe_ignores_process_cwd(tmp_path, monkeypatch):
     here = cli._git_describe()
     monkeypatch.chdir(tmp_path)
+    cli._git_describe.cache_clear()  # run git again, from the new cwd
     assert cli._git_describe() == here
+
+
+def test_git_runs_once_per_process(tmp_path, monkeypatch):
+    cli._git_describe.cache_clear()
+    calls, run = [], subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda *a, **kw: calls.append(a) or run(*a, **kw))
+    for name in ("a", "b"):
+        argv = ["analyze", "b-table", "--sigmas", "1.0", "--seed", "0", "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+    assert len(calls) == 1
+    described = {json.loads((tmp_path / name / "run-manifest.json").read_text())["git_describe"]
+                 for name in "ab"}
+    assert described == {cli._git_describe()}

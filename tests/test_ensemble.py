@@ -241,6 +241,17 @@ def test_warm_restart_members_start_from_predecessor():
     assert dio.checkpoint_bytes(model.members[2]) == b0
 
 
+def test_warm_restart_copies_no_member_before_its_stack(monkeypatch):
+    # the stack of a warm-restarted member copies its predecessor; a clone of
+    # that predecessor first made a second copy (two clones at k=3)
+    (tr, te) = blob_task(seed=1)
+    calls, clone = [], nn.Network.clone
+    monkeypatch.setattr(nn.Network, "clone", lambda self: calls.append(self) or clone(self))
+    ensemble.train_bagging(small_cfg(), tr.images, tr.labels, k=3, mode="warm_restart", seed=1,
+                           spec=ensemble.MemberTrainSpec(epochs=0))
+    assert calls == []
+
+
 def test_bagging_k5_at_least_max_member_minus_eps():
     (tr, te) = blob_task(seed=2)
     cfg = small_cfg(variant="AB")

@@ -356,10 +356,11 @@ def test_maxpool_argmax_is_first_max_or_first_nan(data):
     pool = MaxPool(k, s, p)
     pool.forward(layers.channel_last(x), CTX)
     win = bitcore._windows(x, k, s, p, -np.inf)
-    assert np.array_equal(pool._arg, win.reshape(win.shape[:4] + (-1,)).argmax(axis=-1))
-    pool.forget()
+    in_shape, arg = pool._saved  # the record: the input shape and the argmax
+    assert in_shape == x.shape
+    assert np.array_equal(arg, win.reshape(win.shape[:4] + (-1,)).argmax(axis=-1))
     pool.forward(x, ForwardContext(keep=False))
-    assert "_arg" not in vars(pool)  # a forward that keeps nothing finds no argmax
+    assert pool._saved is None  # a forward that keeps nothing finds no argmax
 
 
 def test_avgpool_matches_naive_include_pad():
@@ -526,11 +527,11 @@ def test_dropout_draw_i_lands_on_memory_element_i(members):
            else [np.random.default_rng(20 + m) for m in range(members)])
     d = Dropout(0.4)
     y = d.forward(x, ForwardContext(train=True, rng=rng))
-    keep = d._keep if members else d._keep[None]
-    for m, member in enumerate(keep):
+    (mask,) = d._saved  # the record: the bool keep mask
+    for m, member in enumerate(mask if members else mask[None]):
         draws = np.random.default_rng(20 + m).random(member.size, dtype=np.float32)
         assert np.array_equal(np.moveaxis(member, -3, -1).reshape(-1), draws >= 0.4)
-    for arr in (d._keep, y):  # the mask and the output keep the input's layout
+    for arr in (mask, y):  # the mask and the output keep the input's layout
         assert np.moveaxis(arr, -3, -1).flags.c_contiguous
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -433,9 +434,8 @@ def test_nin_step_carries_every_4d_array_channel_last(variant, members):
         def forward(x, ctx):
             seen.append((lay.index, lay.kind, "input", x))
             out = fwd(x, ctx)
-            for key in ("_xq", "_ste", "_mask", "_keep", "_arg", "_xhat"):
-                if isinstance(getattr(lay, key, None), np.ndarray):
-                    seen.append((lay.index, lay.kind, key, getattr(lay, key)))
+            for arr in _record_arrays(lay):
+                seen.append((lay.index, lay.kind, f"{lay.kind}:{arr.dtype}", arr))
             return out
 
         def backward(dy, **kw):  # the lowest layer computes no dx in a training step
@@ -454,9 +454,11 @@ def test_nin_step_carries_every_4d_array_channel_last(variant, members):
     images = [(i, kind, what, a) for i, kind, what, a in seen if a.ndim == len(lead) + 4]
     assert {kind for _, kind, _, _ in images} == {
         "conv", "batchnorm", "relu", "maxpool", "avgpool", "dropout", "fc"}
-    assert {what for _, _, what, _ in images} >= {"input", "dy", "dx", "_xq", "_mask", "_keep",
-                                                  "_arg", "_xhat"} | (
-        {"_ste"} if variant == "AB" else set())
+    # conv's quantized input (and its mask in AB), relu's and dropout's masks,
+    # maxpool's argmax and batchnorm's xhat
+    assert {what for _, _, what, _ in images} >= {
+        "input", "dy", "dx", "conv:float32", "relu:bool", "dropout:bool", "maxpool:uint8",
+        "batchnorm:float32"} | ({"conv:bool"} if variant == "AB" else set())
     bad = [(i, kind, what, a.strides) for i, kind, what, a in images
            if not _channel_last_by_strides(a)]
     assert bad == []
@@ -635,19 +637,32 @@ def test_stacked_members_match_their_nets_bit_for_bit(kind, k, opt_name):
         assert datio.checkpoint_bytes(member) == datio.checkpoint_bytes(net)
 
 
+def _record_arrays(lay):
+    """The arrays in ``lay``'s record of its last forward."""
+    rec = lay._saved if isinstance(lay._saved, tuple) else (lay._saved,)
+    return [a for a in rec if isinstance(a, np.ndarray)]
+
+
 def _kept_arrays(net):
+    """(index, name) of each record, and each private array, that a layer holds."""
     return [(lay.index, key) for lay in net.layers for key, val in vars(lay).items()
-            if key.startswith("_") and isinstance(val, np.ndarray)]
+            if key.startswith("_") and (isinstance(val, np.ndarray)
+                                        or key == "_saved" and val is not None)]
+
+
+def _kept_net(kind):
+    """A binary conv -> ``kind`` -> binary fc net and five inputs for it."""
+    cfg = nn.NetworkConfig(name="kept", input_shape=(2, 8, 8), classes=3, layers=(
+        nn.layer("conv", out=4, kernel=3, pad=1, wbits=1, abits=1), STACK_KINDS[kind],
+        nn.layer("fc", out=3, wbits=1, abits=1)))
+    gen = np.random.default_rng(2)
+    x = gen.uniform(-1.5, 1.5, (5, 2, 8, 8)).astype(np.float32)
+    return nn.Network.from_config(cfg, seed=0), x, gen
 
 
 @pytest.mark.parametrize("kind", list(STACK_KINDS))
 def test_layers_keep_no_arrays_after_backward_or_predict(kind):
-    cfg = nn.NetworkConfig(name="kept", input_shape=(2, 8, 8), classes=3, layers=(
-        nn.layer("conv", out=4, kernel=3, pad=1, wbits=1, abits=1), STACK_KINDS[kind],
-        nn.layer("fc", out=3, wbits=1, abits=1)))
-    net = nn.Network.from_config(cfg, seed=0)
-    gen = np.random.default_rng(2)
-    x = gen.uniform(-1.5, 1.5, (5, 2, 8, 8)).astype(np.float32)
+    net, x, gen = _kept_net(kind)
     opt = nn.make_optimizer("adam", net.parameters(), 0.05)
     nn.backward_and_step(net, x, gen.integers(0, 3, 5), opt, rng=gen)
     assert _kept_arrays(net) == []
@@ -655,11 +670,103 @@ def test_layers_keep_no_arrays_after_backward_or_predict(kind):
     assert _kept_arrays(net)  # an eval forward still keeps what backward reads
     for lay in net.layers:  # the same straight-through mask as a training forward
         if lay.kind in ("binact", "quantact") or getattr(lay, "act_bits", 32) != 32:
-            assert lay._ste.dtype == bool and "_xin" not in vars(lay), (lay.index, lay.kind)
+            # one bool mask, and no float array of the input's size but its
+            # quantized copy
+            arrays = _record_arrays(lay)
+            (mask,) = [a for a in arrays if a.dtype == bool]
+            bits = lay.act_bits
+            assert all(np.array_equal(a, nn.sign_binarize(a) if bits == 1 else
+                                      nn.quantize_k_bit(a, bits))
+                       for a in arrays if a.dtype.kind == "f" and a.size == mask.size), lay.index
     net.predict(x)
     assert _kept_arrays(net) == []
     assert np.array_equal(net.forward(x, keep=False), logits)
     assert _kept_arrays(net) == []
+
+
+@pytest.mark.parametrize("kind", list(STACK_KINDS))
+def test_backward_after_a_keep_nothing_forward_raises(kind):
+    # a keep-nothing forward leaves each layer a record of None: backward
+    # neither reuses an earlier forward's record nor passes dy through
+    net, x, _ = _kept_net(kind)
+    net.forward(x)
+    net.forward(x, keep=False)
+    for lay in net.layers:
+        with pytest.raises(TypeError):
+            lay.backward(np.ones((5,) + lay.out_shape(lay.in_shape), np.float32))
+
+
+@pytest.mark.parametrize("members", [None, 2])
+def test_forwards_never_read_what_layers_keep(monkeypatch, members):
+    # every layer forgets its record at each binarization, mid-forward: the
+    # logits of both kinds of forward stay the same
+    cfg = nin_config(variant="AB", width_scale=0.1, classes=4, input_shape=(1, 32, 32))
+    nets = [nn.Network.from_config(cfg, seed=m) for m in range(members or 1)]
+    net = nets[0] if members is None else nn.Network.stack(nets)
+    x = np.random.default_rng(1).uniform(-1.5, 1.5, (8, 1, 32, 32)).astype(np.float32)
+    want = eval_logits(net, x), net.forward(x)
+    sign = layers.sign_binarize
+
+    def forgetful(a):
+        for lay in net.layers:
+            lay.forget()
+        return sign(a)
+
+    monkeypatch.setattr(layers, "sign_binarize", forgetful)
+    assert np.array_equal(net.predict(x), want[0].argmax(-1))
+    assert eval_logits(net, x).tobytes() == want[0].tobytes()
+    assert net.forward(x).tobytes() == want[1].tobytes()
+
+
+def test_predict_from_two_threads_equals_one_thread():
+    # keep-nothing forwards read no layer state that another may change; when
+    # they read back what they kept, 2-6 of these 80 calls raised AttributeError
+    cfg = nin_config(variant="AB", width_scale=0.25, classes=4, input_shape=(1, 32, 32))
+    net = nn.Network.from_config(cfg, seed=0)
+    x = np.random.default_rng(1).uniform(-1.5, 1.5, (8, 1, 32, 32)).astype(np.float32)
+    want, start, got = net.predict(x), threading.Barrier(2), ([], [])
+
+    def run(out):
+        start.wait()
+        for _ in range(40):
+            try:
+                out.append(net.predict(x))
+            except Exception as e:  # reported below, with the other thread's
+                out.append(e)
+
+    threads = [threading.Thread(target=run, args=(out,)) for out in got]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, within layers' forwards
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    bad = [o for out in got for o in out
+           if not (isinstance(o, np.ndarray) and np.array_equal(o, want))]
+    assert [len(out) for out in got] == [40, 40] and bad == []
+
+
+def test_keep_nothing_forward_computes_each_scale_once(monkeypatch):
+    # one refresh per binary conv/fc: a folded conv head computes its scale
+    # for its steps, and its raw product needs none (13 calls when that raw
+    # forward computed it again)
+    cfg = nin_config(variant="AB", width_scale=0.1, classes=4, input_shape=(1, 32, 32))
+    net = nn.Network.from_config(cfg, seed=0)
+    x = np.random.default_rng(1).uniform(-1.5, 1.5, (32, 1, 32, 32)).astype(np.float32)
+    calls, refresh = [], layers._WeightedLayer.refresh
+
+    def spy(self):
+        calls.append(self.index)
+        return refresh(self)
+
+    monkeypatch.setattr(layers._WeightedLayer, "refresh", spy)
+    net.forward(x, keep=False)
+    binary = [lay.index for lay in net.layers if getattr(lay, "weight_bits", 32) == 1]
+    assert len(binary) == 8 and sorted(calls) == binary
 
 
 def test_predict_memory_does_not_grow_with_rows():
