@@ -56,9 +56,11 @@ op rounds monotonically and ``sign_binarize`` signs -0.0 and +0.0 alike,
 so those signs form one step at a half-integer c: sign((s - c) * d), d =
 +/-1. A max pool after relu (no batchnorm before it) commutes with the
 non-decreasing map before it (scale mean |W| >= 0, bias, relu) and pools s.
-Only convs fold: the probe's 2F + 1 values per channel pay off against a
-conv's batch * H * W values per channel, not an fc's batch (README,
-"Notes on eval forwards").
+A probe reads only parameters and running statistics, never the data, so
+``Network.forward`` finds every segment's steps before the first layer
+runs. Only convs fold: the probe's 2F + 1 values per channel pay off
+against a conv's batch * H * W values per channel, not an fc's batch
+(README, "Notes on eval forwards").
 
 Every 4-D activation and gradient is channel-last in memory: the logical
 [*members, B, C, H, W] array holds NHWC memory, members outermost
@@ -343,8 +345,8 @@ class Linear(_WeightedLayer):
 # Patch values (4 MB of float32) that one conv block may hold. In a NIN-x0.5
 # step at batch 32, blocks of 2 to 16 MB ran within noise of each other and
 # ~10% faster than unbounded ones, and left the step's and a 32-row eval
-# forward's traced peaks (72.5 and 40.9 MB) in conv 5, a 1x1 and one block;
-# at 4 MB conv 10's own forward and backward peak at 14.7 MB, 51 unbounded.
+# forward's traced peaks (72.5 and 18.9 MB) in conv 5's forward, a 1x1 and
+# one block; at 4 MB conv 10's forward and backward peak at 14.7 MB, 51 unbounded.
 _PATCH_VALUES = 1 << 20
 
 
@@ -642,22 +644,18 @@ class BinaryAct(QuantAct):
 
 
 class _Pool(Layer):
-    def __init__(self, kernel, stride=None, pad=0):
+    def __init__(self, kernel, stride, pad=0):
         self.kernel = int(kernel)
-        self.stride = int(stride) if stride is not None else int(kernel)
+        self.stride = int(stride)
         self.padding = int(pad)
 
-    def _out_hw(self, h, w):
+    def out_shape(self, in_shape):
+        c, h, w = in_shape
         # floor semantics: ragged tail windows are dropped
         ho = (h + 2 * self.padding - self.kernel) // self.stride + 1
         wo = (w + 2 * self.padding - self.kernel) // self.stride + 1
         if ho < 1 or wo < 1:
             raise ShapeError(f"pool kernel {self.kernel} exceeds padded input {h}x{w}")
-        return ho, wo
-
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        ho, wo = self._out_hw(h, w)
         return (c, ho, wo)
 
     def _fold(self, win, op):

@@ -111,7 +111,8 @@ class Network:
         ``bn_batch_stats``) folds each conv-to-conv segment of
         ``_fold_segments``: its first conv hands over its integer +/-1
         product, max pools pool it, and the next conv signs it by the
-        per-channel steps of ``Conv2d.sign_steps``. A segment with no steps
+        per-channel steps of ``Conv2d.sign_steps``, all found before the
+        first layer runs (the probes read no data). A segment with no steps
         runs the layer path, and so does every fc: an MLP's eval is the plain
         relu/batchnorm/sign path."""
         ctx = L.ForwardContext(
@@ -134,36 +135,27 @@ class Network:
             raise ShapeError(
                 f"layer 0 ({first.kind}): expected input {first.in_shape}, got {body}"
             )
-        fold = not (keep or train or surrogate or bn_batch_stats)
-        i, steps = 0, None  # steps: what signs x, a folded product, in layer i
-        while i < len(self.layers):
-            lay, end, out = self.layers[i], self._segments.get(i) if fold else None, None
-            if end is not None:
+        plan = [{} for _ in self.layers]  # each layer's keywords; None: folded away
+        if not (keep or train or surrogate or bn_batch_stats):
+            for i, end in self._segments.items():
                 rows = x.shape[lead] * math.prod(self.layers[end].in_shape[1:])
-                out = lay.sign_steps(self.layers[i + 1 : end], ctx, rows)
-            kw = {} if steps is None else {"steps": steps}
-            if out is not None:
-                kw["raw"] = True
-            x = self._layer_forward(lay, x, ctx, kw)
-            i += 1
-            if out is not None:  # the segment's max pools pool the product
-                for pool in self.layers[i:end]:
-                    if pool.kind == "maxpool":
-                        x = self._layer_forward(pool, x, ctx, {})
-                i = end
-            steps = out
-        return x
-
-    @staticmethod
-    def _layer_forward(lay, x, ctx, kw):
-        try:
-            x = lay.forward(x, ctx, **kw)
-        except ValueError:  # sign_binarize refuses non-finite values
-            if np.isfinite(x).all() and all(
-                    np.isfinite(p.value).all() for p in lay.params().values()):
-                raise
-            raise NumericalError(f"non-finite values at the binarization in layer "
-                                 f"{lay.index} ({lay.kind})") from None
+                steps = self.layers[i].sign_steps(self.layers[i + 1 : end], ctx, rows)
+                if steps is not None:
+                    plan[i]["raw"], plan[end]["steps"] = True, steps
+                    for j in range(i + 1, end):  # the max pools pool the product
+                        if self.layers[j].kind != "maxpool":
+                            plan[j] = None
+        for lay, kw in zip(self.layers, plan):
+            if kw is None:
+                continue
+            try:
+                x = lay.forward(x, ctx, **kw)
+            except ValueError:  # sign_binarize refuses non-finite values
+                if np.isfinite(x).all() and all(
+                        np.isfinite(p.value).all() for p in lay.params().values()):
+                    raise
+                raise NumericalError(f"non-finite values at the binarization in layer "
+                                     f"{lay.index} ({lay.kind})") from None
         return x
 
     def predict(self, x) -> np.ndarray:

@@ -191,3 +191,45 @@ def test_a_probe_that_overflows_runs_the_layer_path():
     want = _outcome(lambda: net.forward(x))
     got, folded = _folded_logits(net, x)
     assert (got.dtype, got.tobytes()) == want and folded == 1
+
+
+@pytest.mark.parametrize("variant, rows, folds", [
+    ("AB", 8, (0, 5, 10, 19, 22)), ("SB", 8, (5, 10, 19, 22)),  # SB: a 32-bit first conv
+    # at 1 row the row rule leaves the segments whose probe (2F + 1 values
+    # per channel) outgrows their output (H * W) on the layer path
+    ("AB", 1, (0, 5, 22)), ("SB", 1, (5, 22))])
+def test_folded_eval_runs_the_planned_layers(monkeypatch, variant, rows, folds):
+    # the fold's plan: a folded segment's head conv runs with raw, its tail
+    # conv with steps, and of the layers between only the max pools run
+    cfg = nin_config(variant=variant, width_scale=0.1, classes=4, input_shape=(1, 32, 32))
+    net = nn.Network.from_config(cfg, seed=3)
+    _set_state(net, 3, False)
+    calls, probing, sign_steps = [], [], layers.Conv2d.sign_steps
+
+    def probe(self, *a):  # the probe's own layer calls are not the forward's
+        probing.append(self.index)
+        try:
+            return sign_steps(self, *a)
+        finally:
+            probing.pop()
+
+    def spy(lay, fwd):
+        def forward(x, ctx, **kw):
+            if not probing:
+                calls.append((lay.index, sorted(kw)))
+            return fwd(x, ctx, **kw)
+        lay.forward = forward
+
+    monkeypatch.setattr(layers.Conv2d, "sign_steps", probe)
+    for lay in net.layers:
+        spy(lay, lay.forward)
+    x = np.random.default_rng(3).uniform(-1.5, 1.5, (rows, 1, 32, 32)).astype(np.float32)
+    got = eval_logits(net, x)
+    heads = {i: net._segments[i] for i in folds}
+    gone = {j for i, end in heads.items() for j in range(i + 1, end)
+            if net.layers[j].kind != "maxpool"}
+    assert gone and not gone & {i for i, _ in calls}
+    assert calls == [(j, ["raw"] * (j in heads) + ["steps"] * (j in heads.values()))
+                     for j in range(len(net.layers)) if j not in gone]
+    want = net.forward(x)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())

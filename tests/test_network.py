@@ -276,6 +276,23 @@ def test_train_network_history():
     assert len(hist.train_loss) == 30
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: NIN eval mode sits at chance, as its running "
+                   "statistics do not match the batch statistics it trained on")
+def test_nin_eval_accuracy_matches_batch_statistics():
+    # read 0.22 in eval mode against 0.93 with batch statistics when written
+    tr, te = datio.split_dataset(
+        datio.make_blob_images(768, 4, noise=0.08, seed=100, size=32), 512)
+    cfg = nin_config(variant="DNN", width_scale=0.1, classes=4, input_shape=(1, 32, 32))
+    net = nn.Network.from_config(cfg, seed=0)
+    nn.train_network(net, tr.images, tr.labels, epochs=3, batch_size=32,
+                     optimizer=nn.Adam(net.parameters(), lr=1e-3), rng=np.random.default_rng(0))
+    batch_stats = net.forward(te.images, bn_batch_stats=True, keep=False).argmax(axis=-1)
+    batch_acc = np.count_nonzero(batch_stats == te.labels) / len(te.labels)
+    eval_acc = nn.accuracy(net, te.images, te.labels)
+    assert eval_acc >= 0.5 and abs(eval_acc - batch_acc) <= 0.05, (eval_acc, batch_acc)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_trained_net_checkpoint_reload_gives_identical_logits(variant):
     # layers with 1-bit weights take their scale from the weights, whatever
