@@ -12,8 +12,11 @@ own RNG stream, derived from (seed, chunk index); the robustness estimators
 derive theirs from the seed and the weight-sample index. A result therefore
 depends on the seed and the trial count alone. The theorem checks split a
 chunk into row sub-blocks of at most ``_BLOCK_VALUES`` values that consume
-the chunk's stream in the same order, so their peak memory does not grow
-with the ensemble size K. Theorem 1's bagged members take their ±1 weights
+the chunk's stream in the same order. A chunk keeps only its draws whole
+and builds everything derived from them per sub-block, so the peak is one
+chunk's draws plus one sub-block's temporaries, whatever the ensemble size
+K. Sums of ±1 products run in float32, where they are exact integers (see
+``MAX_FAN_IN``). Theorem 1's bagged members take their ±1 weights
 from the raw 64-bit words of the chunk's stream, ceil(fan_in / 64) whole
 words per member row, drawn after the chunk's w, x and dx normals (so the
 four single-neuron regimes do not depend on K). All estimators report
@@ -37,6 +40,11 @@ from .nn.network import Network, eval_logits, softmax
 _CHUNK = 4096
 _BLOCK_VALUES = _CHUNK * 64  # float64 values per sub-block temporary (2 MB)
 _MAX_WIDENED_TOL = 0.5  # a widened tolerance never passes a 100% error
+# float32 holds every integer up to 2^24 exactly. Theorem 1's bagged sums reach
+# 2 fan_in and theorem 2's both-binarized sums a layer's fan-in, so these bounds
+# keep both exact, and equal to float64 sums bit for bit
+MAX_FAN_IN = 1 << 23
+MAX_WIDTH = 1 << 24
 REGIMES = ("real", "act_bin", "weight_bin", "both_bin")  # of both theorems
 
 
@@ -167,6 +175,42 @@ def monte_carlo_b(sigma: float, trials: int = 10_000_000, seed: int = 0) -> Mont
 # -------------------------------------------------------- one-layer theorem
 
 
+def _theorem1_chunk(m, rng, fan_in, sigma_w, sigma, k_values):
+    """Per-trial output changes of one chunk of ``verify_theorem1``: a dict of
+    the four regimes' and a dict of each K's bagged mean. The draws w, x, dx
+    and the int8 gamma are the only chunk-sized arrays; all else is built per
+    row sub-block, and nothing outlives the call."""
+    w = rng.normal(0.0, sigma_w, (m, fan_in))
+    x = rng.standard_normal((m, fan_in))
+    dx = rng.normal(0.0, sigma, (m, fan_in))
+    gamma = np.empty((m, fan_in), np.int8)  # sign(x + dx) - sign(x), in {-2, 0, 2}
+    sums = {n: np.empty(m) for n in REGIMES}
+    for lo, hi in _row_blocks(m, fan_in):  # each row sums in the order a whole-chunk sum does
+        wb, db, g = w[lo:hi], dx[lo:hi], gamma[lo:hi]
+        np.subtract(sign_binarize(x[lo:hi] + db), sign_binarize(x[lo:hi]), out=g, casting="unsafe")
+        sw = sign_binarize(wb)
+        sums["real"][lo:hi] = (wb * db).sum(axis=1)
+        sums["act_bin"][lo:hi] = (wb * g).sum(axis=1)
+        sums["weight_bin"][lo:hi] = (sw * db).sum(axis=1)
+        sums["both_bin"][lo:hi] = (sw * g).sum(axis=1)
+    gamma_sum = gamma.sum(axis=1, dtype=np.float32)
+    words = -(-fan_in // 64)  # raw 64-bit words per member row
+    bagged = {}
+    for k in k_values:
+        # sign(N(0, sigma_w^2)) is a fair ±1, so each member row is drawn as
+        # whole raw words; sub-block draws continue the stream of one draw.
+        # Bit 1 is +1, as in bitcore, so a member's sum is 2 bits·gamma - Σgamma:
+        # integers of magnitude at most 2 fan_in, exact in float32 in any order
+        member = np.empty((m, k))
+        for lo, hi in _row_blocks(m, k * fan_in):
+            raw = rng.bit_generator.random_raw((hi - lo) * k * words)
+            bits = bitcore._words_to_bits(raw.reshape(hi - lo, k, words), fan_in)
+            dot = np.matmul(bits.astype(np.float32), gamma[lo:hi, :, None].astype(np.float32))
+            member[lo:hi] = 2 * dot[..., 0] - gamma_sum[lo:hi, None]
+        bagged[k] = member.mean(axis=1)
+    return sums, bagged
+
+
 def verify_theorem1(
     fan_in: int,
     sigma_w: float,
@@ -186,6 +230,8 @@ def verify_theorem1(
     """
     if fan_in < 1 or sigma_w <= 0 or sigma <= 0:
         raise ValueError("fan_in, sigma_w and sigma must be positive")
+    if fan_in > MAX_FAN_IN:
+        raise ValueError(f"fan_in must be <= {MAX_FAN_IN}, got {fan_in}")
     if trials < 2:
         raise ValueError(f"trials must be >= 2 to measure a variance, got {trials}")
     if any(k < 1 for k in k_values) or len(set(k_values)) != len(k_values):
@@ -216,31 +262,12 @@ def verify_theorem1(
     }
     collected = {n: [] for n in REGIMES}
     bagged_collected = {k: [] for k in k_values}
-    words = -(-fan_in // 64)  # raw 64-bit words per member row
-
     for m, rng in _chunks(trials, _CHUNK, seed, 0x71):
-        w = rng.normal(0.0, sigma_w, (m, fan_in))
-        x = rng.standard_normal((m, fan_in))
-        dx = rng.normal(0.0, sigma, (m, fan_in))
-        gamma = sign_binarize(x + dx) - sign_binarize(x)
-        collected["real"].append((w * dx).sum(axis=1))
-        collected["act_bin"].append((w * gamma).sum(axis=1))
-        sw = sign_binarize(w)
-        collected["weight_bin"].append((sw * dx).sum(axis=1))
-        collected["both_bin"].append((sw * gamma).sum(axis=1))
+        sums, bagged = _theorem1_chunk(m, rng, fan_in, sigma_w, sigma, k_values)
+        for n in REGIMES:
+            collected[n].append(sums[n])
         for k in k_values:
-            # sign(N(0, sigma_w^2)) is a fair ±1, so each member row is drawn as
-            # whole raw words; sub-block draws continue the stream of one draw, and
-            # matmul sums the ±1 x {-2, 0, 2} products exactly, in any order
-            member = np.empty((m, k))
-            for lo, hi in _row_blocks(m, k * fan_in):
-                raw = rng.bit_generator.random_raw((hi - lo) * k * words)
-                bits = bitcore._words_to_bits(raw.reshape(hi - lo, k, words), fan_in)
-                signs = bits.astype(np.float64)
-                signs *= 2.0  # bit 1 is +1, as in bitcore
-                signs -= 1.0
-                member[lo:hi] = np.matmul(signs, gamma[lo:hi, :, None])[..., 0]
-            bagged_collected[k].append(member.mean(axis=1))
+            bagged_collected[k].append(bagged[k])
 
     regimes = {}
     for n in REGIMES:
@@ -286,19 +313,54 @@ def verify_theorem1(
 # ------------------------------------------------------- multi-layer bounds
 
 
-def _stack_forward(ws, x, regime):
-    """Batched forward of [networks] random linear stacks with weights ``ws``,
-    already signed for the weight-binarized regimes; activation between
-    layers is ReLU for real/weight regimes and sign for binarized ones."""
-    h = x
-    last = len(ws) - 1
+def _stack_forward(ws, h, regime):
+    """Batched forward of [networks] random linear stacks with weights ``ws``
+    of inputs ``h``, both already signed for the regimes that binarize them;
+    the activation between layers is ReLU for real/weight regimes and sign
+    for binarized ones."""
     for li, w in enumerate(ws):
-        if regime in ("act_bin", "both_bin"):
-            h = sign_binarize(h)
+        if li:
+            h = sign_binarize(h) if regime in ("act_bin", "both_bin") else np.maximum(h, 0.0, out=h)
         h = np.matmul(h, w.transpose(0, 2, 1))
-        if li != last and regime in ("real", "weight_bin"):
-            np.maximum(h, 0.0, out=h)
     return h
+
+
+def _theorem2_chunk(m, rng, widths, sigma_w, sigma, inner):
+    """Each network's output-change variance, per regime, for one chunk of
+    ``verify_theorem2``. The draws ws and x are the only chunk-sized arrays;
+    all else is built per row sub-block, and nothing outlives the call."""
+    ws = [
+        rng.normal(0.0, sigma_w, (m, widths[li + 1], widths[li]))
+        for li in range(len(widths) - 1)
+    ]
+    x = rng.standard_normal((m, inner, widths[0]))
+    v_hat = {reg: np.empty(m) for reg in REGIMES}
+    for lo, hi in _row_blocks(m, inner * max(widths)):
+        for reg, v in _theorem2_block(rng, sigma, [w[lo:hi] for w in ws], x[lo:hi]).items():
+            v_hat[reg][lo:hi] = v
+    return v_hat
+
+
+def _theorem2_block(rng, sigma, ws, x):
+    """Each regime's output-change variance for a row sub-block of networks
+    ``ws`` and clean inputs ``x``. dx is a chunk's last draw, so drawing it
+    per sub-block keeps the chunk's stream."""
+    noisy = rng.normal(0.0, sigma, x.shape)
+    noisy += x
+    sw = [sign_binarize(w) for w in ws]
+    sx = [sign_binarize(v).astype(np.float32) for v in (x, noisy)]  # ±1 in any precision
+    runs = {
+        "real": (ws, (x, noisy)),
+        "act_bin": (ws, sx),
+        "weight_bin": (sw, (x, noisy)),
+        # every sum is an integer of magnitude at most a fan-in: exact in float32
+        "both_bin": ([s.astype(np.float32) for s in sw], sx),
+    }
+    v_hat = {}
+    for reg, (wb, (h0, h1)) in runs.items():
+        d = np.subtract(_stack_forward(wb, h1, reg), _stack_forward(wb, h0, reg), dtype=np.float64)
+        v_hat[reg] = (d * d).mean(axis=(1, 2))
+    return v_hat
 
 
 def theorem2_bound(widths, sigma_w, sigma, b, regime) -> float:
@@ -345,6 +407,8 @@ def verify_theorem2(
     widths = tuple(int(d) for d in widths)
     if len(widths) < 3:
         raise ValueError("need at least 2 layers (3 widths)")
+    if max(widths) > MAX_WIDTH:
+        raise ValueError(f"widths must be <= {MAX_WIDTH}, got {max(widths)}")
     if trials < 1 or inner < 1:
         raise ValueError(f"trials and inner must be >= 1, got {trials} and {inner}")
     _check_squares(sigma_w=sigma_w, sigma=sigma)
@@ -356,22 +420,7 @@ def verify_theorem2(
                              f"({len(widths) - 1} layers) overflows") from None
     results = {reg: {"bound": bounds[reg], "satisfied": 0, "sum": 0.0} for reg in REGIMES}
     for m, rng in _chunks(trials, max(1, _CHUNK // max(1, inner // 8)), seed, 0x72):
-        ws = [
-            rng.normal(0.0, sigma_w, (m, widths[li + 1], widths[li]))
-            for li in range(len(widths) - 1)
-        ]
-        signed = [sign_binarize(w) for w in ws]
-        x = rng.standard_normal((m, inner, widths[0]))
-        v_hat = {reg: np.empty(m) for reg in REGIMES}  # per-network variance
-        # dx is the chunk's last draw, so drawing it per sub-block keeps the stream
-        for lo, hi in _row_blocks(m, inner * max(widths)):
-            xb = x[lo:hi]
-            xd = rng.normal(0.0, sigma, (hi - lo, inner, widths[0]))
-            xd += xb
-            for reg in REGIMES:
-                wb = [w[lo:hi] for w in (signed if reg in ("weight_bin", "both_bin") else ws)]
-                d = _stack_forward(wb, xd, reg) - _stack_forward(wb, xb, reg)
-                v_hat[reg][lo:hi] = (d * d).mean(axis=(1, 2))
+        v_hat = _theorem2_chunk(m, rng, widths, sigma_w, sigma, inner)
         for reg, res in results.items():  # whole-chunk sums keep the summation order
             res["satisfied"] += int((v_hat[reg] <= res["bound"]).sum())
             res["sum"] += float(v_hat[reg].sum())

@@ -57,8 +57,11 @@ _POSITIVE_FLOAT_LIST = _checked(lambda t: [float(v) for v in t.split(",")], lamb
 _K_VALUES = _checked(lambda t: [int(v) for v in t.split(",")],
                      lambda v: min(v) >= 1 and len(set(v)) == len(v),
                      "distinct comma-separated integers >= 1")
-_WIDTHS = _checked(lambda t: [int(v) for v in t.split(",")], lambda v: len(v) >= 3 and min(v) >= 1,
-                   "at least 3 comma-separated integers >= 1")
+_WIDTHS = _checked(lambda t: [int(v) for v in t.split(",")],
+                   lambda v: len(v) >= 3 and 1 <= min(v) and max(v) <= analysis.MAX_WIDTH,
+                   f"at least 3 comma-separated integers in [1, {analysis.MAX_WIDTH}]")
+_FAN_IN = _checked(int, lambda k: 1 <= k <= analysis.MAX_FAN_IN,
+                   f"an integer in [1, {analysis.MAX_FAN_IN}]")
 
 
 @functools.cache
@@ -418,7 +421,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_b_table)
     p = asub.add_parser("theorem1", help="one-layer variance Monte Carlo")
-    p.add_argument("--fan-in", type=_POSITIVE_INT, default=256)
+    p.add_argument("--fan-in", type=_FAN_IN, default=256)
     p.add_argument("--sigma-w", type=_POSITIVE_FLOAT, default=1.0)
     p.add_argument("--sigma", type=_POSITIVE_FLOAT, default=0.1)
     p.add_argument("--k-values", type=_K_VALUES, default="2,4,8,16")

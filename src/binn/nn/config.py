@@ -18,6 +18,7 @@ checkpoints.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -65,7 +66,8 @@ class NetworkConfig:
 
 
 def layer(kind: str, **params) -> LayerSpec:
-    """Build a LayerSpec, filling schema defaults and validating names."""
+    """Build a LayerSpec, filling schema defaults and validating names and the
+    ranges of batchnorm's eps and momentum and a pool's pad."""
     if kind not in _SCHEMAS:
         raise DataError(f"unknown layer kind {kind!r}")
     schema = _SCHEMAS[kind]
@@ -84,6 +86,13 @@ def layer(kind: str, **params) -> LayerSpec:
         else:
             raise DataError(f"{kind}: missing required parameter {name!r}")
         out.append((name, val))
+    p = dict(out)
+    if kind == "batchnorm" and not 0.0 < p["eps"] < math.inf:
+        raise DataError(f"batchnorm: eps must be finite and > 0, got {p['eps']}")
+    if kind == "batchnorm" and not 0.0 <= p["momentum"] <= 1.0:
+        raise DataError(f"batchnorm: momentum must be in [0, 1], got {p['momentum']}")
+    if kind in ("maxpool", "avgpool") and p["pad"] >= p["kernel"]:  # a window of padding alone
+        raise DataError(f"{kind}: pad must be below kernel, got pad={p['pad']} kernel={p['kernel']}")
     return LayerSpec(kind=kind, params=tuple(out))
 
 
@@ -119,6 +128,8 @@ def parse_config(text: str) -> NetworkConfig:
                 name = rest
             elif key == "input":
                 input_shape = tuple(int(d) for d in rest.split("x"))
+                if min(input_shape) < 1:
+                    raise DataError(f"input dims must be >= 1, got {rest!r}")
             elif key == "classes":
                 classes = int(rest)
             elif key == "layer":

@@ -167,8 +167,29 @@ def test_theorem1_bagged_bits_do_not_depend_on_sub_block_size(monkeypatch):
     want = analysis.verify_theorem1(100, 1.0, 0.5, k_values=(1, 3, 8), trials=10_000, seed=6)
     monkeypatch.setattr(analysis, "_BLOCK_VALUES", 777)
     got = analysis.verify_theorem1(100, 1.0, 0.5, k_values=(1, 3, 8), trials=10_000, seed=6)
+    assert repr(got.regimes) == repr(want.regimes)
     assert repr(got.bagged) == repr(want.bagged)
     assert repr(got.bagging_ratio) == repr(want.bagging_ratio)
+
+
+def test_theorem2_bits_do_not_depend_on_sub_block_size(monkeypatch):
+    # 40 x 20 = 800 values per row exceed 777, so every block holds one network
+    want = analysis.verify_theorem2((20, 7, 1), 0.7, 0.3, trials=1500, inner=40, seed=2)
+    monkeypatch.setattr(analysis, "_BLOCK_VALUES", 777)
+    got = analysis.verify_theorem2((20, 7, 1), 0.7, 0.3, trials=1500, inner=40, seed=2)
+    assert repr(got.regimes) == repr(want.regimes)
+
+
+def test_theorems_refuse_sums_float32_cannot_hold_before_drawing():
+    # the accepted limits reach the next check, so no array is drawn at them either
+    with pytest.raises(ValueError, match="distinct"):
+        analysis.verify_theorem1(analysis.MAX_FAN_IN, 1.0, 0.5, k_values=(2, 2), trials=2)
+    with pytest.raises(ValueError, match="fan_in must be <= 8388608"):
+        analysis.verify_theorem1(analysis.MAX_FAN_IN + 1, 1.0, 0.5, trials=2)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        analysis.verify_theorem2((analysis.MAX_WIDTH, 1, 1), 1.0, 1.0, trials=0)
+    with pytest.raises(ValueError, match="widths must be <= 16777216"):
+        analysis.verify_theorem2((4, analysis.MAX_WIDTH + 1, 1), 1.0, 1.0, trials=2)
 
 
 def test_theorem1_rejects_repeated_or_nonpositive_k():
@@ -188,15 +209,14 @@ def _traced_peak_mb(fn, *args, **kwargs):
 
 
 def test_theorem_monte_carlo_memory_is_bounded():
-    # one (4096, 16, 256) float64 draw alone is 134 MB; sub-blocks keep the
-    # temporaries at a few MB each whatever K is
-    with pytest.warns(UserWarning, match="widening"):
-        peak = _traced_peak_mb(analysis.verify_theorem1, 256, 1.0, 0.1,
-                               k_values=(16,), trials=4096, seed=0)
-    assert peak < 100, peak
+    # the benchmark's shapes: one chunk's draws (25.2 MB for theorem 1, 25.3 MB
+    # for theorem 2) plus one sub-block's temporaries, whatever K is
+    peak = _traced_peak_mb(analysis.verify_theorem1, 256, 1.0, 0.1,
+                           k_values=(2, 4, 8, 16), trials=10_000, seed=0)
+    assert peak < 45, peak
     peak = _traced_peak_mb(analysis.verify_theorem2, (64, 64, 1), 1.0, 1.0,
                            trials=1000, inner=128, seed=0)
-    assert peak < 80, peak
+    assert peak < 40, peak
 
 
 # ------------------------------------------------------------- theorem 2

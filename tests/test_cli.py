@@ -399,6 +399,10 @@ def cli_paths(tmp_path_factory):
         bad.layers[0].w.value[0, 0] = np.nan
         paths[f"nan-{variant}"] = root / f"nan-{variant}.ckpt"
         datio.save_checkpoint(bad, paths[f"nan-{variant}"])
+    bn_cfg = nn.config_to_text(nn.mlp_config((1, 8, 8), [8], 4, variant="AB"))
+    for bad in ("eps=-1", "eps=nan", "momentum=inf", "momentum=-0.5"):  # the 64-8-4 AB MLP
+        paths[f"bn-{bad}"] = root / f"bn-{bad}.cfg"
+        paths[f"bn-{bad}"].write_text(bn_cfg.replace("eps=0.0001 momentum=0.1", bad))
     ab_cfg = root / "ab.cfg"
     ab_cfg.write_text(nn.config_to_text(nn.mlp_config((1, 8, 8), [16, 16], 4, variant="AB")))
     paths.update({"cfg": cfg, "ens": ens, "no-member": no_member, "no-alphas": no_alphas,
@@ -475,6 +479,15 @@ def cli_paths(tmp_path_factory):
     (["perturb", "--checkpoint", "{nan-DNN}", "--seed", "0"], 2,
      "'layer000.w' holds a non-finite value"),
     (["eval", "--checkpoint", "{nan-scale}"], 2, "'layer003.scale' holds a non-finite value"),
+    (["analyze", "theorem1", "--fan-in", "8388609", "--trials", "2", "--seed", "0"], 1, "--fan-in"),
+    (["analyze", "theorem2", "--widths", "4,16777217,1", "--trials", "2", "--seed", "0"], 1,
+     "--widths"),
+    (["train", "--config", "{bn-eps=-1}", "--seed", "0"], 2, "config line 6: batchnorm: eps"),
+    (["train", "--config", "{bn-eps=nan}", "--seed", "0"], 2, "config line 6: batchnorm: eps"),
+    (["train", "--config", "{bn-momentum=inf}", "--seed", "0"], 2,
+     "config line 6: batchnorm: momentum"),
+    (["train", "--config", "{bn-momentum=-0.5}", "--seed", "0"], 2,
+     "config line 6: batchnorm: momentum"),
 ], ids=["sigma2-text", "k-values-text", "k-values-repeated", "widths-empty", "sigmas-semicolon", "k-zero",
         "eval-train-frac-1", "train-train-frac-0", "missing-member", "manifest-no-alphas",
         "empty-train-split", "sigmas-negative", "theorem1-trials-0", "widths-two",
@@ -493,7 +506,8 @@ def cli_paths(tmp_path_factory):
         "theorem2-sigma-w-overflows", "theorem2-sigma-overflows", "theorem2-bound-overflows",
         "data-unknown", "idx-dims-wrap", "data-n-negative", "data-n-0",
         "export-nan-weight", "eval-dnn-nan-weight", "perturb-dnn-nan-weight",
-        "eval-pbin-nan-scale"])
+        "eval-pbin-nan-scale", "theorem1-fan-in-over-float32", "theorem2-width-over-float32",
+        "bn-eps-negative", "bn-eps-nan", "bn-momentum-inf", "bn-momentum-negative"])
 def test_malformed_invocations_exit_cleanly(tmp_path, cli_paths, argv, code, flag):
     out = _run_cli([cli_paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")])
     assert out.returncode == code, out.stderr

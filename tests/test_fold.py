@@ -109,7 +109,9 @@ def test_fold_segments_follow_the_rules():
     assert segments(relu, nn.layer("maxpool", kernel=2), bn) == {0: 4}
     assert segments(nn.layer("maxpool", kernel=2), bn) == {0: 3}  # scale >= 0, bias
     assert segments(bn, nn.layer("maxpool", kernel=2)) == {}  # gamma < 0 reverses max
-    assert segments(relu, nn.layer("maxpool", kernel=1, stride=2, pad=1)) == {}  # pad-only windows
+    # pad-only windows; a config refuses such a pool, but a hand-built spec is not checked
+    pad_only = nn.LayerSpec("maxpool", (("kernel", 1), ("stride", 2), ("pad", 1)))
+    assert segments(relu, pad_only) == {}
     assert segments(nn.layer("avgpool", kernel=2), bn) == {}
     assert segments(bn, end=nn.layer("conv", out=2, kernel=1, wbits=1, abits=2)) == {}
     assert segments() == {0: 1}  # a conv head right before its conv tail

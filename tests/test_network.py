@@ -9,7 +9,7 @@ import pytest
 
 import binn
 from binn import datio, nn
-from binn.errors import NumericalError, ShapeError
+from binn.errors import DataError, NumericalError, ShapeError
 from binn.nn import layer, layers, mlp_config, network, nin_config, parse_config, config_to_text
 from binn.nn.config import _SCHEMAS, VARIANTS
 from binn.nn.network import EVAL_ROWS, eval_logits
@@ -110,6 +110,38 @@ def test_bad_width_names_its_config_key(line, message):
     cfg = parse_config(f"name: w\ninput: 1x2x2\nclasses: 2\nlayer: {line}\n")
     with pytest.raises(ShapeError, match=message):
         nn.Network.from_config(cfg)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("input: 0x8x8", "input dims must be >= 1"),
+    ("input: -1x8x8", "input dims must be >= 1"),
+    ("input: 1x8x0", "input dims must be >= 1"),
+    ("layer: batchnorm eps=-1", r"eps must be finite and > 0, got -1\.0"),
+    ("layer: batchnorm eps=0", "eps must be finite and > 0"),
+    ("layer: batchnorm eps=nan", "eps must be finite and > 0, got nan"),
+    ("layer: batchnorm eps=inf", "eps must be finite and > 0, got inf"),
+    ("layer: batchnorm momentum=-0.5", r"momentum must be in \[0, 1\], got -0\.5"),
+    ("layer: batchnorm momentum=1.5", r"momentum must be in \[0, 1\]"),
+    ("layer: batchnorm momentum=inf", r"momentum must be in \[0, 1\], got inf"),
+    ("layer: batchnorm momentum=nan", r"momentum must be in \[0, 1\], got nan"),
+    ("layer: maxpool kernel=2 pad=2", "maxpool: pad must be below kernel, got pad=2 kernel=2"),
+    ("layer: avgpool kernel=2 pad=5", "avgpool: pad must be below kernel, got pad=5 kernel=2"),
+])
+def test_config_value_outside_its_domain_is_a_data_error(line, message):
+    lines = ["name: d", "input: 1x8x8", "classes: 2", "layer: fc out=2"]
+    if line.startswith("input:"):
+        lines[1] = line
+    else:
+        lines.insert(3, line)
+    lineno = lines.index(line) + 1
+    with pytest.raises(DataError, match=f"config line {lineno}: .*{message}"):
+        parse_config("\n".join(lines) + "\n")
+
+
+def test_config_domain_edges_parse():
+    for spec in ("batchnorm eps=1e-300 momentum=0", "batchnorm momentum=1",
+                 "maxpool kernel=2 pad=1", "avgpool kernel=3 pad=2"):
+        parse_config(f"name: d\ninput: 1x1x1\nclasses: 2\nlayer: {spec}\nlayer: fc out=2\n")
 
 
 def test_train_eval_toggle_only_bn_dropout():
